@@ -71,6 +71,10 @@ class NotHomogeneous(PreconditionError):
     pass
 
 
+class EmptyWindow(PreconditionError):
+    """A degree or position window leaves the window oracle nothing to check."""
+
+
 class NotDivisible(PreconditionError):
     """The element is not divisible in the quotient ring, so the exact
     division step of a lifting algorithm cannot proceed."""

@@ -352,10 +352,14 @@ def membership_oracle(p: Polynomial, generators, max_cof_degree: int) -> bool:
             prod = g.mul_term(m, field.one)
             columns.append(prod)
             target_monos.update(prod.terms)
-    rows_index = sorted(target_monos)
-    a = [[col.terms.get(m, field.zero) for col in columns] for m in rows_index]
-    b = [p.terms.get(m, field.zero) for m in rows_index]
-    return solve_linear(a, b, field) is not None
+    # One augmented row per monomial; column len(columns) holds p.
+    rows = {m: {} for m in sorted(target_monos)}
+    for k, col in enumerate(columns):
+        for m, c in col.terms.items():
+            rows[m][k] = c
+    for m, c in p.terms.items():
+        rows[m][len(columns)] = c
+    return solve_linear(list(rows.values()), len(columns), field) is not None
 
 
 def _monomials_up_to(nvars: int, max_degree: int):

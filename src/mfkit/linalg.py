@@ -1,72 +1,66 @@
-"""Dense exact linear algebra over a coefficient field.
+"""Sparse exact linear algebra over a coefficient field.
 
-Matrices are lists of row lists of field elements. Everything is plain
-Gaussian elimination with exact arithmetic; deterministic pivoting
-(first nonzero entry in column order).
+A row is a `{column: value}` dict of nonzero field elements; a matrix is
+a list of rows. One incremental echelon engine serves both entry points:
+each row is reduced at its leading column against the pivot rows found
+so far and, unless it reduces to zero, is normalized to leading
+coefficient one and becomes a new pivot row. Arithmetic is exact and no
+zero entry is stored. The pivot columns of an echelon form depend only
+on the row space, so rank and the solution with free variables set to
+zero do not depend on row order.
 """
 
 from __future__ import annotations
 
 
-def row_echelon(rows: list[list], field) -> tuple[int, list[int]]:
-    """Reduce `rows` in place to row echelon form.
+def _insert(pivots: dict[int, dict], row: dict, field) -> int | None:
+    """Reduce `row` against `pivots` and add it as a pivot row.
 
-    Returns (rank, pivot column indices).
+    Returns the new pivot column, or None when the row reduces to zero.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][col] != field.zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.inv(rows[r][col])
-        rows[r] = [field.mul(v, inv) for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col] != field.zero:
-                factor = rows[i][col]
-                rows[i] = [
-                    field.sub(v, field.mul(factor, w))
-                    for v, w in zip(rows[i], rows[r])
-                ]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return r, pivots
+    zero = field.zero
+    sub, mul = field.sub, field.mul
+    work = {c: v for c, v in row.items() if v != zero}
+    while work:
+        col = min(work)
+        pivot = pivots.get(col)
+        if pivot is None:
+            inv = field.inv(work[col])
+            pivots[col] = {c: mul(v, inv) for c, v in work.items()}
+            return col
+        factor = work[col]
+        for c, v in pivot.items():
+            value = sub(work.get(c, zero), mul(factor, v))
+            if value == zero:
+                work.pop(c, None)
+            else:
+                work[c] = value
+    return None
 
 
-def matrix_rank(rows: list[list], field) -> int:
-    if not rows or not rows[0]:
-        return 0
-    work = [list(row) for row in rows]
-    rank, _ = row_echelon(work, field)
-    return rank
+def matrix_rank(rows: list[dict], field) -> int:
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        _insert(pivots, row, field)
+    return len(pivots)
 
 
-def solve_linear(a: list[list], b: list, field) -> list | None:
+def solve_linear(rows: list[dict], ncols: int, field) -> list | None:
     """One solution x of A x = b, or None when the system is inconsistent.
 
-    Free variables are set to zero.
+    `rows` are the augmented rows of (A | b): column `ncols` holds b.
+    Free variables are set to zero, which makes x unique.
     """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    if nrows == 0:
-        return [field.zero] * ncols
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    rank, pivots = row_echelon(aug, field)
-    for i in range(rank, nrows):
-        if aug[i][ncols] != field.zero:
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        if _insert(pivots, row, field) == ncols:
             return None
-    if pivots and pivots[-1] == ncols:
-        return None
     x = [field.zero] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][ncols]
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        value = row.get(ncols, field.zero)
+        for c, v in row.items():
+            if col < c < ncols:
+                value = field.sub(value, field.mul(v, x[c]))
+        x[col] = value
     return x

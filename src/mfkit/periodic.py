@@ -28,10 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import linalg
 from .errors import (
     BudgetExceeded,
     CommutationViolation,
     DimensionMismatch,
+    EmptyWindow,
     HomotopyViolation,
     LevelMismatch,
     NotDivisible,
@@ -39,7 +41,6 @@ from .errors import (
     TowerMismatch,
     VerificationFailure,
 )
-from .linalg import matrix_rank, solve_linear
 from .mfcat import (
     MatrixFactorization,
     MfHomotopy,
@@ -427,36 +428,39 @@ def _uniform_entry_degree(m: RingMatrix) -> int | None:
 
 
 def _graded_map(tower: RingTower, m: RingMatrix, src_degree: int, entry_degree: int):
-    """Field matrix of multiplication by m on graded pieces.
+    """Sparse image vectors of multiplication by m on graded pieces.
 
-    Maps (piece of src_degree)^ncols to (piece of src_degree +
-    entry_degree)^nrows over the coefficient field. Returns (rows,
-    source dimension, target dimension).
+    The source is (piece of src_degree)^ncols, the target (piece of
+    src_degree + entry_degree)^nrows, both over the coefficient field.
+    Source basis element (j, s), index j*len(src) + s, is the standard
+    monomial s in slot j; it maps to column j of m times s, in normal
+    form at QUOT, a vector over target indices i*len(tgt) + t. Returns
+    (images, source dimension, target dimension) with images[k] the
+    image of source element k. The rank of the map is the rank of its
+    image vectors.
     """
-    field = tower.ring.field
+    one = tower.ring.field.one
     src_monos = tower.standard_monomials(src_degree) if src_degree >= 0 else []
     tgt_degree = src_degree + entry_degree
     tgt_monos = tower.standard_monomials(tgt_degree) if tgt_degree >= 0 else []
-    src_dim = len(src_monos) * m.ncols
-    tgt_dim = len(tgt_monos) * m.nrows
+    ntgt = len(tgt_monos)
     tgt_index = {mono: k for k, mono in enumerate(tgt_monos)}
-    rows = [[field.zero] * src_dim for _ in range(tgt_dim)]
+    images = []
     for j in range(m.ncols):
-        for sm_idx, sm in enumerate(src_monos):
-            col = j * len(src_monos) + sm_idx
-            for i in range(m.nrows):
-                p = m.entries[i][j]
-                if p.is_zero():
-                    continue
-                prod = tower.normal_form(p.mul_term(sm, field.one), Level.QUOT)
+        column = [(i, row[j]) for i, row in enumerate(m.entries) if not row[j].is_zero()]
+        for sm in src_monos:
+            image = {}
+            for i, p in column:
+                prod = tower.normal_form(p.mul_term(sm, one), Level.QUOT)
                 for mono, coeff in prod.terms.items():
                     k = tgt_index.get(mono)
                     if k is None:
                         raise VerificationFailure(
                             "graded piece bookkeeping failed: unexpected monomial"
                         )
-                    rows[i * len(tgt_monos) + k][col] = coeff
-    return rows, src_dim, tgt_dim
+                    image[i * ntgt + k] = coeff
+            images.append(image)
+    return images, len(src_monos) * m.ncols, ntgt * m.nrows
 
 
 @dataclass(frozen=True)
@@ -522,26 +526,31 @@ def _window_rows(c: PeriodicComplex, d_min: int, d_max: int, budget: int) -> lis
             f" budget is {budget}"
         )
 
-    def rank_of(m: RingMatrix, src_degree: int, entry_degree: int | None) -> int:
+    differentials = {"phi": (c.phi_bar, e_phi), "psi": (c.psi_bar, e_psi)}
+    # Each differential's rank on a source degree enters the table twice,
+    # once as a kernel and once as an image.
+    ranks: dict[tuple[str, int], int] = {}
+
+    def rank_of(name: str, src_degree: int) -> int:
+        m, entry_degree = differentials[name]
         if entry_degree is None or src_degree < 0:
             return 0
-        rows, src_dim, tgt_dim = _graded_map(tower, m, src_degree, entry_degree)
-        if src_dim == 0 or tgt_dim == 0:
-            return 0
-        return matrix_rank(rows, field)
+        key = (name, src_degree)
+        if key not in ranks:
+            images, src_dim, tgt_dim = _graded_map(tower, m, src_degree, entry_degree)
+            ranks[key] = linalg.matrix_rank(images, field) if src_dim and tgt_dim else 0
+        return ranks[key]
 
     out = []
     for d in range(d_min, d_max + 1):
         piece = len(tower.standard_monomials(d)) if d >= 0 else 0
         # F-position: out by phi_bar, in by psi_bar.
-        out_rank = rank_of(c.phi_bar, d, e_phi)
-        ker = piece * c.rank_f - out_rank
-        im = rank_of(c.psi_bar, d - (e_psi if e_psi is not None else 0), e_psi)
+        ker = piece * c.rank_f - rank_of("phi", d)
+        im = rank_of("psi", d - (e_psi or 0))
         out.append(HomologyRow(d, "F", ker, im))
         # G-position: out by psi_bar, in by phi_bar.
-        out_rank = rank_of(c.psi_bar, d, e_psi)
-        ker = piece * c.rank_g - out_rank
-        im = rank_of(c.phi_bar, d - (e_phi if e_phi is not None else 0), e_phi)
+        ker = piece * c.rank_g - rank_of("psi", d)
+        im = rank_of("phi", d - (e_phi or 0))
         out.append(HomologyRow(d, "G", ker, im))
     return out
 
@@ -553,7 +562,7 @@ def graded_acyclicity_window(c: PeriodicComplex, d_min: int, d_max: int,
     pieces. All zeros on the window is evidence of total acyclicity."""
     _require_graded(c.tower)
     if d_min > d_max:
-        raise ValueError("empty degree window")
+        raise EmptyWindow(f"empty degree window {d_min}..{d_max}")
     rows = _window_rows(c, d_min, d_max, budget)
     dual_rows = _window_rows(c.transpose_dual(), d_min, d_max, budget)
     return AcyclicityReport(d_min, d_max, rows, dual_rows)
@@ -589,7 +598,9 @@ def graded_nullhomotopy_window(delta: PeriodicChainMap, p_min: int, p_max: int,
     tower = src.tower
     _require_graded(tower)
     if p_min >= p_max:
-        raise ValueError("window must contain at least two positions")
+        raise EmptyWindow(
+            f"position window {p_min}..{p_max} must contain at least two positions"
+        )
     field_ops = tower.ring.field
 
     if delta.is_zero():
@@ -630,102 +641,93 @@ def graded_nullhomotopy_window(delta: PeriodicChainMap, p_min: int, p_max: int,
         )
 
     positions = list(range(p_min, p_max + 1))
-    # Variable layout: (position, row, col, monomial index).
-    var_index: dict[tuple, int] = {}
-    var_mono: list = []
+    # Unknowns: the coefficient of standard monomial k in entry (i, j) of
+    # the diagonal out of position p is variable
+    # offset + (i*shape[1] + j)*len(monos) + k.
+    layout = {}
+    nvars = 0
     for p in positions:
         shape, deg = _sigma_shape(src, tgt, p, t_deg, s_deg)
         monos = tower.standard_monomials(deg) if deg >= 0 else []
-        for i in range(shape[0]):
-            for j in range(shape[1]):
-                for k, mono in enumerate(monos):
-                    var_index[(p, i, j, k)] = len(var_mono)
-                    var_mono.append((p, i, j, mono))
-    nvars = len(var_mono)
+        layout[p] = (nvars, shape, deg, monos)
+        nvars += shape[0] * shape[1] * len(monos)
 
-    rows: list[list] = []
-    rhs: list = []
+    # Augmented sparse rows; column nvars holds the right-hand side.
+    rows: list[dict] = []
 
     def add_equations(p: int):
         # Equation at position p: delta_p = d2_{p+1} @ sigma_p + sigma_{p-1} @ d1_p
         if p % 2 == 0:
             lhs = delta.f_bar
             lhs_deg = d_f if d_f is not None else (t_deg + e_psi2)
-            left_mat = tgt.psi_bar      # multiplies sigma_p
-            right_mat = src.phi_bar     # multiplied by sigma_{p-1}
+            left_mat, e_left = tgt.psi_bar, e_psi2     # multiplies sigma_p
+            right_mat, e_right = src.phi_bar, e_phi1   # multiplied by sigma_{p-1}
         else:
             lhs = delta.g_bar
             lhs_deg = d_g if d_g is not None else (s_deg + e_phi2)
-            left_mat = tgt.phi_bar
-            right_mat = src.psi_bar
-        shape_p, deg_p = _sigma_shape(src, tgt, p, t_deg, s_deg)
-        shape_q, deg_q = _sigma_shape(src, tgt, p - 1, t_deg, s_deg)
-        monos_p = tower.standard_monomials(deg_p) if deg_p >= 0 else []
-        monos_q = tower.standard_monomials(deg_q) if deg_q >= 0 else []
+            left_mat, e_left = tgt.phi_bar, e_phi2
+            right_mat, e_right = src.psi_bar, e_psi1
         tgt_monos = tower.standard_monomials(lhs_deg) if lhs_deg >= 0 else []
         tgt_idx = {m: k for k, m in enumerate(tgt_monos)}
+        ntgt = len(tgt_monos)
+        ncols = lhs.ncols
+        eqs = [{} for _ in range(lhs.nrows * ncols * ntgt)]
         for i in range(lhs.nrows):
-            for j in range(lhs.ncols):
-                eq = [[field_ops.zero] * nvars for _ in tgt_monos]
-                target = [field_ops.zero] * len(tgt_monos)
+            for j in range(ncols):
                 for mono, coeff in lhs.entries[i][j].terms.items():
                     k = tgt_idx.get(mono)
                     if k is None:
                         raise NotHomogeneous("chain map entry outside its graded piece")
-                    target[k] = coeff
-                # left_mat[i][r] * sigma_p[r][j]
-                for r in range(shape_p[0]):
-                    a = left_mat.entries[i][r] if r < left_mat.ncols else None
-                    if a is None or a.is_zero():
-                        continue
-                    for k_m, mono in enumerate(monos_p):
-                        col = var_index.get((p, r, j, k_m))
-                        if col is None:
-                            continue
-                        prod = tower.normal_form(a.mul_term(mono, field_ops.one), Level.QUOT)
-                        for m2, c2 in prod.terms.items():
-                            k = tgt_idx.get(m2)
-                            if k is None:
-                                raise NotHomogeneous("product left the graded window")
-                            eq[k][col] = field_ops.add(eq[k][col], c2)
-                # sigma_{p-1}[i][r] * right_mat[r][j]
-                for r in range(shape_q[1]):
-                    b = right_mat.entries[r][j] if r < right_mat.nrows else None
-                    if b is None or b.is_zero():
-                        continue
-                    for k_m, mono in enumerate(monos_q):
-                        col = var_index.get((p - 1, i, r, k_m))
-                        if col is None:
-                            continue
-                        prod = tower.normal_form(b.mul_term(mono, field_ops.one), Level.QUOT)
-                        for m2, c2 in prod.terms.items():
-                            k = tgt_idx.get(m2)
-                            if k is None:
-                                raise NotHomogeneous("product left the graded window")
-                            eq[k][col] = field_ops.add(eq[k][col], c2)
-                rows.extend(eq)
-                rhs.extend(target)
+                    eqs[(i * ncols + j) * ntgt + k][nvars] = coeff
+
+        def images(m: RingMatrix, src_degree: int, entry_degree: int):
+            found, _, _ = _graded_map(tower, m, src_degree, entry_degree)
+            if src_degree + entry_degree != lhs_deg and any(found):
+                raise NotHomogeneous("product left the graded window")
+            return found
+
+        # left_mat @ sigma_p: unknown (r, j, k) of sigma_p enters entry (i, j)
+        # through column r of left_mat.
+        offset, (_, shape_cols), deg, monos = layout[p]
+        for src_k, image in enumerate(images(left_mat, deg, e_left)):
+            r, k = divmod(src_k, len(monos))
+            for j in range(ncols):
+                var = offset + (r * shape_cols + j) * len(monos) + k
+                for tgt_k, coeff in image.items():
+                    i, t = divmod(tgt_k, ntgt)
+                    eqs[(i * ncols + j) * ntgt + t][var] = coeff
+        # sigma_{p-1} @ right_mat: unknown (i, r, k) of sigma_{p-1} enters
+        # entry (i, j) through row r of right_mat.
+        offset, (_, shape_cols), deg, monos = layout[p - 1]
+        for src_k, image in enumerate(images(right_mat.transpose(), deg, e_right)):
+            r, k = divmod(src_k, len(monos))
+            for i in range(lhs.nrows):
+                var = offset + (i * shape_cols + r) * len(monos) + k
+                for tgt_k, coeff in image.items():
+                    j, t = divmod(tgt_k, ntgt)
+                    eqs[(i * ncols + j) * ntgt + t][var] = coeff
+        rows.extend(eqs)
 
     for p in range(p_min + 1, p_max + 1):
         add_equations(p)
 
     if not rows:
         return NullhomotopyWindow(False)
-    solution = solve_linear(rows, rhs, field_ops)
+    solution = linalg.solve_linear(rows, nvars, field_ops)
     if solution is None:
         return NullhomotopyWindow(False, positions)
 
     diagonals = []
     for p in positions:
-        shape, deg = _sigma_shape(src, tgt, p, t_deg, s_deg)
-        monos = tower.standard_monomials(deg) if deg >= 0 else []
+        offset, shape, _, monos = layout[p]
         entries = []
         for i in range(shape[0]):
             row_entries = []
             for j in range(shape[1]):
                 acc = tower.ring.zero()
+                base = offset + (i * shape[1] + j) * len(monos)
                 for k, mono in enumerate(monos):
-                    c = solution[var_index[(p, i, j, k)]]
+                    c = solution[base + k]
                     if c != field_ops.zero:
                         acc = acc + tower.ring.monomial(mono, c)
                 row_entries.append(acc)

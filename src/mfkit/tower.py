@@ -203,18 +203,18 @@ def _complete_to_basis(field, first_row: list) -> list[list]:
     each one that increases the rank.
     """
     n = len(first_row)
-    rows = [list(first_row)]
+    rows = [{j: c for j, c in enumerate(first_row) if c != field.zero}]
     from .linalg import matrix_rank
 
     for i in range(n):
         if len(rows) == n:
             break
-        unit = [field.one if j == i else field.zero for j in range(n)]
+        unit = {i: field.one}
         if matrix_rank(rows + [unit], field) > len(rows):
             rows.append(unit)
     if len(rows) < n:
         raise ZeroVector("coordinate vector could not be completed to a basis")
-    return rows
+    return [[row.get(j, field.zero) for j in range(n)] for row in rows]
 
 
 def build_tower(ring: PolyRing, seq_gens, w_coords, order: MonomialOrder | None = None,

@@ -124,3 +124,31 @@ def rand_nullhomotopic_morphism(source: MatrixFactorization,
     g = t @ source.psi + target.phi @ s
     theta = verify_morphism(source, target, f, g)
     return theta, s, t
+
+
+def koszul_mf(n: int, field=QQ) -> MatrixFactorization:
+    """The Koszul factorization of w = x0*y0 + ... + x{n-1}*y{n-1}.
+
+    Rank 2^(n-1): start from ([x0], [y0]) and tensor with ([x_i], [y_i]),
+    (P, Q) -> ([[P, -y_i], [x_i, Q]], [[Q, y_i], [-x_i, P]]).
+    """
+    names = tuple(f"x{i}" for i in range(n)) + tuple(f"y{i}" for i in range(n))
+    ring = PolyRing(names, field)
+    xs = [ring.var(i) for i in range(n)]
+    ys = [ring.var(n + i) for i in range(n)]
+    w = ring.zero()
+    for x, y in zip(xs, ys):
+        w = w + x * y
+    tower = build_tower(ring, [w], [1])
+    p, q = [[xs[0]]], [[ys[0]]]
+    for x, y in zip(xs[1:], ys[1:]):
+        r = len(p)
+
+        def diag(c):
+            return [[c if i == j else ring.zero() for j in range(r)] for i in range(r)]
+
+        def blocks(a, b, c, d):
+            return [ra + rb for ra, rb in zip(a, b)] + [rc + rd for rc, rd in zip(c, d)]
+
+        p, q = blocks(p, diag(-y), diag(x), q), blocks(q, diag(y), diag(-x), p)
+    return verify_mf(RingMatrix(tower, Level.MID, p), RingMatrix(tower, Level.MID, q))

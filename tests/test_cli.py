@@ -60,6 +60,15 @@ def test_field_override_flag():
     assert "field=fp:7" in out
 
 
+def test_reversed_window_is_precondition_error():
+    code, out = run_cli(
+        ["acyclic-window", str(CORPUS_DIR / "uv_hypersurface.mfw"), "A", "--min", "3", "--max", "1"]
+    )
+    assert code == 3
+    assert out.splitlines()[-1] == "status=error kind=EmptyWindow command=acyclic-window exit=3"
+    assert "Traceback" not in out
+
+
 def test_console_entry_point_subprocess():
     # One end-to-end check through the real interpreter.
     result = subprocess.run(

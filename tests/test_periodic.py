@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mfkit.errors import BudgetExceeded, NotDivisible, NotHomogeneous
+from mfkit.errors import BudgetExceeded, EmptyWindow, NotDivisible, NotHomogeneous
 from mfkit.mfcat import identity_morphism, verify_mf, verify_morphism, zero_morphism
 from mfkit.periodic import (
     ChainLiftInput,
@@ -23,7 +23,7 @@ from mfkit.periodic import (
 from mfkit.mfcat import compose_morphisms
 from mfkit.tower import Level, RingMatrix
 
-from .genutil import rand_homogeneous_matrix, rand_matrix, rand_nullhomotopic_morphism
+from .genutil import koszul_mf, rand_homogeneous_matrix, rand_matrix, rand_nullhomotopic_morphism
 
 
 def mat(tower, rows, level=Level.MID):
@@ -221,6 +221,11 @@ class TestAcyclicityWindow:
         with pytest.raises(BudgetExceeded):
             graded_acyclicity_window(reduce_object(objects["A"]), 0, 50, budget=10)
 
+    def test_koszul_n4_window_all_zero(self):
+        report = graded_acyclicity_window(reduce_object(koszul_mf(4)), 0, 3)
+        assert report.all_zero
+        assert len(report.rows) == len(report.dual_rows) == 8
+
     def test_hand_computed_row(self, objects):
         # Oracle: over k[u,v]/(uv) in degree 1 the piece has basis u, v;
         # multiplication by u kills v and sends u to u^2, so the kernel
@@ -280,6 +285,13 @@ class TestNullhomotopyWindow:
             win = graded_nullhomotopy_window(delta, 0, 6)
             assert win.solvable
         assert found_nonzero  # the certification was not vacuous
+
+    def test_single_position_window_rejected(self, objects):
+        a = objects["A"]
+        delta = reduce_morphism(identity_morphism(a))
+        for p_max in (0, -1):
+            with pytest.raises(EmptyWindow):
+                graded_nullhomotopy_window(delta, 0, p_max)
 
     def test_identity_chain_map_not_nullhomotopic(self, objects):
         # Control: the identity of a nontrivial complex admits no
