@@ -15,7 +15,6 @@ from .errors import (
     BudgetExceeded,
     MfkitError,
     ParseError,
-    PreconditionError,
     VerificationError,
 )
 from .mfcat import compose_morphisms, coker_presentation, mapping_cone, suspend
@@ -35,6 +34,15 @@ EXIT_VERIFICATION = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
+
+# (exception class, status word, exit code); the first row that matches
+# wins. Preconditions are the MfkitError row.
+_ERROR_EXITS = (
+    (ParseError, "error", EXIT_PARSE),
+    (BudgetExceeded, "error", EXIT_BUDGET),
+    (VerificationError, "failed", EXIT_VERIFICATION),
+    (MfkitError, "error", EXIT_PRECONDITION),
+)
 
 
 def _print_matrix(label: str, matrix, out):
@@ -253,31 +261,15 @@ def main(argv=None) -> int:
     try:
         wb = load_workbench(args.file, args.field, args.order)
         code = handler(wb, args, out)
-    except ParseError as exc:
-        out.append(f"error: {exc}")
-        out.append(f"status=error kind={type(exc).__name__} command={args.command} exit={EXIT_PARSE}")
-        code = EXIT_PARSE
-    except BudgetExceeded as exc:
-        out.append(f"error: {exc}")
-        out.append(f"status=error kind=BudgetExceeded command={args.command} exit={EXIT_BUDGET}")
-        code = EXIT_BUDGET
-    except VerificationError as exc:
-        out.append(f"error: {exc}")
-        loc = f" location={exc.location}" if exc.location else ""
-        out.append(
-            f"status=failed kind={type(exc).__name__}{loc} command={args.command} exit={EXIT_VERIFICATION}"
-        )
-        code = EXIT_VERIFICATION
-    except PreconditionError as exc:
-        out.append(f"error: {exc}")
-        out.append(
-            f"status=error kind={type(exc).__name__} command={args.command} exit={EXIT_PRECONDITION}"
-        )
-        code = EXIT_PRECONDITION
     except MfkitError as exc:
+        status, code = next((s, c) for cls, s, c in _ERROR_EXITS if isinstance(exc, cls))
+        loc = ""
+        if isinstance(exc, VerificationError) and exc.location:
+            loc = f" location={exc.location}"
         out.append(f"error: {exc}")
-        out.append(f"status=error kind={type(exc).__name__} command={args.command} exit={EXIT_PRECONDITION}")
-        code = EXIT_PRECONDITION
+        out.append(
+            f"status={status} kind={type(exc).__name__}{loc} command={args.command} exit={code}"
+        )
     sys.stdout.write("\n".join(out) + "\n")
     return code
 

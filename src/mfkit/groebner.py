@@ -16,6 +16,7 @@ off the element's cofactor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from .errors import NotDivisible, NotHomogeneous, VariableMismatch
@@ -45,11 +46,10 @@ class Ideal:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A Groebner basis; `reduced` marks the unique reduced form."""
+    """A Groebner basis together with its monomial order."""
 
     polys: tuple[Polynomial, ...]
     order: MonomialOrder
-    reduced: bool = True
 
     def __iter__(self):
         return iter(self.polys)
@@ -71,23 +71,40 @@ def divide_full(p: Polynomial, divisors, order: MonomialOrder):
 
     Returns (remainder, cofactors). The remainder contains no term
     divisible by any divisor's leading monomial; divisor selection is by
-    list index, so the result is deterministic.
+    list index, so the result is deterministic. Raises FieldMismatch or
+    VariableMismatch when a divisor lives in another ring than p.
+
+    Terms are processed from the largest monomial down. The pending
+    monomials sit in a min-heap keyed by the negated `order.key`, so each
+    monomial's key is computed once, when it first enters the heap. A
+    monomial whose coefficient cancels keeps its heap entry and is
+    skipped when popped; it cannot reappear later, because every term a
+    reduction step adds is smaller than the monomial just popped.
     """
     ring = p.ring
     field = ring.field
+    for d in divisors:
+        p._check_compatible(d)
     lms = [d.leading_monomial(order) for d in divisors]
     lcs = [d.terms[lm] for d, lm in zip(divisors, lms)]
     work = dict(p.terms)
+    heap = [(tuple(-v for v in order.key(m)), m) for m in work]
+    heapify(heap)
+    queued = set(work)
     rem: dict = {}
-    cofs = [ring.zero() for _ in divisors]
-    while work:
-        m = max(work, key=order.key)
-        c = work.pop(m)
+    # Popped monomials strictly decrease, so each divisor's quotient
+    # monomials are distinct and can be stored without adding.
+    cof_terms: list[dict] = [{} for _ in divisors]
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
         for i, lm in enumerate(lms):
             if mono_divides(lm, m):
                 q_mono = mono_div(m, lm)
                 q_coeff = field.div(c, lcs[i])
-                cofs[i] = cofs[i] + ring.monomial(q_mono, q_coeff)
+                cof_terms[i][q_mono] = q_coeff
                 for dm, dc in divisors[i].terms.items():
                     if dm == lm:
                         continue
@@ -97,10 +114,13 @@ def divide_full(p: Polynomial, divisors, order: MonomialOrder):
                         work.pop(t, None)
                     else:
                         work[t] = s
+                        if t not in queued:
+                            queued.add(t)
+                            heappush(heap, (tuple(-v for v in order.key(t)), t))
                 break
         else:
             rem[m] = c
-    return Polynomial(ring, rem), cofs
+    return Polynomial(ring, rem), [Polynomial(ring, t) for t in cof_terms]
 
 
 def normal_form(p: Polynomial, basis: GroebnerBasis) -> Polynomial:
@@ -128,6 +148,17 @@ def _spair(fi, fj, order):
     ui = ring.monomial(mono_div(l, lmi))
     uj = ring.monomial(mono_div(l, lmj))
     return ui * fi - uj * fj, ui, uj
+
+
+def _subtract_combination(rep, cofs, basis_reps):
+    """rep - sum_i cofs[i] * basis_reps[i], computed entry by entry."""
+    new_rep = list(rep)
+    for c, r in zip(cofs, basis_reps):
+        if c.is_zero():
+            continue
+        for j in range(len(new_rep)):
+            new_rep[j] = new_rep[j] - c * r[j]
+    return new_rep
 
 
 def buchberger_with_reps(generators, order: MonomialOrder):
@@ -160,48 +191,37 @@ def buchberger_with_reps(generators, order: MonomialOrder):
         polys.append(g.scale(inv))
         reps.append(unit_rep(j, inv))
 
-    def reduce_tracked(p, rep):
-        if p.is_zero():
-            return p, rep
-        rem, cofs = divide_full(p, polys, order)
-        new_rep = list(rep)
-        for c, r in zip(cofs, reps):
-            if c.is_zero():
-                continue
-            for j in range(len(gens)):
-                new_rep[j] = new_rep[j] - c * r[j]
-        return rem, new_rep
+    # Pending pairs as a min-heap of (key of the lcm of the leading
+    # monomials, (i, j)): `polys` only grows inside the loop, so an
+    # entry's key never goes stale and each pop is the smallest pair.
+    pairs: list = []
 
-    pairs = {(i, j) for i, j in combinations(range(len(polys)), 2)}
+    def add_pairs(k):
+        lmk = polys[k].leading_monomial(order)
+        for t in range(k):
+            lcm = mono_lcm(polys[t].leading_monomial(order), lmk)
+            heappush(pairs, (order.key(lcm), (t, k)))
+
+    for k in range(1, len(polys)):
+        add_pairs(k)
     while pairs:
-        best = min(
-            pairs,
-            key=lambda ij: (
-                order.key(
-                    mono_lcm(
-                        polys[ij[0]].leading_monomial(order),
-                        polys[ij[1]].leading_monomial(order),
-                    )
-                ),
-                ij,
-            ),
-        )
-        pairs.discard(best)
-        i, j = best
+        i, j = heappop(pairs)[1]
         lmi = polys[i].leading_monomial(order)
         lmj = polys[j].leading_monomial(order)
         if mono_lcm(lmi, lmj) == mono_mul(lmi, lmj):
             continue  # coprime leading monomials: spoly reduces to zero
         s, ui, uj = _spair(polys[i], polys[j], order)
-        rep_s = [ui * a - uj * b for a, b in zip(reps[i], reps[j])]
-        r, rep_r = reduce_tracked(s, rep_s)
-        if r.is_zero():
+        if s.is_zero():
             continue
+        r, cofs = divide_full(s, polys, order)
+        if r.is_zero():
+            continue  # nothing new, so the representation is not needed
+        rep_s = [ui * a - uj * b for a, b in zip(reps[i], reps[j])]
+        rep_r = _subtract_combination(rep_s, cofs, reps)
         inv = field.inv(r.leading_coefficient(order))
         polys.append(r.scale(inv))
         reps.append([a.scale(inv) for a in rep_r])
-        k = len(polys) - 1
-        pairs.update((t, k) for t in range(k))
+        add_pairs(len(polys) - 1)
 
     # Minimalize: drop elements whose leading monomial is divisible by
     # another element's leading monomial.
@@ -230,12 +250,7 @@ def buchberger_with_reps(generators, order: MonomialOrder):
             if rem == polys[i]:
                 continue
             changed = True
-            new_rep = list(reps[i])
-            for c, r in zip(cofs, other_reps):
-                if c.is_zero():
-                    continue
-                for j in range(len(gens)):
-                    new_rep[j] = new_rep[j] - c * r[j]
+            new_rep = _subtract_combination(reps[i], cofs, other_reps)
             inv = field.inv(rem.leading_coefficient(order))
             polys[i] = rem.scale(inv)
             reps[i] = [a.scale(inv) for a in new_rep]
@@ -249,7 +264,7 @@ def buchberger_with_reps(generators, order: MonomialOrder):
 def buchberger_basis(ideal: Ideal) -> GroebnerBasis:
     """The unique reduced Groebner basis of the ideal under its order."""
     polys, _ = buchberger_with_reps(list(ideal.generators), ideal.order)
-    return GroebnerBasis(tuple(polys), ideal.order, reduced=True)
+    return GroebnerBasis(tuple(polys), ideal.order)
 
 
 class DivisionOracle:
@@ -266,7 +281,7 @@ class DivisionOracle:
         self.mid_basis = mid_basis
         gens = list(mid_basis.polys) + [w]
         polys, reps = buchberger_with_reps(gens, self.order)
-        self.combined = GroebnerBasis(tuple(polys), self.order, reduced=True)
+        self.combined = GroebnerBasis(tuple(polys), self.order)
         self.w_cofactors = [rep[-1] for rep in reps]
 
     def divide(self, p: Polynomial) -> Polynomial:

@@ -84,16 +84,23 @@ class MonomialOrder:
     def grevlex(cls, nvars: int, precedence=None) -> "MonomialOrder":
         return cls("grevlex", tuple(precedence or range(nvars)))
 
-    def key(self, exps: Exps):
-        """Sort key: bigger key means bigger monomial."""
+    def key(self, exps: Exps) -> tuple[int, ...]:
+        """Sort key, a flat tuple of ints: bigger key means bigger monomial.
+
+        Lex keys are the exponents in precedence order. Grevlex keys are
+        the total degree followed by the negated exponents, least
+        significant variable first. Keys of distinct monomials differ,
+        and negating every entry reverses the order, which is how
+        `divide_full` turns them into min-heap keys.
+        """
         if len(exps) != len(self.precedence):
             raise VariableMismatch(
                 f"monomial has {len(exps)} exponents, order expects {len(self.precedence)}"
             )
-        perm = tuple(exps[i] for i in self.precedence)
+        perm = [exps[i] for i in self.precedence]
         if self.kind == "lex":
-            return perm
-        return (sum(exps), tuple(-e for e in reversed(perm)))
+            return tuple(perm)
+        return (sum(exps), *[-e for e in reversed(perm)])
 
     def compare(self, a: Exps, b: Exps) -> int:
         """Three-way comparison: -1, 0 or 1 as a <, =, > b."""
@@ -167,11 +174,12 @@ class Polynomial:
     must not mutate it.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_lm")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
+        self._lm = None  # (order, leading monomial) of the last query
 
     def _check_compatible(self, other: "Polynomial"):
         if self.ring.vars != other.ring.vars:
@@ -276,20 +284,18 @@ class Polynomial:
         return None
 
     def leading_monomial(self, order: MonomialOrder) -> Exps:
+        """The largest monomial under `order`, cached for the last order asked."""
+        cached = self._lm
+        if cached is not None and cached[0] == order:
+            return cached[1]
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+        lm = max(self.terms, key=order.key)
+        self._lm = (order, lm)
+        return lm
 
     def leading_coefficient(self, order: MonomialOrder):
         return self.terms[self.leading_monomial(order)]
-
-    def constant_coefficient(self):
-        return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero)
-
-    def graded_part(self, d: int) -> "Polynomial":
-        return Polynomial(
-            self.ring, {m: c for m, c in self.terms.items() if total_degree(m) == d}
-        )
 
     def __repr__(self) -> str:
         return f"<{format_canonical(self, self.ring.default_order())}>"
@@ -298,21 +304,6 @@ class Polynomial:
 def parse_polynomial(text: str, vars, field) -> Polynomial:
     """Parse `text` in the ring with the given variables and field."""
     return PolyRing(tuple(vars), field).parse(text)
-
-
-def poly_arithmetic(op: str, a: Polynomial, b=None) -> Polynomial:
-    """Dispatch-style arithmetic: op in add/sub/mul/neg/scalarmul."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "scalarmul":
-        return a.scale(b)
-    raise ValueError(f"unknown operation: {op!r}")
 
 
 def monomial_compare(a: Exps, b: Exps, order: MonomialOrder) -> int:

@@ -3,14 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mfkit.errors import NotDivisible, NotHomogeneous
-from mfkit.fields import QQ
+from mfkit.errors import FieldMismatch, NotDivisible, NotHomogeneous, VariableMismatch
+from mfkit.fields import QQ, PrimeField
 from mfkit.groebner import (
     GroebnerBasis,
     Ideal,
     buchberger_basis,
     buchberger_with_reps,
+    divide_full,
     exact_divide_by_nzd,
     membership_oracle,
     normal_form,
@@ -19,6 +22,7 @@ from mfkit.groebner import (
 )
 from mfkit.poly import MonomialOrder, PolyRing, format_canonical
 
+from . import reference_groebner
 from .genutil import rand_homogeneous_poly, rand_poly
 
 RXY = PolyRing(("x", "y"), QQ)
@@ -189,3 +193,71 @@ class TestMembershipOracle:
             gb_says = normal_form(p, basis).is_zero()
             oracle_says = membership_oracle(p, gens, bound)
             assert gb_says == oracle_says
+
+
+class TestRingChecks:
+    @pytest.mark.parametrize("reduce", [normal_form, reduce_with_cofactors])
+    def test_field_mismatch(self, reduce):
+        # Over fp:7 this used to come back as -6*x*y + 1/2*y.
+        basis = gb_of(PolyRing(("x", "y"), PrimeField(7)), ["x^2 - y"], GREVLEX2)
+        with pytest.raises(FieldMismatch):
+            reduce(RXY.parse("x^3 + 1/2*y"), basis)
+
+    @pytest.mark.parametrize("reduce", [normal_form, reduce_with_cofactors])
+    def test_variable_mismatch(self, reduce):
+        basis = gb_of(RXY, ["x^2 - y"], GREVLEX2)
+        with pytest.raises(VariableMismatch):
+            reduce(PolyRing(("a", "b"), QQ).parse("a^3 + b"), basis)
+
+
+# Differential tests against the scan-based reference in
+# tests/reference_groebner.py.
+
+DIFF_FIELDS = [QQ, PrimeField(2), PrimeField(32003)]
+DIFF_ORDERS = [
+    MonomialOrder.lex(3, (2, 0, 1)),
+    MonomialOrder.grevlex(3, (1, 2, 0)),
+    MonomialOrder.lex(3),
+    MonomialOrder.grevlex(3),
+]
+
+
+@st.composite
+def ring_polys(draw, ring, max_exp=3, max_terms=5):
+    mono = st.tuples(*[st.integers(min_value=0, max_value=max_exp)] * ring.nvars)
+    terms = draw(st.dictionaries(mono, st.integers(min_value=-5, max_value=5), max_size=max_terms))
+    p = ring.zero()
+    for m, c in terms.items():
+        p = p + ring.monomial(m, ring.field.from_int(c))
+    return p
+
+
+@st.composite
+def division_problems(draw):
+    ring = PolyRing(("x", "y", "z"), draw(st.sampled_from(DIFF_FIELDS)))
+    order = draw(st.sampled_from(DIFF_ORDERS))
+    p = draw(ring_polys(ring, max_exp=4, max_terms=8))
+    divisors = draw(st.lists(ring_polys(ring, max_exp=2, max_terms=3), min_size=1, max_size=4))
+    return p, [d for d in divisors if not d.is_zero()] or [ring.var(0)], order
+
+
+@given(division_problems())
+@settings(max_examples=300, deadline=None)
+def test_divide_full_matches_reference(problem):
+    p, divisors, order = problem
+    rem, cofs = divide_full(p, divisors, order)
+    ref_rem, ref_cofs = reference_groebner.divide_full(p, divisors, order)
+    assert rem == ref_rem
+    assert cofs == ref_cofs
+
+
+@pytest.mark.parametrize("field", DIFF_FIELDS, ids=lambda f: repr(f))
+@pytest.mark.parametrize("order", DIFF_ORDERS, ids=lambda o: f"{o.kind}{o.precedence}")
+def test_buchberger_matches_reference(field, order):
+    ring = PolyRing(("x", "y", "z"), field)
+    rng = random.Random(17)
+    for _ in range(6):
+        gens = [rand_poly(ring, rng, max_degree=3, terms=3) for _ in range(rng.randint(2, 3))]
+        assert buchberger_with_reps(gens, order) == reference_groebner.buchberger_with_reps(
+            gens, order
+        )

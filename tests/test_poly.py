@@ -209,6 +209,15 @@ class TestMonomialOrder:
         assert monomial_compare((0, 1), (5, 0), order) == 1
 
 
+def test_leading_monomial_cache_follows_the_order():
+    p = RUV.parse("u^2 + v^3")
+    lex, grevlex = MonomialOrder.lex(2), MonomialOrder.grevlex(2)
+    assert p.leading_monomial(lex) == (2, 0)
+    assert p.leading_monomial(grevlex) == (0, 3)
+    assert p.leading_monomial(MonomialOrder.lex(2)) == (2, 0)
+    assert p.leading_coefficient(grevlex) == QQ.one
+
+
 MONOS = st.tuples(
     st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4)
 )
