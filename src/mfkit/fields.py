@@ -4,11 +4,20 @@ Rational coefficients are `fractions.Fraction` values (always stored in
 lowest terms with positive denominator). Prime field coefficients are
 plain ints in the range [0, p). All arithmetic goes through the field
 object so that polynomial code never hardcodes a coefficient type.
+
+Division (`groebner.divide_full`) is the one place that works on plain
+ints instead: it keeps the pending terms as integers over one running
+denominator. The field supplies the four steps that differ between QQ
+and GF(p): `integer_form` clears denominators, `cancel` picks the
+multipliers that cancel a leading term, `reduce_int` reduces an integer
+coefficient (modulo p, or not at all over QQ) and `ratio` turns an
+integer fraction back into a field element.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DivisionByZeroInCoefficient
 
@@ -62,6 +71,26 @@ class Rationals:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
+    def integer_form(self, terms: dict) -> tuple[dict, int]:
+        """(F, D): D > 0 is the lcm of the denominators and F = D*terms
+        has int coefficients."""
+        den = lcm(*[c.denominator for c in terms.values()])
+        return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+    def cancel(self, c: int, a: int) -> tuple[int, int]:
+        """(s, t) with s*c == t*a and s > 0 as small as possible.
+
+        Scaling a pending term c*x^m by s and subtracting t*x^u times a
+        divisor with leading term a*x^(m-u) cancels it.
+        """
+        g = gcd(c, a)
+        if a < 0:
+            g = -g
+        return a // g, c // g
+
+    def reduce_int(self, n: int) -> int:
+        return n
+
     def fmt(self, a) -> str:
         return str(a)
 
@@ -95,7 +124,7 @@ class PrimeField:
             raise DivisionByZeroInCoefficient(
                 f"denominator is zero modulo {self.p}"
             )
-        return num % self.p * pow(d, self.p - 2, self.p) % self.p
+        return num % self.p * pow(d, -1, self.p) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -112,10 +141,21 @@ class PrimeField:
     def inv(self, a):
         if a % self.p == 0:
             raise DivisionByZeroInCoefficient("division by zero coefficient")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    def integer_form(self, terms: dict) -> tuple[dict, int]:
+        """(terms, 1): elements are ints already."""
+        return terms, 1
+
+    def cancel(self, c: int, a: int) -> tuple[int, int]:
+        """(s, t) with s*c == t*a: here s = 1 and t = c/a."""
+        return 1, c * pow(a, -1, self.p) % self.p
+
+    def reduce_int(self, n: int) -> int:
+        return n % self.p
 
     def fmt(self, a) -> str:
         return str(a % self.p)

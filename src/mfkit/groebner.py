@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import gcd
 
 from .errors import NotDivisible, NotHomogeneous, VariableMismatch
 from .linalg import solve_linear
@@ -66,6 +67,11 @@ class ReductionTrace:
     cofactors: tuple[Polynomial, ...]
 
 
+def _check_ring(p: Polynomial, divisors):
+    for d in divisors:
+        p._check_compatible(d)
+
+
 def divide_full(p: Polynomial, divisors, order: MonomialOrder):
     """Multivariate long division of p by an ordered list of divisors.
 
@@ -80,14 +86,29 @@ def divide_full(p: Polynomial, divisors, order: MonomialOrder):
     monomial whose coefficient cancels keeps its heap entry and is
     skipped when popped; it cannot reappear later, because every term a
     reduction step adds is smaller than the monomial just popped.
+
+    The loop runs on ints, fraction-free: the pending terms are an int
+    dict `work` over one running denominator `mu`, so that
+    p == work/mu + sum(cofactor_i * divisor_i) + remainder throughout.
+    Each divisor enters in its cached integer form F = D*divisor. To
+    cancel a pending term c*x^m against F's leading coefficient a, the
+    field's `cancel` gives (s, t) with s*c == t*a; then work becomes
+    s*work - t*x^u*F and mu becomes s*mu. Over GF(p), s is always 1 and
+    mu stays 1. Over QQ, after each s > 1 the common content of work and
+    mu is divided out, which makes mu the least common denominator of
+    the pending terms at that step, so the ints stay as small as the
+    fractions they stand for. Field elements are built only for the
+    terms that leave the loop: one per cofactor term and one per
+    remainder term.
     """
     ring = p.ring
     field = ring.field
-    for d in divisors:
-        p._check_compatible(d)
+    cancel, reduce_int, ratio = field.cancel, field.reduce_int, field.ratio
+    _check_ring(p, divisors)
     lms = [d.leading_monomial(order) for d in divisors]
-    lcs = [d.terms[lm] for d, lm in zip(divisors, lms)]
-    work = dict(p.terms)
+    forms = [d.integer_form() for d in divisors]
+    work, mu = field.integer_form(p.terms)
+    work = dict(work)
     heap = [(tuple(-v for v in order.key(m)), m) for m in work]
     heapify(heap)
     queued = set(work)
@@ -102,30 +123,44 @@ def divide_full(p: Polynomial, divisors, order: MonomialOrder):
             continue
         for i, lm in enumerate(lms):
             if mono_divides(lm, m):
+                f_terms, den = forms[i]
+                s, t = cancel(c, f_terms[lm])
+                if s != 1:
+                    for k in work:
+                        work[k] *= s
+                    mu *= s
                 q_mono = mono_div(m, lm)
-                q_coeff = field.div(c, lcs[i])
-                cof_terms[i][q_mono] = q_coeff
-                for dm, dc in divisors[i].terms.items():
+                cof_terms[i][q_mono] = ratio(t * den, mu)
+                for dm, dc in f_terms.items():
                     if dm == lm:
                         continue
-                    t = mono_mul(dm, q_mono)
-                    s = field.sub(work.get(t, field.zero), field.mul(dc, q_coeff))
-                    if s == field.zero:
-                        work.pop(t, None)
+                    tm = mono_mul(dm, q_mono)
+                    nc = reduce_int(work.get(tm, 0) - t * dc)
+                    if nc:
+                        work[tm] = nc
+                        if tm not in queued:
+                            queued.add(tm)
+                            heappush(heap, (tuple(-v for v in order.key(tm)), tm))
                     else:
-                        work[t] = s
-                        if t not in queued:
-                            queued.add(t)
-                            heappush(heap, (tuple(-v for v in order.key(t)), t))
+                        work.pop(tm, None)
+                if s != 1:
+                    g = gcd(mu, *work.values())
+                    if g != 1:
+                        for k in work:
+                            work[k] //= g
+                        mu //= g
                 break
         else:
-            rem[m] = c
+            rem[m] = ratio(c, mu)
     return Polynomial(ring, rem), [Polynomial(ring, t) for t in cof_terms]
 
 
 def normal_form(p: Polynomial, basis: GroebnerBasis) -> Polynomial:
     """Canonical remainder of p modulo the basis; zero iff p is a member."""
-    if p.is_zero() or not basis.polys:
+    if not basis.polys:
+        return p
+    if p.is_zero():
+        _check_ring(p, basis.polys)
         return p
     rem, _ = divide_full(p, basis.polys, basis.order)
     return rem
@@ -287,6 +322,7 @@ class DivisionOracle:
     def divide(self, p: Polynomial) -> Polynomial:
         """q with p == w*q modulo the ideal, in normal form; unique there."""
         if p.is_zero():
+            _check_ring(p, self.combined.polys)
             return p
         rem, cofs = divide_full(p, self.combined.polys, self.order)
         if not rem.is_zero():

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import add, le, sub
 
 from .errors import (
     DivisionByZeroInCoefficient,
@@ -42,21 +43,21 @@ def total_degree(exps: Exps) -> int:
 
 
 def mono_mul(a: Exps, b: Exps) -> Exps:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Exps, b: Exps) -> bool:
     """True when the monomial a divides b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Exps, b: Exps) -> Exps:
     """Quotient exponent tuple a / b (caller guarantees divisibility)."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Exps, b: Exps) -> Exps:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 @dataclass(frozen=True)
@@ -174,12 +175,13 @@ class Polynomial:
     must not mutate it.
     """
 
-    __slots__ = ("ring", "terms", "_lm")
+    __slots__ = ("ring", "terms", "_lm", "_int_form")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
         self._lm = None  # (order, leading monomial) of the last query
+        self._int_form = None
 
     def _check_compatible(self, other: "Polynomial"):
         if self.ring.vars != other.ring.vars:
@@ -297,6 +299,13 @@ class Polynomial:
     def leading_coefficient(self, order: MonomialOrder):
         return self.terms[self.leading_monomial(order)]
 
+    def integer_form(self) -> tuple[dict, int]:
+        """(F, D) with F = D*self on int coefficients, from the field's
+        `integer_form`; cached, as it does not depend on any order."""
+        if self._int_form is None:
+            self._int_form = self.ring.field.integer_form(self.terms)
+        return self._int_form
+
     def __repr__(self) -> str:
         return f"<{format_canonical(self, self.ring.default_order())}>"
 
@@ -304,10 +313,6 @@ class Polynomial:
 def parse_polynomial(text: str, vars, field) -> Polynomial:
     """Parse `text` in the ring with the given variables and field."""
     return PolyRing(tuple(vars), field).parse(text)
-
-
-def monomial_compare(a: Exps, b: Exps, order: MonomialOrder) -> int:
-    return order.compare(a, b)
 
 
 def _format_monomial(ring: PolyRing, exps: Exps) -> str:

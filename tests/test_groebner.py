@@ -1,6 +1,8 @@
 """Buchberger engine: bases, normal forms, cofactors, exact division."""
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from mfkit.errors import FieldMismatch, NotDivisible, NotHomogeneous, VariableMismatch
 from mfkit.fields import QQ, PrimeField
 from mfkit.groebner import (
+    DivisionOracle,
     GroebnerBasis,
     Ideal,
     buchberger_basis,
@@ -195,6 +198,10 @@ class TestMembershipOracle:
             assert gb_says == oracle_says
 
 
+def oracle_divide(p, basis):
+    return DivisionOracle(basis, RXY.parse("x")).divide(p)
+
+
 class TestRingChecks:
     @pytest.mark.parametrize("reduce", [normal_form, reduce_with_cofactors])
     def test_field_mismatch(self, reduce):
@@ -209,6 +216,21 @@ class TestRingChecks:
         with pytest.raises(VariableMismatch):
             reduce(PolyRing(("a", "b"), QQ).parse("a^3 + b"), basis)
 
+    @pytest.mark.parametrize("reduce", [normal_form, oracle_divide])
+    @pytest.mark.parametrize(
+        "ring,error",
+        [
+            (PolyRing(("a", "b"), QQ), VariableMismatch),
+            (PolyRing(("x", "y"), PrimeField(7)), FieldMismatch),
+        ],
+        ids=["variables", "field"],
+    )
+    def test_zero_from_another_ring(self, reduce, ring, error):
+        # Zero is returned without dividing, but its ring is still checked.
+        basis = gb_of(RXY, ["x^2 - y"], GREVLEX2)
+        with pytest.raises(error):
+            reduce(ring.zero(), basis)
+
 
 # Differential tests against the scan-based reference in
 # tests/reference_groebner.py.
@@ -222,13 +244,43 @@ DIFF_ORDERS = [
 ]
 
 
+def rational(field, num, den):
+    """num/den in the field; a denominator that vanishes there is dropped."""
+    if isinstance(field, PrimeField) and den % field.p == 0:
+        den = 1
+    return field.ratio(num, den)
+
+
+def rand_rational_poly(ring, rng, max_degree=3, terms=3):
+    """Like `rand_poly`, with num/den coefficients, a few of them with
+    denominators up to 2^40."""
+    p = ring.zero()
+    for _ in range(terms):
+        exps = [0] * ring.nvars
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(ring.nvars)] += 1
+        den = rng.randint(1, 2**40) if rng.random() < 0.1 else rng.randint(1, 9)
+        c = rational(ring.field, rng.randint(-20, 20), den)
+        p = p + ring.monomial(tuple(exps), c)
+    return p
+
+
+# Integers in [-5, 5], small fractions, and fractions with numerator and
+# denominator up to 2^40; negative leading coefficients come with them.
+COEFFICIENTS = st.one_of(
+    st.tuples(st.integers(min_value=-5, max_value=5), st.just(1)),
+    st.tuples(st.integers(min_value=-50, max_value=50), st.integers(min_value=1, max_value=12)),
+    st.tuples(st.integers(min_value=-(2**40), max_value=2**40), st.integers(min_value=1, max_value=2**40)),
+)
+
+
 @st.composite
 def ring_polys(draw, ring, max_exp=3, max_terms=5):
     mono = st.tuples(*[st.integers(min_value=0, max_value=max_exp)] * ring.nvars)
-    terms = draw(st.dictionaries(mono, st.integers(min_value=-5, max_value=5), max_size=max_terms))
+    terms = draw(st.dictionaries(mono, COEFFICIENTS, max_size=max_terms))
     p = ring.zero()
-    for m, c in terms.items():
-        p = p + ring.monomial(m, ring.field.from_int(c))
+    for m, (num, den) in terms.items():
+        p = p + ring.monomial(m, rational(ring.field, num, den))
     return p
 
 
@@ -255,9 +307,55 @@ def test_divide_full_matches_reference(problem):
 @pytest.mark.parametrize("order", DIFF_ORDERS, ids=lambda o: f"{o.kind}{o.precedence}")
 def test_buchberger_matches_reference(field, order):
     ring = PolyRing(("x", "y", "z"), field)
-    rng = random.Random(17)
-    for _ in range(6):
-        gens = [rand_poly(ring, rng, max_degree=3, terms=3) for _ in range(rng.randint(2, 3))]
-        assert buchberger_with_reps(gens, order) == reference_groebner.buchberger_with_reps(
-            gens, order
-        )
+    for make_poly in (rand_poly, rand_rational_poly):
+        rng = random.Random(17)
+        for _ in range(6):
+            gens = [make_poly(ring, rng, max_degree=3, terms=3) for _ in range(rng.randint(2, 3))]
+            assert buchberger_with_reps(gens, order) == reference_groebner.buchberger_with_reps(
+                gens, order
+            )
+
+
+RXYZ = PolyRing(("x", "y", "z"), QQ)
+
+
+def test_divisor_reused_across_orders():
+    # The leading coefficient of g is 3 under lex and -5/2 under grevlex;
+    # its cached integer form is the same object under both orders.
+    g = RXYZ.parse("3*x^2 - 5/2*y^3 + 7/4*z")
+    h = RXYZ.parse("-2/3*x*y + z^2")
+    p = RXYZ.parse("x^4*y^3 + 1/3*x^2*y^5 - y^6 + x*z^3 - 9/8*x^2*z")
+    lex, grevlex = MonomialOrder.lex(3), MonomialOrder.grevlex(3)
+    assert g.leading_coefficient(lex) != g.leading_coefficient(grevlex)
+    form = g.integer_form()
+    for order in (lex, grevlex, lex):
+        assert divide_full(p, [g, h], order) == reference_groebner.divide_full(p, [g, h], order)
+    assert g.integer_form() is form
+
+
+@pytest.mark.parametrize("order", [MonomialOrder.lex(3), MonomialOrder.grevlex(3)], ids=["lex", "grevlex"])
+def test_coprime_leading_coefficients(order):
+    # Most steps rescale the pending terms by 3, 5 or 11.
+    divisors = [RXYZ.parse(t) for t in ("3*x - 2*y", "5*y - 7*z", "11*z - 1")]
+    p = RXYZ.parse("(x + 1/2*y - z + 1)^7 + 2/7*x^5*y^3")
+    rem, cofs = divide_full(p, divisors, order)
+    assert (rem, cofs) == reference_groebner.divide_full(p, divisors, order)
+    assert rem.degree() == 0
+    for q in (rem, *cofs):
+        for c in q.terms.values():
+            assert type(c) is Fraction
+            assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+def test_field_hooks_of_the_division_loop():
+    m, n = (1, 0, 0), (0, 2, 0)
+    assert QQ.integer_form({m: Fraction(1, 6), n: Fraction(-3, 4)}) == ({m: 2, n: -9}, 12)
+    assert QQ.integer_form({}) == ({}, 1)
+    # s > 0 and minimal, whatever the signs: 6 * s == t * (-4).
+    assert QQ.cancel(6, -4) == (2, -3)
+    assert QQ.cancel(-6, 4) == (2, -3)
+    assert QQ.cancel(5, 1) == (1, 5)
+    f7 = PrimeField(7)
+    assert f7.integer_form({m: 3}) == ({m: 3}, 1)
+    assert f7.cancel(3, 5) == (1, 2)  # 3 == 2*5 mod 7
+    assert f7.reduce_int(-1) == 6 and QQ.reduce_int(-1) == -1
