@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
-from .errors import NotDivisible, NotHomogeneous, VariableMismatch
+from .errors import NotDivisible, NotHomogeneous, VariableMismatch, VerificationFailure
 from .linalg import solve_linear
 from .poly import (
     MonomialOrder,
@@ -306,7 +306,12 @@ class DivisionOracle:
     """Exact division by a non-zerodivisor w modulo a fixed ideal.
 
     Built once per (ideal, w); division then costs a single extended
-    reduction against the combined basis of (ideal generators + w).
+    reduction against the combined basis of (ideal generators + w). The
+    combined basis is the reduced Groebner basis of the ideal plus (w).
+    The constructor certifies the cofactors that division relies on:
+    each combined basis element must equal, exactly, the combination of
+    the generators (mid_basis polys, then w) that its cofactors give,
+    or VerificationFailure is raised.
     """
 
     def __init__(self, mid_basis: GroebnerBasis, w: Polynomial):
@@ -316,6 +321,7 @@ class DivisionOracle:
         self.mid_basis = mid_basis
         gens = list(mid_basis.polys) + [w]
         polys, reps = buchberger_with_reps(gens, self.order)
+        _certify_reps(polys, reps, gens)
         self.combined = GroebnerBasis(tuple(polys), self.order)
         self.w_cofactors = [rep[-1] for rep in reps]
 
@@ -334,6 +340,36 @@ class DivisionOracle:
             if not c.is_zero() and not wc.is_zero():
                 q = q + c * wc
         return normal_form(q, self.mid_basis)
+
+
+def _certify_reps(polys, reps, gens):
+    """Raise VerificationFailure unless polys[i] == sum_j reps[i][j] * gens[j].
+
+    Checked exactly on the integer forms that division uses: with
+    R_j = d_j*reps[i][j], G_j = e_j*gens[j], B = D*polys[i] and L the lcm
+    of the d_j*e_j, the identity holds iff
+    D * sum_j (L/(d_j*e_j)) * R_j*G_j == L * B, coefficient by
+    coefficient after the field's `reduce_int`.
+    """
+    reduce_int = gens[0].ring.field.reduce_int
+    gen_forms = [g.integer_form() for g in gens]
+    for i, (b, rep) in enumerate(zip(polys, reps)):
+        pairs = [(r.integer_form(), gen_forms[j]) for j, r in enumerate(rep) if not r.is_zero()]
+        den = lcm(*[rd * gd for (_, rd), (_, gd) in pairs])
+        acc: dict = {}
+        for (r_terms, rd), (g_terms, gd) in pairs:
+            k = den // (rd * gd)
+            for rm, rc in r_terms.items():
+                c = k * rc
+                for gm, gc in g_terms.items():
+                    m = mono_mul(rm, gm)
+                    acc[m] = acc.get(m, 0) + c * gc
+        b_terms, bd = b.integer_form()
+        lhs = {m: v for m, c in acc.items() if (v := reduce_int(bd * c))}
+        if lhs != {m: reduce_int(den * c) for m, c in b_terms.items()}:
+            raise VerificationFailure(
+                f"cofactors of combined basis element {i} do not reproduce it"
+            )
 
 
 def exact_divide_by_nzd(p: Polynomial, w: Polynomial, mid_basis: GroebnerBasis) -> Polynomial:
@@ -357,12 +393,25 @@ def _independent_sets_max(lead_supports, nvars: int) -> int:
     return best
 
 
+def krull_dimension(basis: GroebnerBasis, nvars: int) -> int:
+    """Krull dimension of ring/ideal from a Groebner basis of the ideal.
+
+    Read combinatorially from the leading monomials (largest variable
+    set containing no leading monomial's support). Returns nvars for
+    the empty basis (zero ideal) and -1 for the unit ideal.
+    """
+    supports = []
+    for b in basis.polys:
+        lm = b.leading_monomial(basis.order)
+        supports.append({i for i, e in enumerate(lm) if e > 0})
+    return _independent_sets_max(supports, nvars)
+
+
 def quotient_dimension(ideal: Ideal) -> int:
     """Krull dimension of ring/ideal for a homogeneous ideal.
 
-    Computed combinatorially from the leading-term ideal of the reduced
-    basis (maximal independent variable set). Returns the number of
-    variables for the zero ideal and -1 for the unit ideal.
+    Computed by `krull_dimension` on the reduced basis. Returns the
+    number of variables for the zero ideal and -1 for the unit ideal.
     """
     if not ideal.generators:
         raise ValueError("ambient ring unknown; include at least a zero generator")
@@ -373,12 +422,7 @@ def quotient_dimension(ideal: Ideal) -> int:
         if not g.is_homogeneous():
             raise NotHomogeneous(f"generator {g!r} is not homogeneous")
     basis = buchberger_basis(Ideal(tuple(gens), ideal.order))
-    nvars = gens[0].ring.nvars
-    supports = []
-    for b in basis.polys:
-        lm = b.leading_monomial(ideal.order)
-        supports.append({i for i, e in enumerate(lm) if e > 0})
-    return _independent_sets_max(supports, nvars)
+    return krull_dimension(basis, gens[0].ring.nvars)
 
 
 def membership_oracle(p: Polynomial, generators, max_cof_degree: int) -> bool:

@@ -13,6 +13,7 @@ normal forms so that ring equality at every level is decidable.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -23,8 +24,17 @@ from .errors import (
     VerificationFailure,
     ZeroVector,
 )
-from .groebner import DivisionOracle, GroebnerBasis, Ideal, buchberger_basis, normal_form, quotient_dimension
-from .poly import MonomialOrder, Polynomial, PolyRing, format_canonical, total_degree
+from .groebner import (
+    DivisionOracle,
+    GroebnerBasis,
+    Ideal,
+    buchberger_basis,
+    krull_dimension,
+    monomials_of_degree,
+    normal_form,
+)
+from .linalg import matrix_rank
+from .poly import MonomialOrder, Polynomial, PolyRing, format_canonical, mono_divides, total_degree
 
 
 class Level(enum.IntEnum):
@@ -73,6 +83,23 @@ class CiReport:
         return out
 
 
+def _ci_report(ring: PolyRing, gens: list, deep_basis) -> CiReport:
+    """The CiReport of `gens`; `deep_basis()` returns the reduced basis of (gens).
+
+    `deep_basis` is called only when every generator is homogeneous, as
+    only the regularity check needs it, so an inhomogeneous presentation
+    is judged without a Groebner basis.
+    """
+    in_square = tuple(
+        (not g.is_zero()) and all(total_degree(m) >= 2 for m in g.terms) for g in gens
+    )
+    if not all(g.is_homogeneous() for g in gens):
+        return CiReport(in_square, False, None, None, None)
+    expected = ring.nvars - len(gens)
+    computed = krull_dimension(deep_basis(), ring.nvars)
+    return CiReport(in_square, True, expected, computed, computed == expected)
+
+
 def validate_ci_presentation(ring: PolyRing, seq_gens, order: MonomialOrder | None = None) -> CiReport:
     """Check that the sequence generators present a complete intersection.
 
@@ -84,15 +111,7 @@ def validate_ci_presentation(ring: PolyRing, seq_gens, order: MonomialOrder | No
     """
     order = order or ring.default_order()
     gens = list(seq_gens)
-    in_square = tuple(
-        (not g.is_zero()) and all(total_degree(m) >= 2 for m in g.terms) for g in gens
-    )
-    homogeneous = all(g.is_homogeneous() for g in gens)
-    if homogeneous:
-        expected = ring.nvars - len(gens)
-        computed = quotient_dimension(Ideal(tuple(gens), order)) if gens else ring.nvars
-        return CiReport(in_square, True, expected, computed, computed == expected)
-    return CiReport(in_square, False, None, None, None)
+    return _ci_report(ring, gens, lambda: buchberger_basis(Ideal(tuple(gens), order)))
 
 
 class RingTower:
@@ -109,7 +128,9 @@ class RingTower:
       mid_gens     those combinations (empty when the sequence has length 1)
       w            the distinguished element, a non-zerodivisor at level MID
       mid_basis    reduced Groebner basis of (mid_gens)
-      quot_basis   reduced Groebner basis of (mid_gens + w)
+      quot_basis   reduced Groebner basis of (mid_gens + w), which is the
+                   ideal (seq_gens); it is the division oracle's combined
+                   basis
     """
 
     __slots__ = (
@@ -128,7 +149,7 @@ class RingTower:
     )
 
     def __init__(self, ring, order, seq_gens, w_coords, basis_change, mid_gens, w,
-                 mid_basis, quot_basis, validation):
+                 mid_basis, quot_basis, validation, division):
         self.ring = ring
         self.order = order
         self.seq_gens = seq_gens
@@ -139,7 +160,7 @@ class RingTower:
         self.mid_basis = mid_basis
         self.quot_basis = quot_basis
         self.validation = validation
-        self._division = None
+        self._division = division
         self._std_monos = {}
 
     def basis_for(self, level: Level) -> GroebnerBasis | None:
@@ -162,9 +183,7 @@ class RingTower:
         return self.elt(self.ring.parse(text), level)
 
     def division_oracle(self) -> DivisionOracle:
-        """Cached oracle for exact division by w at level MID."""
-        if self._division is None:
-            self._division = DivisionOracle(self.mid_basis, self.w)
+        """The oracle for exact division by w at level MID."""
         return self._division
 
     def divide_by_w(self, p: Polynomial) -> Polynomial:
@@ -177,13 +196,9 @@ class RingTower:
 
     def standard_monomials(self, degree: int) -> list:
         """Monomial basis of the QUOT-level graded piece of this degree."""
-        from .groebner import monomials_of_degree  # local to avoid cycle at import
-
         key = degree
         if key not in self._std_monos:
             lms = [b.leading_monomial(self.order) for b in self.quot_basis.polys]
-            from .poly import mono_divides
-
             self._std_monos[key] = [
                 m
                 for m in monomials_of_degree(self.ring.nvars, degree)
@@ -204,8 +219,6 @@ def _complete_to_basis(field, first_row: list) -> list[list]:
     """
     n = len(first_row)
     rows = [{j: c for j, c in enumerate(first_row) if c != field.zero}]
-    from .linalg import matrix_rank
-
     for i in range(n):
         if len(rows) == n:
             break
@@ -244,12 +257,6 @@ def build_tower(ring: PolyRing, seq_gens, w_coords, order: MonomialOrder | None 
         if g.ring != ring:
             raise FieldMismatch("sequence generator lives in a different ring")
 
-    validation = validate_ci_presentation(ring, gens, order)
-    if not allow_unchecked and not validation.ok:
-        raise VerificationFailure(
-            "presentation failed validation: " + "; ".join(validation.lines())
-        )
-
     basis_change = _complete_to_basis(field, coords)
     w = ring.zero()
     for c, g in zip(coords, gens):
@@ -261,28 +268,51 @@ def build_tower(ring: PolyRing, seq_gens, w_coords, order: MonomialOrder | None 
             h = h + g.scale(c)
         mid_gens.append(h)
 
-    mid_basis = buchberger_basis(Ideal(tuple(mid_gens), order)) if mid_gens else GroebnerBasis((), order)
-    quot_basis = buchberger_basis(Ideal(tuple(mid_gens + [w]), order))
+    # The basis change is invertible, so (seq_gens) == (mid_gens + w):
+    # validation and quot_basis both use the oracle's combined basis.
+    # Computed on first use, so inhomogeneous input that fails
+    # validation is rejected without a Groebner basis.
+    bases = functools.cache(lambda: _tower_bases(mid_gens, w, order))
+    validation = _ci_report(ring, gens, lambda: bases()[2])
+    if not allow_unchecked and not validation.ok:
+        raise VerificationFailure(
+            "presentation failed validation: " + "; ".join(validation.lines())
+        )
+    mid_basis, oracle, quot_basis = bases()
+    if oracle is None:
+        oracle = DivisionOracle(mid_basis, w)  # w == 0: raises NotDivisible
 
     tower = RingTower(
         ring, order, tuple(gens), tuple(coords), tuple(tuple(r) for r in basis_change),
-        tuple(mid_gens), w, mid_basis, quot_basis, validation,
+        tuple(mid_gens), w, mid_basis, quot_basis, validation, oracle,
     )
     _check_tower_invariants(tower)
     return tower
 
 
+def _tower_bases(mid_gens, w, order):
+    """(mid_basis, division oracle, quot_basis), one Buchberger run per ideal.
+
+    A reduced Groebner basis is unique, so the oracle's combined basis
+    of (mid_basis + w) is quot_basis. For w == 0 the deep ideal is
+    (mid_gens), and the oracle is None.
+    """
+    mid_basis = buchberger_basis(Ideal(tuple(mid_gens), order)) if mid_gens else GroebnerBasis((), order)
+    if w.is_zero():
+        return mid_basis, None, mid_basis
+    oracle = DivisionOracle(mid_basis, w)
+    return mid_basis, oracle, oracle.combined
+
+
 def _check_tower_invariants(tower: RingTower):
-    # w and every mid generator must vanish at level QUOT.
+    # w and every mid generator must vanish at level QUOT. The converse,
+    # that the deep basis lies in (mid ideal) + (w), is certified by the
+    # division oracle's constructor, cofactor by cofactor.
     if not tower.normal_form(tower.w, Level.QUOT).is_zero():
         raise VerificationFailure("w does not reduce to zero at the deep level")
     for g in tower.mid_gens:
         if not tower.normal_form(g, Level.QUOT).is_zero():
             raise VerificationFailure("mid generator missing from the deep ideal")
-    # Conversely the deep basis must lie in (mid ideal) + (w).
-    oracle = tower.division_oracle()
-    for b in tower.quot_basis.polys:
-        oracle.divide(b)  # raises NotDivisible when the ideals disagree
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfkit.errors import FieldMismatch, NotDivisible, NotHomogeneous, VariableMismatch
+import mfkit.groebner as groebner
+from mfkit.errors import FieldMismatch, NotDivisible, NotHomogeneous, VariableMismatch, VerificationFailure
 from mfkit.fields import QQ, PrimeField
 from mfkit.groebner import (
     DivisionOracle,
@@ -359,3 +360,31 @@ def test_field_hooks_of_the_division_loop():
     assert f7.integer_form({m: 3}) == ({m: 3}, 1)
     assert f7.cancel(3, 5) == (1, 2)  # 3 == 2*5 mod 7
     assert f7.reduce_int(-1) == 6 and QQ.reduce_int(-1) == -1
+
+
+@pytest.mark.parametrize("field", DIFF_FIELDS, ids=lambda f: repr(f))
+def test_cofactor_certificate_matches_polynomial_arithmetic(field):
+    # The certificate runs on integer forms; here the combination is
+    # formed with Polynomial arithmetic, then moved off by one term.
+    ring = PolyRing(("x", "y", "z"), field)
+    rng = random.Random(41)
+    for _ in range(30):
+        gens = [rand_rational_poly(ring, rng, max_degree=2) for _ in range(rng.randint(1, 3))]
+        gens = [g for g in gens if not g.is_zero()] or [ring.var(0)]
+        reps = []
+        polys = []
+        for _ in range(rng.randint(1, 3)):
+            rep = [rand_rational_poly(ring, rng, max_degree=2, terms=rng.randint(0, 3)) for _ in gens]
+            total = ring.zero()
+            for r, g in zip(rep, gens):
+                total = total + r * g
+            reps.append(tuple(rep))
+            polys.append(total)
+        groebner._certify_reps(polys, reps, gens)
+        i = rng.randrange(len(polys))
+        off = rand_rational_poly(ring, rng, max_degree=3, terms=1)
+        if off.is_zero():
+            continue
+        polys[i] = polys[i] + off
+        with pytest.raises(VerificationFailure, match=f"element {i} do not reproduce"):
+            groebner._certify_reps(polys, reps, gens)

@@ -4,12 +4,14 @@ import random
 
 import pytest
 
-from mfkit.errors import DimensionMismatch, LevelMismatch, ZeroVector
-from mfkit.fields import QQ
+import mfkit.groebner as groebner
+from mfkit.errors import DimensionMismatch, LevelMismatch, NotDivisible, VerificationFailure, ZeroVector
+from mfkit.fields import QQ, PrimeField
+from mfkit.groebner import Ideal, buchberger_basis
 from mfkit.poly import MonomialOrder, PolyRing, format_canonical
 from mfkit.tower import Level, RingMatrix, build_tower, det, validate_ci_presentation
 
-from .genutil import rand_matrix
+from .genutil import rand_homogeneous_poly, rand_matrix, rand_poly
 
 RXY = PolyRing(("x", "y"), QQ)
 RUV = PolyRing(("u", "v"), QQ)
@@ -91,6 +93,116 @@ class TestBuildTower:
         t = build_tower(RXY, [RXY.parse("x^2"), RXY.parse("y^2")], [1, 0])
         deep = Ideal(tuple(t.mid_gens) + (t.w,), t.order)
         assert quotient_dimension(deep) == RXY.nvars - len(t.seq_gens)
+
+
+class TestZeroW:
+    """Coordinates that make w the zero polynomial."""
+
+    def test_homogeneous_dependent_pair_fails_regularity(self):
+        with pytest.raises(VerificationFailure) as exc:
+            build_tower(RXY, [RXY.parse("x^2"), RXY.parse("x^2")], [1, -1])
+        assert str(exc.value) == (
+            "presentation failed validation: generator 0: max-ideal-square membership ok;"
+            " generator 1: max-ideal-square membership ok;"
+            " regularity: FAILED (quotient dimension 1, expected 0)"
+        )
+
+    def test_inhomogeneous_pair_cannot_divide_by_zero(self):
+        gens = [RXY.parse("x^2 + x^3"), RXY.parse("x^2 + x^3")]
+        with pytest.raises(NotDivisible) as exc:
+            build_tower(RXY, gens, [1, -1])
+        assert str(exc.value) == "cannot divide by zero"
+
+    def test_unchecked_homogeneous_pair_cannot_divide_by_zero(self):
+        gens = [RXY.parse("x^2"), RXY.parse("x^2")]
+        with pytest.raises(NotDivisible) as exc:
+            build_tower(RXY, gens, [1, -1], allow_unchecked=True)
+        assert str(exc.value) == "cannot divide by zero"
+
+
+RXYZ_BY_FIELD = {f: PolyRing(("x", "y", "z"), f) for f in (QQ, PrimeField(2), PrimeField(32003))}
+
+
+def _random_tower_inputs(ring, rng, c, max_degree):
+    """c generators, homogeneous or not, and nonzero coordinates."""
+    if rng.random() < 0.5:
+        gens = [rand_homogeneous_poly(ring, rng, rng.randint(2, max_degree)) for _ in range(c)]
+    else:
+        gens = [rand_poly(ring, rng, max_degree, terms=3) for _ in range(c)]
+    while True:
+        coords = [rng.randint(-3, 3) for _ in range(c)]
+        if any(ring.field.from_int(k) != ring.field.zero for k in coords):
+            return gens, coords
+
+
+@pytest.mark.parametrize("field", list(RXYZ_BY_FIELD), ids=repr)
+@pytest.mark.parametrize("kind", ["grevlex", "lex"])
+def test_one_deep_basis_matches_separate_computations(field, kind):
+    # The tower reads quot_basis and the regularity check off the division
+    # oracle's basis; both must equal what the separate computations give.
+    ring = RXYZ_BY_FIELD[field]
+    order = getattr(MonomialOrder, kind)(ring.nvars)
+    max_degree = 3 if kind == "grevlex" else 2
+    rng = random.Random(29)
+    draws = 4 if kind == "grevlex" else 3
+    built = 0
+    for c in (1, 2, 3):
+        for _ in range(draws):
+            gens, coords = _random_tower_inputs(ring, rng, c, max_degree)
+            try:
+                t = build_tower(ring, gens, coords, order, allow_unchecked=True)
+            except NotDivisible:
+                w = ring.zero()
+                for k, g in zip(coords, gens):
+                    w = w + g.scale(ring.field.from_int(k))
+                assert w.is_zero()
+                continue
+            built += 1
+            assert t.quot_basis == buchberger_basis(Ideal(tuple(gens), order))
+            assert t.validation == validate_ci_presentation(ring, gens, order)
+    assert built >= 3 * draws // 2  # most draws give a nonzero w
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_build_tower_runs_buchberger_once_per_ideal(monkeypatch, c):
+    ring = RXYZ_BY_FIELD[QQ]
+    calls = []
+    real = groebner.buchberger_with_reps
+
+    def counting(generators, order):
+        calls.append(list(generators))
+        return real(generators, order)
+
+    monkeypatch.setattr(groebner, "buchberger_with_reps", counting)
+    gens = [ring.parse(t) for t in ("x^2 + y*z", "y^2", "z^2")[:c]]
+    t = build_tower(ring, gens, [1] * c)
+    assert t.validation.regular is True
+    # One run on the mid ideal when there is one, then one on the deep ideal.
+    assert len(calls) == 1 + (c >= 2)
+    assert calls[-1] == list(t.mid_basis.polys) + [t.w]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=repr)
+@pytest.mark.parametrize("where", ["first-w", "last-mid", "tiny"])
+def test_perturbed_cofactor_fails_certificate(monkeypatch, field, where):
+    ring = RXYZ_BY_FIELD[field]
+    real = groebner.buchberger_with_reps
+
+    def perturbed(generators, order):
+        polys, reps = real(generators, order)
+        reps = [list(r) for r in reps]
+        if where == "first-w":
+            reps[0][-1] = reps[0][-1] + ring.parse("x")
+        elif where == "last-mid":
+            reps[-1][0] = reps[-1][0] - ring.one()
+        else:
+            reps[-1][-1] = reps[-1][-1] + ring.monomial((0, 0, 1), field.ratio(1, 2**40 + 15))
+        return polys, [tuple(r) for r in reps]
+
+    monkeypatch.setattr(groebner, "buchberger_with_reps", perturbed)
+    gens = [ring.parse("x^2 + y*z"), ring.parse("y^2 - x*z")]
+    with pytest.raises(VerificationFailure, match="do not reproduce"):
+        build_tower(ring, gens, [1, 2])
 
 
 class TestRingElt:
