@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 verification failed, 2 parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import (
@@ -229,7 +230,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every
+    `main` call in the process; parsing keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="mfkit",
         description="Exact workbench for matrix factorizations over polynomial quotients.",

@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 
 from .errors import NotDivisible, NotHomogeneous, VariableMismatch, VerificationFailure
-from .linalg import solve_linear
 from .poly import (
     MonomialOrder,
     Polynomial,
@@ -29,6 +28,7 @@ from .poly import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    sum_of_products,
 )
 
 
@@ -187,13 +187,10 @@ def _spair(fi, fj, order):
 
 def _subtract_combination(rep, cofs, basis_reps):
     """rep - sum_i cofs[i] * basis_reps[i], computed entry by entry."""
-    new_rep = list(rep)
-    for c, r in zip(cofs, basis_reps):
-        if c.is_zero():
-            continue
-        for j in range(len(new_rep)):
-            new_rep[j] = new_rep[j] - c * r[j]
-    return new_rep
+    return [
+        a - sum_of_products(a.ring, [(c, r[j]) for c, r in zip(cofs, basis_reps)])
+        for j, a in enumerate(rep)
+    ]
 
 
 def buchberger_with_reps(generators, order: MonomialOrder):
@@ -335,38 +332,18 @@ class DivisionOracle:
             raise NotDivisible(
                 f"{p!r} is not divisible modulo the ideal (remainder {rem!r})"
             )
-        q = p.ring.zero()
-        for c, wc in zip(cofs, self.w_cofactors):
-            if not c.is_zero() and not wc.is_zero():
-                q = q + c * wc
-        return normal_form(q, self.mid_basis)
+        return normal_form(sum_of_products(p.ring, zip(cofs, self.w_cofactors)), self.mid_basis)
 
 
 def _certify_reps(polys, reps, gens):
     """Raise VerificationFailure unless polys[i] == sum_j reps[i][j] * gens[j].
 
-    Checked exactly on the integer forms that division uses: with
-    R_j = d_j*reps[i][j], G_j = e_j*gens[j], B = D*polys[i] and L the lcm
-    of the d_j*e_j, the identity holds iff
-    D * sum_j (L/(d_j*e_j)) * R_j*G_j == L * B, coefficient by
-    coefficient after the field's `reduce_int`.
+    Checked exactly by `sum_of_products`, on the same integer forms that
+    division uses.
     """
-    reduce_int = gens[0].ring.field.reduce_int
-    gen_forms = [g.integer_form() for g in gens]
+    ring = gens[0].ring
     for i, (b, rep) in enumerate(zip(polys, reps)):
-        pairs = [(r.integer_form(), gen_forms[j]) for j, r in enumerate(rep) if not r.is_zero()]
-        den = lcm(*[rd * gd for (_, rd), (_, gd) in pairs])
-        acc: dict = {}
-        for (r_terms, rd), (g_terms, gd) in pairs:
-            k = den // (rd * gd)
-            for rm, rc in r_terms.items():
-                c = k * rc
-                for gm, gc in g_terms.items():
-                    m = mono_mul(rm, gm)
-                    acc[m] = acc.get(m, 0) + c * gc
-        b_terms, bd = b.integer_form()
-        lhs = {m: v for m, c in acc.items() if (v := reduce_int(bd * c))}
-        if lhs != {m: reduce_int(den * c) for m, c in b_terms.items()}:
+        if sum_of_products(ring, zip(rep, gens)) != b:
             raise VerificationFailure(
                 f"cofactors of combined basis element {i} do not reproduce it"
             )
@@ -423,43 +400,6 @@ def quotient_dimension(ideal: Ideal) -> int:
             raise NotHomogeneous(f"generator {g!r} is not homogeneous")
     basis = buchberger_basis(Ideal(tuple(gens), ideal.order))
     return krull_dimension(basis, gens[0].ring.nvars)
-
-
-def membership_oracle(p: Polynomial, generators, max_cof_degree: int) -> bool:
-    """Brute-force ideal membership via linear algebra.
-
-    Solves p = sum a_i g_i with deg a_i <= max_cof_degree by equating
-    coefficients, independently of any Groebner machinery. Intended as
-    a test oracle on small instances.
-    """
-    gens = [g for g in generators if not g.is_zero()]
-    if p.is_zero():
-        return True
-    if not gens:
-        return False
-    ring = p.ring
-    field = ring.field
-    monos = list(_monomials_up_to(ring.nvars, max_cof_degree))
-    columns = []
-    target_monos = set(p.terms)
-    for g in gens:
-        for m in monos:
-            prod = g.mul_term(m, field.one)
-            columns.append(prod)
-            target_monos.update(prod.terms)
-    # One augmented row per monomial; column len(columns) holds p.
-    rows = {m: {} for m in sorted(target_monos)}
-    for k, col in enumerate(columns):
-        for m, c in col.terms.items():
-            rows[m][k] = c
-    for m, c in p.terms.items():
-        rows[m][len(columns)] = c
-    return solve_linear(list(rows.values()), len(columns), field) is not None
-
-
-def _monomials_up_to(nvars: int, max_degree: int):
-    for d in range(max_degree + 1):
-        yield from _degree_monomials(nvars, d)
 
 
 def _degree_monomials(nvars: int, degree: int):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import lcm
 from operator import add, le, sub
 
 from .errors import (
@@ -308,6 +309,45 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<{format_canonical(self, self.ring.default_order())}>"
+
+
+def sum_of_products(ring: PolyRing, pairs) -> Polynomial:
+    """sum_k a_k*b_k over the (a_k, b_k) in `pairs`, exactly, in `ring`.
+
+    Runs on the cached integer forms F = d*a of the factors: with L the
+    lcm of the d_a*d_b, it accumulates one int dict of
+    sum_k (L/(d_a*d_b)) * F_a*F_b and builds one field element per
+    result term at the end. When L == 1 (always over GF(p)) that is the
+    field's `from_int`, so no term pays for a gcd or a modular inverse.
+    """
+    field = ring.field
+    prods = []
+    den = 1
+    for a, b in pairs:
+        for f in (a, b):
+            if f.ring is not ring and f.ring != ring:
+                ring.zero()._check_compatible(f)
+        if a.terms and b.terms:
+            fa, da = a.integer_form()
+            fb, db = b.integer_form()
+            prods.append((fa, fb, da * db))
+            den = lcm(den, da * db)
+    acc: dict = {}
+    get = acc.get
+    for fa, fb, d in prods:
+        k = den // d
+        for ma, ca in fa.items():
+            ca *= k
+            for mb, cb in fb.items():
+                m = tuple(map(add, ma, mb))
+                acc[m] = get(m, 0) + ca * cb
+    # A cancelled sum builds no element; over GF(p) a nonzero c may
+    # still reduce to 0, which the walrus test drops.
+    if den == 1:
+        from_int = field.from_int
+        return Polynomial(ring, {m: v for m, c in acc.items() if c and (v := from_int(c))})
+    ratio = field.ratio
+    return Polynomial(ring, {m: ratio(c, den) for m, c in acc.items() if c})
 
 
 def parse_polynomial(text: str, vars, field) -> Polynomial:

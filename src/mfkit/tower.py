@@ -34,7 +34,15 @@ from .groebner import (
     normal_form,
 )
 from .linalg import matrix_rank
-from .poly import MonomialOrder, Polynomial, PolyRing, format_canonical, mono_divides, total_degree
+from .poly import (
+    MonomialOrder,
+    Polynomial,
+    PolyRing,
+    format_canonical,
+    mono_divides,
+    sum_of_products,
+    total_degree,
+)
 
 
 class Level(enum.IntEnum):
@@ -354,6 +362,9 @@ class RingElt:
 class RingMatrix:
     """A matrix over one tower level; entries kept in normal form.
 
+    Every constructor and operation keeps that invariant, so a caller
+    that passes normalize=False vouches for its entries.
+
     Dimensions may be zero: rank-zero objects (empty matrices) are legal
     and behave as expected under block assembly and products.
     """
@@ -387,8 +398,8 @@ class RingMatrix:
 
     @classmethod
     def identity(cls, tower: RingTower, level: Level, n: int) -> "RingMatrix":
-        one = tower.ring.one()
         zero = tower.ring.zero()
+        one = tower.normal_form(tower.ring.one(), level)
         return cls(tower, level, [[one if i == j else zero for j in range(n)] for i in range(n)],
                    nrows=n, ncols=n, normalize=False)
 
@@ -446,10 +457,9 @@ class RingMatrix:
 
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
         self._check(other)
-        entries = [
-            [self.tower.normal_form(a + b, self.level) for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.entries, other.entries)
-        ]
+        # Entries are stored in normal form, and no term of a sum of
+        # normal forms is divisible by a leading monomial of the basis.
+        entries = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
         return RingMatrix(self.tower, self.level, entries, self.nrows, self.ncols, normalize=False)
 
     def __sub__(self, other: "RingMatrix") -> "RingMatrix":
@@ -461,20 +471,12 @@ class RingMatrix:
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         self._check(other, for_product=True)
-        zero = self.tower.ring.zero()
-        entries = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = zero
-                for k in range(self.ncols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(self.tower.normal_form(acc, self.level))
-            entries.append(row)
+        ring, normal_form, level = self.tower.ring, self.tower.normal_form, self.level
+        cols = [[row[j] for row in other.entries] for j in range(other.ncols)]
+        entries = [
+            [normal_form(sum_of_products(ring, zip(row, col)), level) for col in cols]
+            for row in self.entries
+        ]
         return RingMatrix(self.tower, self.level, entries, self.nrows, other.ncols, normalize=False)
 
     def scale(self, c) -> "RingMatrix":
@@ -553,16 +555,13 @@ def det(m: RingMatrix) -> Polynomial:
         key = (row, cols_mask)
         if key in cache:
             return cache[key]
-        acc = ring.zero()
         available = [j for j in range(n) if cols_mask & (1 << j)]
-        for k, j in enumerate(available):
-            a = m.entries[row][j]
-            if a.is_zero():
-                continue
-            sub = minor(row + 1, cols_mask & ~(1 << j))
-            term = a * sub
-            acc = acc + (term if k % 2 == 0 else -term)
-        acc = tower.normal_form(acc, m.level)
+        pairs = [
+            (a if k % 2 == 0 else -a, minor(row + 1, cols_mask & ~(1 << j)))
+            for k, j in enumerate(available)
+            if not (a := m.entries[row][j]).is_zero()
+        ]
+        acc = tower.normal_form(sum_of_products(ring, pairs), m.level)
         cache[key] = acc
         return acc
 

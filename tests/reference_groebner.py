@@ -8,12 +8,17 @@ terms, so nothing here relies on the cache in `Polynomial`, and order
 keys come from `order_key` here, not from `MonomialOrder.key`. Both
 return the same values, in the same shape, as their `mfkit.groebner`
 namesakes.
+
+`membership_oracle` decides ideal membership by linear algebra alone,
+with no Groebner machinery, on small instances.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+from mfkit.groebner import monomials_of_degree
+from mfkit.linalg import solve_linear
 from mfkit.poly import Polynomial, mono_div, mono_divides, mono_lcm, mono_mul
 
 
@@ -154,3 +159,34 @@ def buchberger_with_reps(generators, order):
 
     final = sorted(range(len(polys)), key=lm_key, reverse=True)
     return [polys[i] for i in final], [tuple(reps[i]) for i in final]
+
+
+def membership_oracle(p: Polynomial, generators, max_cof_degree: int) -> bool:
+    """Brute-force ideal membership via linear algebra.
+
+    Solves p = sum a_i g_i with deg a_i <= max_cof_degree by equating
+    coefficients, independently of any Groebner machinery.
+    """
+    gens = [g for g in generators if not g.is_zero()]
+    if p.is_zero():
+        return True
+    if not gens:
+        return False
+    ring = p.ring
+    field = ring.field
+    monos = [m for d in range(max_cof_degree + 1) for m in monomials_of_degree(ring.nvars, d)]
+    columns = []
+    target_monos = set(p.terms)
+    for g in gens:
+        for m in monos:
+            prod = g.mul_term(m, field.one)
+            columns.append(prod)
+            target_monos.update(prod.terms)
+    # One augmented row per monomial; column len(columns) holds p.
+    rows = {m: {} for m in sorted(target_monos)}
+    for k, col in enumerate(columns):
+        for m, c in col.terms.items():
+            rows[m][k] = c
+    for m, c in p.terms.items():
+        rows[m][len(columns)] = c
+    return solve_linear(list(rows.values()), len(columns), field) is not None

@@ -35,6 +35,17 @@ def test_two_runs_byte_identical(name, argv, expected):
     assert first == second
 
 
+def test_shared_parser_keeps_no_options_between_calls():
+    # The parser is built once per process: a window call with its own
+    # options, then a plain call, must each give their golden report.
+    cases = {c[0]: c for c in CASES}
+    for name in ("acyclic_a_csv", "validate_uv"):
+        _, argv, expected = cases[name]
+        code, out = run_cli(argv_for(argv, CORPUS_DIR))
+        assert code == expected
+        assert out == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+
+
 def test_exit_codes_all_covered():
     assert {c[2] for c in CASES} == {0, 1, 2, 3, 4}
 

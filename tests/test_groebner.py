@@ -19,7 +19,6 @@ from mfkit.groebner import (
     buchberger_with_reps,
     divide_full,
     exact_divide_by_nzd,
-    membership_oracle,
     normal_form,
     quotient_dimension,
     reduce_with_cofactors,
@@ -27,6 +26,7 @@ from mfkit.groebner import (
 from mfkit.poly import MonomialOrder, PolyRing, format_canonical
 
 from . import reference_groebner
+from .reference_groebner import membership_oracle
 from .genutil import rand_homogeneous_poly, rand_poly
 
 RXY = PolyRing(("x", "y"), QQ)

@@ -1,6 +1,8 @@
 """Polynomial arithmetic, monomial orders, parser and printer."""
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from mfkit.poly import (
     PolyRing,
     format_canonical,
     parse_polynomial,
+    sum_of_products,
 )
 
 RUV = PolyRing(("u", "v"), QQ)
@@ -233,3 +236,77 @@ def test_order_properties(a, b, c, order):
     prod = tuple(x + y for x, y in zip(a, c))
     prod_b = tuple(x + y for x, y in zip(b, c))
     assert order.compare(prod, prod_b) == order.compare(a, b)
+
+
+KERNEL_FIELDS = [QQ, PrimeField(2), PrimeField(32003)]
+RXYZ_BY_FIELD = {f: PolyRing(("x", "y", "z"), f) for f in KERNEL_FIELDS}
+
+# Small integers, small fractions, and numerators and denominators up to
+# 2^40, so that the products' denominators differ.
+KERNEL_COEFFICIENTS = st.one_of(
+    st.tuples(st.integers(min_value=-5, max_value=5), st.just(1)),
+    st.tuples(st.integers(min_value=-50, max_value=50), st.integers(min_value=1, max_value=12)),
+    st.tuples(st.integers(min_value=-(2**40), max_value=2**40), st.integers(min_value=1, max_value=2**40)),
+)
+
+
+def kernel_polys(ring):
+    mono = st.tuples(*[st.integers(min_value=0, max_value=2)] * ring.nvars)
+
+    def build(terms):
+        field = ring.field
+        p = ring.zero()
+        for m, (num, den) in terms.items():
+            if isinstance(field, PrimeField) and den % field.p == 0:
+                den = 1
+            p = p + ring.monomial(m, field.ratio(num, den))
+        return p
+
+    return st.dictionaries(mono, KERNEL_COEFFICIENTS, max_size=4).map(build)
+
+
+@st.composite
+def product_sums(draw):
+    """(ring, pairs): zero factors come from empty term maps, and some
+    lists end with the negation of a product already in them."""
+    ring = RXYZ_BY_FIELD[draw(st.sampled_from(KERNEL_FIELDS))]
+    polys = kernel_polys(ring)
+    pairs = draw(st.lists(st.tuples(polys, polys), max_size=5))
+    if pairs and draw(st.booleans()):
+        a, b = draw(st.sampled_from(pairs))
+        pairs.append((-a, b) if draw(st.booleans()) else (a, -b))
+    return ring, pairs
+
+
+@given(product_sums())
+@settings(max_examples=400, deadline=None)
+def test_sum_of_products_matches_polynomial_arithmetic(problem):
+    ring, pairs = problem
+    expected = ring.zero()
+    for a, b in pairs:
+        expected = expected + a * b
+    got = sum_of_products(ring, iter(pairs))
+    assert got == expected
+    field = ring.field
+    for c in got.terms.values():
+        if field == QQ:
+            assert type(c) is Fraction and c != 0
+            assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+        else:
+            assert type(c) is int and 0 < c < field.p
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_sum_of_products_edges(field):
+    ring = RXYZ_BY_FIELD[field]
+    x, y = ring.var(0), ring.var(1)
+    assert sum_of_products(ring, []) == ring.zero()
+    assert sum_of_products(ring, [(ring.zero(), x), (y, ring.zero())]) == ring.zero()
+    assert sum_of_products(ring, [(x, y), (-y, x)]).is_zero()
+    third = ring.const(field.ratio(1, 3))
+    assert sum_of_products(ring, [(third, x), (x, third), (x, third)]) == x
+    other = PolyRing(("x", "y"), field)
+    with pytest.raises(VariableMismatch):
+        sum_of_products(ring, [(x, other.var(0))])
+    with pytest.raises(FieldMismatch):
+        sum_of_products(ring, [(RXYZ_BY_FIELD[PrimeField(2) if field == QQ else QQ].zero(), x)])

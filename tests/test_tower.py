@@ -1,5 +1,7 @@
 """Tower construction, validation and matrix algebra over quotients."""
 
+import functools
+import operator
 import random
 
 import pytest
@@ -11,6 +13,7 @@ from mfkit.groebner import Ideal, buchberger_basis
 from mfkit.poly import MonomialOrder, PolyRing, format_canonical
 from mfkit.tower import Level, RingMatrix, build_tower, det, validate_ci_presentation
 
+from . import reference_tower
 from .genutil import rand_homogeneous_poly, rand_matrix, rand_poly
 
 RXY = PolyRing(("x", "y"), QQ)
@@ -328,3 +331,99 @@ class TestDeterminant:
             + one * (zero * zero - u * one)
         )
         assert det(m) == expected
+
+
+KERNEL_TOWERS = ["qq", "fp2", "fp32003", "cusp", "unit"]
+
+
+@functools.cache
+def kernel_tower(name):
+    """Towers for the differential tests of the matrix algebra: graded
+    and not, over QQ and prime fields, and one whose mid ideal is the
+    unit ideal, where every entry's normal form is 0."""
+    if name == "unit":
+        return build_tower(RXY, [RXY.parse("x^2"), RXY.one()], [1, 0], allow_unchecked=True)
+    if name == "cusp":
+        return build_tower(RXY, [RXY.parse("x^2"), RXY.parse("y^2 - x^3")], [1, 0])
+    ring = RXYZ_BY_FIELD[{"qq": QQ, "fp2": PrimeField(2), "fp32003": PrimeField(32003)}[name]]
+    return build_tower(ring, [ring.parse("x^2 + y*z"), ring.parse("y^2 - x*z")], [1, 2])
+
+
+def _rational_matrix(tower, rng, nrows, ncols, level):
+    """Random entries over assorted denominators, 2^40 + 15 among them."""
+    field = tower.ring.field
+
+    def entry():
+        den = rng.choice([1, 1, 2, 3, 7, 2**40 + 15])
+        if isinstance(field, PrimeField) and den % field.p == 0:
+            den = 1
+        return rand_poly(tower.ring, rng, 2).scale(field.ratio(1, den))
+
+    return RingMatrix(tower, level, [[entry() for _ in range(ncols)] for _ in range(nrows)],
+                      nrows, ncols)
+
+
+def _operand_pool(tower, level, rng):
+    """2x2 matrices from every constructor and operation."""
+    a = _rational_matrix(tower, rng, 2, 2, level)
+    b = _rational_matrix(tower, rng, 2, 2, level)
+    one, one1 = RingMatrix.identity(tower, level, 2), RingMatrix.identity(tower, level, 1)
+    corner = _rational_matrix(tower, rng, 1, 1, level)
+    return [
+        a, b, one, RingMatrix.zeros(tower, level, 2, 2), -a, a.transpose(), a @ b,
+        a.scale(tower.ring.parse("x + 1")), one.scale(tower.w),
+        RingMatrix.block([[one1, corner], [RingMatrix.zeros(tower, level, 1, 1), one1]]),
+        RingMatrix.from_strings(tower, Level.BASE, [["x^3", "1"], ["0", "x*y^2"]]).reduce_to(level),
+    ]
+
+
+@pytest.mark.parametrize("level", [Level.MID, Level.QUOT], ids=lambda lv: lv.name)
+@pytest.mark.parametrize("name", KERNEL_TOWERS)
+def test_matmul_matches_reference_loop(name, level):
+    tower = kernel_tower(name)
+    rng = random.Random(53)
+    for _ in range(20):
+        n, k, m = (rng.randint(0, 3) for _ in range(3))
+        a = _rational_matrix(tower, rng, n, k, level)
+        b = _rational_matrix(tower, rng, k, m, level)
+        assert a @ b == reference_tower.matmul(a, b)
+    pool = _operand_pool(tower, level, rng)
+    for a in pool:
+        for b in pool:
+            assert a @ b == reference_tower.matmul(a, b)
+
+
+@pytest.mark.parametrize("level", [Level.MID, Level.QUOT], ids=lambda lv: lv.name)
+@pytest.mark.parametrize("name", KERNEL_TOWERS)
+def test_add_matches_normal_form_of_sum(name, level):
+    # __add__ does not normalize: every constructor must already have.
+    tower = kernel_tower(name)
+    pool = _operand_pool(tower, level, random.Random(59))
+    for a in pool:
+        for b in pool:
+            for got, raw in ((a + b, operator.add), (a - b, operator.sub)):
+                for i in range(2):
+                    for j in range(2):
+                        expected = tower.normal_form(raw(a.entry(i, j), b.entry(i, j)), level)
+                        assert got.entry(i, j) == expected
+
+
+@pytest.mark.parametrize("level", [Level.MID, Level.QUOT], ids=lambda lv: lv.name)
+@pytest.mark.parametrize("name", KERNEL_TOWERS)
+def test_det_matches_cofactor_expansion(name, level):
+    tower = kernel_tower(name)
+    rng = random.Random(61)
+    for n in (0, 1, 2, 3, 4):
+        for _ in range(3 if n < 4 else 1):
+            m = _rational_matrix(tower, rng, n, n, level)
+            assert det(m) == reference_tower.det(m)
+
+
+@pytest.mark.parametrize("level", [Level.MID, Level.QUOT], ids=lambda lv: lv.name)
+def test_identity_is_normalized_on_the_unit_ideal(level):
+    t = build_tower(RXY, [RXY.parse("x^2"), RXY.one()], [1, 0], allow_unchecked=True)
+    one = RingMatrix.identity(t, level, 2)
+    zero = RingMatrix.zeros(t, level, 2, 2)
+    assert one == zero
+    assert one.is_zero()
+    assert one + zero == zero
