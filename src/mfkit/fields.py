@@ -5,15 +5,16 @@ lowest terms with positive denominator). Prime field coefficients are
 plain ints in the range [0, p). All arithmetic goes through the field
 object so that polynomial code never hardcodes a coefficient type.
 
-Two hot loops work on plain ints instead: division
+Three hot loops work on plain ints instead: division
 (`groebner.divide_full`) keeps the pending terms as integers over one
-running denominator, and `poly.sum_of_products` accumulates a sum of
-products as integers over one common denominator. The field supplies
-the steps that differ between QQ and GF(p): `integer_form` clears
-denominators, `cancel` picks the multipliers that cancel a leading
-term, `reduce_int` reduces an integer coefficient (modulo p, or not at
-all over QQ), and `ratio` and `from_int` turn an integer fraction or an
-integer back into a field element.
+running denominator, `poly.sum_of_products` accumulates a sum of
+products as integers over one common denominator, and the echelon
+engine of `mfkit.linalg` eliminates on integer multiples of its rows.
+The field supplies the steps that differ between QQ and GF(p):
+`integer_form` clears denominators, `cancel` picks the multipliers that
+cancel a leading term, `reduce_int` reduces an integer coefficient
+(modulo p, or not at all over QQ), and `ratio` and `from_int` turn an
+integer fraction or an integer back into a field element.
 """
 
 from __future__ import annotations

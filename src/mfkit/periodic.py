@@ -50,6 +50,7 @@ from .mfcat import (
     verify_morphism,
     zero_morphism,
 )
+from .poly import Polynomial, mono_mul
 from .tower import Level, RingMatrix, RingTower
 
 DEFAULT_BUDGET = 32
@@ -427,38 +428,81 @@ def _uniform_entry_degree(m: RingMatrix) -> int | None:
     return degs.pop()
 
 
-def _graded_map(tower: RingTower, m: RingMatrix, src_degree: int, entry_degree: int):
+class _QuotNormalForms:
+    """QUOT normal forms of monomials, as coordinate vectors.
+
+    The vector of a monomial m is a list of (k, c): the normal form of m
+    is the sum of c times standard monomial k of m's degree, indexed as
+    in `tower.standard_monomials`. Normal form is linear, so the image
+    of p*s is the sum of c_t times the vector of m_t*s over the terms
+    c_t*m_t of p, and each monomial's normal form is computed once per
+    table. A window call makes one table, shares it between every graded
+    map it builds, and drops it when it returns.
+    """
+
+    __slots__ = ("tower", "_indexes", "_vectors")
+
+    def __init__(self, tower: RingTower):
+        self.tower = tower
+        self._indexes: dict[int, dict] = {}
+        self._vectors: dict[tuple, list] = {}
+
+    def vector(self, mono: tuple) -> list:
+        vec = self._vectors.get(mono)
+        if vec is not None:
+            return vec
+        tower = self.tower
+        degree = sum(mono)
+        index = self._indexes.get(degree)
+        if index is None:
+            index = {m: k for k, m in enumerate(tower.standard_monomials(degree))}
+            self._indexes[degree] = index
+        vec = []
+        for m, c in tower.normal_form(tower.ring.monomial(mono), Level.QUOT).terms.items():
+            k = index.get(m)
+            if k is None:
+                raise VerificationFailure(
+                    "graded piece bookkeeping failed: unexpected monomial"
+                )
+            vec.append((k, c))
+        self._vectors[mono] = vec
+        return vec
+
+
+def _graded_map(tower: RingTower, m: RingMatrix, src_degree: int, entry_degree: int,
+                table: _QuotNormalForms):
     """Sparse image vectors of multiplication by m on graded pieces.
 
     The source is (piece of src_degree)^ncols, the target (piece of
     src_degree + entry_degree)^nrows, both over the coefficient field.
     Source basis element (j, s), index j*len(src) + s, is the standard
     monomial s in slot j; it maps to column j of m times s, in normal
-    form at QUOT, a vector over target indices i*len(tgt) + t. Returns
-    (images, source dimension, target dimension) with images[k] the
-    image of source element k. The rank of the map is the rank of its
-    image vectors.
+    form at QUOT, a vector over target indices i*len(tgt) + t, summed
+    from the normal forms of the product monomials in `table`. Every
+    nonzero entry of m is homogeneous of entry_degree, so each product
+    monomial lies in the target degree. Returns (images, source
+    dimension, target dimension) with images[k] the image of source
+    element k. The rank of the map is the rank of its image vectors.
     """
-    one = tower.ring.field.one
+    field = tower.ring.field
+    zero, add, mul = field.zero, field.add, field.mul
+    vector = table.vector
     src_monos = tower.standard_monomials(src_degree) if src_degree >= 0 else []
     tgt_degree = src_degree + entry_degree
-    tgt_monos = tower.standard_monomials(tgt_degree) if tgt_degree >= 0 else []
-    ntgt = len(tgt_monos)
-    tgt_index = {mono: k for k, mono in enumerate(tgt_monos)}
+    ntgt = len(tower.standard_monomials(tgt_degree)) if tgt_degree >= 0 else 0
     images = []
     for j in range(m.ncols):
-        column = [(i, row[j]) for i, row in enumerate(m.entries) if not row[j].is_zero()]
+        column = [(i * ntgt, row[j].terms) for i, row in enumerate(m.entries) if row[j].terms]
         for sm in src_monos:
             image = {}
-            for i, p in column:
-                prod = tower.normal_form(p.mul_term(sm, one), Level.QUOT)
-                for mono, coeff in prod.terms.items():
-                    k = tgt_index.get(mono)
-                    if k is None:
-                        raise VerificationFailure(
-                            "graded piece bookkeeping failed: unexpected monomial"
-                        )
-                    image[i * ntgt + k] = coeff
+            for base, terms in column:
+                for mono, coeff in terms.items():
+                    for k, c in vector(mono_mul(mono, sm)):
+                        value = add(image.get(base + k, zero), mul(coeff, c))
+                        if value == zero:
+                            image.pop(base + k, None)
+                        else:
+                            image[base + k] = value
             images.append(image)
     return images, len(src_monos) * m.ncols, ntgt * m.nrows
 
@@ -510,7 +554,8 @@ class AcyclicityReport:
         return self._table(self.dual_rows)
 
 
-def _window_rows(c: PeriodicComplex, d_min: int, d_max: int, budget: int) -> list[HomologyRow]:
+def _window_rows(c: PeriodicComplex, d_min: int, d_max: int, budget: int,
+                 table: _QuotNormalForms) -> list[HomologyRow]:
     tower = c.tower
     field = tower.ring.field
     e_phi = _uniform_entry_degree(c.phi_bar)
@@ -537,7 +582,7 @@ def _window_rows(c: PeriodicComplex, d_min: int, d_max: int, budget: int) -> lis
             return 0
         key = (name, src_degree)
         if key not in ranks:
-            images, src_dim, tgt_dim = _graded_map(tower, m, src_degree, entry_degree)
+            images, src_dim, tgt_dim = _graded_map(tower, m, src_degree, entry_degree, table)
             ranks[key] = linalg.matrix_rank(images, field) if src_dim and tgt_dim else 0
         return ranks[key]
 
@@ -563,8 +608,11 @@ def graded_acyclicity_window(c: PeriodicComplex, d_min: int, d_max: int,
     _require_graded(c.tower)
     if d_min > d_max:
         raise EmptyWindow(f"empty degree window {d_min}..{d_max}")
-    rows = _window_rows(c, d_min, d_max, budget)
-    dual_rows = _window_rows(c.transpose_dual(), d_min, d_max, budget)
+    # The dual's maps are the transposed matrices on the same pieces, so
+    # both share one table of normal forms.
+    table = _QuotNormalForms(c.tower)
+    rows = _window_rows(c, d_min, d_max, budget, table)
+    dual_rows = _window_rows(c.transpose_dual(), d_min, d_max, budget, table)
     return AcyclicityReport(d_min, d_max, rows, dual_rows)
 
 
@@ -654,6 +702,7 @@ def graded_nullhomotopy_window(delta: PeriodicChainMap, p_min: int, p_max: int,
 
     # Augmented sparse rows; column nvars holds the right-hand side.
     rows: list[dict] = []
+    table = _QuotNormalForms(tower)
 
     def add_equations(p: int):
         # Equation at position p: delta_p = d2_{p+1} @ sigma_p + sigma_{p-1} @ d1_p
@@ -681,7 +730,7 @@ def graded_nullhomotopy_window(delta: PeriodicChainMap, p_min: int, p_max: int,
                     eqs[(i * ncols + j) * ntgt + k][nvars] = coeff
 
         def images(m: RingMatrix, src_degree: int, entry_degree: int):
-            found, _, _ = _graded_map(tower, m, src_degree, entry_degree)
+            found, _, _ = _graded_map(tower, m, src_degree, entry_degree, table)
             if src_degree + entry_degree != lhs_deg and any(found):
                 raise NotHomogeneous("product left the graded window")
             return found
@@ -724,15 +773,18 @@ def graded_nullhomotopy_window(delta: PeriodicChainMap, p_min: int, p_max: int,
         for i in range(shape[0]):
             row_entries = []
             for j in range(shape[1]):
-                acc = tower.ring.zero()
                 base = offset + (i * shape[1] + j) * len(monos)
-                for k, mono in enumerate(monos):
-                    c = solution[base + k]
-                    if c != field_ops.zero:
-                        acc = acc + tower.ring.monomial(mono, c)
-                row_entries.append(acc)
+                terms = {
+                    mono: c
+                    for mono, c in zip(monos, solution[base:base + len(monos)])
+                    if c != field_ops.zero
+                }
+                row_entries.append(Polynomial(tower.ring, terms))
             entries.append(row_entries)
-        diagonals.append(RingMatrix(tower, Level.QUOT, entries, shape[0], shape[1]))
+        # Combinations of standard monomials are in QUOT normal form.
+        diagonals.append(
+            RingMatrix(tower, Level.QUOT, entries, shape[0], shape[1], normalize=False)
+        )
 
     verified = []
     for idx, p in enumerate(positions[1:], start=1):

@@ -208,19 +208,23 @@ class Polynomial:
     __hash__ = None
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._combine(other, self.ring.field.add)
+
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self._combine(other, self.ring.field.sub)
+
+    def _combine(self, other: "Polynomial", op) -> "Polynomial":
+        """Termwise self op other, for op the field's add or sub."""
         self._check_compatible(other)
-        field = self.ring.field
+        zero = self.ring.field.zero
         res = dict(self.terms)
         for m, c in other.terms.items():
-            s = field.add(res.get(m, field.zero), c)
-            if s == field.zero:
+            s = op(res.get(m, zero), c)
+            if s == zero:
                 res.pop(m, None)
             else:
                 res[m] = s
         return Polynomial(self.ring, res)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
 
     def __neg__(self) -> "Polynomial":
         field = self.ring.field

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -456,14 +457,18 @@ class RingMatrix:
             )
 
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
-        self._check(other)
-        # Entries are stored in normal form, and no term of a sum of
-        # normal forms is divisible by a leading monomial of the basis.
-        entries = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        return RingMatrix(self.tower, self.level, entries, self.nrows, self.ncols, normalize=False)
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other: "RingMatrix") -> "RingMatrix":
-        return self + (-other)
+        return self._entrywise(other, operator.sub)
+
+    def _entrywise(self, other: "RingMatrix", op) -> "RingMatrix":
+        self._check(other)
+        # Entries are stored in normal form, and no term of a sum or
+        # difference of normal forms is divisible by a leading monomial
+        # of the basis.
+        entries = [[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
+        return RingMatrix(self.tower, self.level, entries, self.nrows, self.ncols, normalize=False)
 
     def __neg__(self) -> "RingMatrix":
         entries = [[-p for p in row] for row in self.entries]

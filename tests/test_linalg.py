@@ -1,6 +1,7 @@
 """The sparse echelon engine against the dense reference it replaced."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +97,108 @@ def test_degenerate_systems(field):
     assert linalg.solve_linear([{0: one, 2: one}, {}], 2, field) == [one, zero]
     assert linalg.solve_linear([{2: one}], 2, field) is None
     assert linalg.solve_linear([{0: one}], 0, field) is None
+
+
+BIG_DEN = 2**40 + 15
+# Numerators and denominators up to 2^40 + 15, mostly small; zeros common.
+numerators = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-BIG_DEN, BIG_DEN))
+denominators = st.one_of(st.sampled_from([1, 2, 3, 7, BIG_DEN]), st.integers(1, BIG_DEN))
+
+
+def element(field, n, d):
+    """n/d in `field`; over GF(p) a denominator that vanishes mod p becomes 1."""
+    if isinstance(field, PrimeField) and d % field.p == 0:
+        d = 1
+    return field.ratio(n, d)
+
+
+def draw_row(data, field, ncols):
+    pairs = data.draw(st.lists(st.tuples(numerators, denominators), min_size=ncols, max_size=ncols))
+    row = {c: element(field, n, d) for c, (n, d) in enumerate(pairs)}
+    return {c: v for c, v in row.items() if v != field.zero}
+
+
+def combination(data, field, rows):
+    """a*rows[i] + b*rows[j] for drawn i, j and field elements a, b."""
+    i, j = (data.draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+    a, b = (element(field, *data.draw(st.tuples(numerators, denominators))) for _ in range(2))
+    out = {}
+    for r, k in ((rows[i], a), (rows[j], b)):
+        for c, v in r.items():
+            out[c] = field.add(out.get(c, field.zero), field.mul(k, v))
+    return {c: v for c, v in out.items() if v != field.zero}
+
+
+def draw_rational_rows(data, field, ncols):
+    """Rows over `field` with large numerators and denominators, plus rows
+    that reduce to zero (combinations of earlier rows) and all-zero rows,
+    one of them with explicit zero entries, in a drawn order."""
+    rows = [draw_row(data, field, ncols) for _ in range(data.draw(st.integers(0, 5)))]
+    if rows:
+        rows += [combination(data, field, rows) for _ in range(data.draw(st.integers(0, 3)))]
+    rows += [{}, {c: field.zero for c in range(ncols)}][: data.draw(st.integers(0, 2))]
+    return data.draw(st.permutations(rows))
+
+
+@given(st.data(), st.sampled_from(FIELDS), st.integers(0, 6))
+def test_rational_rank_matches_dense(data, field, ncols):
+    rows = draw_rational_rows(data, field, ncols)
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        linalg._insert(pivots, row, field)
+    assert len(pivots) == linalg.matrix_rank(rows, field) == dense_linalg.matrix_rank(rows, field)
+    # Pivot rows are int rows: no zero stored, the pivot column leads,
+    # and over GF(p) every entry is reduced.
+    for col, row in pivots.items():
+        assert min(row) == col
+        assert all(type(v) is int and v for v in row.values())
+        if isinstance(field, PrimeField):
+            assert all(0 < v < field.p for v in row.values())
+
+
+@given(st.data(), st.sampled_from(FIELDS), st.integers(0, 5))
+@settings(max_examples=200)
+def test_rational_solution_matches_dense(data, field, ncols):
+    rows = draw_rational_rows(data, field, ncols + 1)
+    if rows and data.draw(st.booleans()):
+        # 0 = 1 in every characteristic: a combination of the rows with
+        # its right-hand side moved by one.
+        bad = combination(data, field, rows)
+        bad[ncols] = field.add(bad.get(ncols, field.zero), field.one)
+        rows.append({c: v for c, v in bad.items() if v != field.zero})
+    x = linalg.solve_linear(rows, ncols, field)
+    assert x == dense_linalg.solve_linear(rows, ncols, field)
+    assert linalg.solve_linear(rows[::-1], ncols, field) == x
+    if x is not None:
+        check_solution(rows, ncols, x, field)
+
+
+def test_qq_elimination_divides_out_the_content():
+    # Rows enter as (2, 1) and (3, 3). cancel(3, 2) scales the second by
+    # s = 2: 2*(3, 3) - 3*(2, 1) = (0, 3), stored as its primitive (0, 1).
+    pivots: dict[int, dict] = {}
+    assert linalg._insert(pivots, {0: Fraction(1, 2), 1: Fraction(1, 4)}, QQ) == 0
+    assert linalg._insert(pivots, {0: Fraction(3, 7), 1: Fraction(3, 7)}, QQ) == 1
+    assert pivots == {0: {0: 2, 1: 1}, 1: {1: 1}}
+
+
+def test_prime_field_elimination_reduces_each_entry():
+    # Over GF(5), (1, 0, 1) - (1, 1, 0) = (0, -1, 1) is stored as (0, 4, 1).
+    f5 = PrimeField(5)
+    pivots: dict[int, dict] = {}
+    assert linalg._insert(pivots, {0: 1, 1: 1}, f5) == 0
+    assert linalg._insert(pivots, {0: 1, 2: 1}, f5) == 1
+    assert pivots == {0: {0: 1, 1: 1}, 1: {1: 4, 2: 1}}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
+def test_solution_divides_by_each_pivot(field):
+    # No pivot is normalized to 1: x0 + 2*x1 = 3 and 2*x1 = 2 give (1, 1),
+    # and 3*x0 = 3 with x1 free gives (1, 0).
+    one, two, three = (field.from_int(n) for n in (1, 2, 3))
+    rows = [{0: one, 1: two, 2: three}, {1: two, 2: two}]
+    assert linalg.solve_linear(rows, 2, field) == [one, one]
+    assert linalg.solve_linear([{0: three, 2: three}], 2, field) == [one, field.zero]
 
 
 def window_delta(mf, rng):

@@ -319,3 +319,54 @@ class TestPrimeFieldEndToEnd:
         assert h.s == mat(tower, [["v"]])
         assert graded_acyclicity_window(reduce_object(a), 0, 4).all_zero
         assert graded_nullhomotopy_window(reduce_morphism(th), 0, 4).solvable
+
+
+def _graded_case(name, objects):
+    """(complex, top source degree) for the graded-map differential test."""
+    from mfkit.fields import QQ, PrimeField
+    from mfkit.poly import PolyRing
+    from mfkit.tower import build_tower
+
+    if name.startswith("koszul"):
+        _, n, field = name.split("-", 2)
+        mf = koszul_mf(int(n), QQ if field == "qq" else PrimeField(int(field[3:])))
+        return reduce_object(mf), 4 if n == "2" else 3
+    if name in ("A", "B", "C"):
+        return reduce_object(objects[name]), 5
+    if name == "fractions":
+        # w's leading coefficient is 2, so QQ normal forms carry halves;
+        # the entries carry thirds.
+        ring = PolyRing(("x", "y", "z"), QQ)
+        tower = build_tower(ring, [ring.parse("2*x*y + z^2")], [1])
+        phi = mat(tower, [["2/3*x", "-1/3*z"], ["z", "y"]])
+        psi = mat(tower, [["3*y", "z"], ["-3*z", "2*x"]])
+        return reduce_object(verify_mf(phi, psi)), 4
+    # w = x*(2*x + 3*y): at QUOT, x^2 = -3/2*x*y, so (2*x + 3*y)*x == 0
+    # and the products' normal forms cancel term by term.
+    ring = PolyRing(("x", "y"), QQ)
+    tower = build_tower(ring, [ring.parse("2*x^2 + 3*x*y")], [1])
+    return reduce_object(verify_mf(mat(tower, [["x"]]), mat(tower, [["2*x + 3*y"]]))), 5
+
+
+@pytest.mark.parametrize("name", [
+    "koszul-2-qq", "koszul-2-fp:32003", "koszul-3-qq", "koszul-3-fp:32003",
+    "A", "B", "C", "fractions", "cancelling",
+])
+def test_graded_map_matches_reference_loop(name, objects):
+    from mfkit import periodic
+
+    from . import reference_periodic
+
+    c, top = _graded_case(name, objects)
+    tower = c.tower
+    maps = [c.phi_bar, c.psi_bar, c.phi_bar.transpose(), c.psi_bar.transpose()]
+    # One table for every map and degree, as a window call shares it.
+    table = periodic._QuotNormalForms(tower)
+    nonzero = 0
+    for d in range(top, -2, -1):
+        for m in maps:
+            e = periodic._uniform_entry_degree(m)
+            got = periodic._graded_map(tower, m, d, e, table)
+            assert got == reference_periodic.graded_map(tower, m, d, e)
+            nonzero += sum(map(bool, got[0]))
+    assert nonzero

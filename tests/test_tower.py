@@ -410,6 +410,23 @@ def test_add_matches_normal_form_of_sum(name, level):
 
 @pytest.mark.parametrize("level", [Level.MID, Level.QUOT], ids=lambda lv: lv.name)
 @pytest.mark.parametrize("name", KERNEL_TOWERS)
+def test_sub_matches_add_of_neg(name, level):
+    # __sub__ subtracts entrywise instead of adding a negated copy.
+    tower = kernel_tower(name)
+    pool = _operand_pool(tower, level, random.Random(67))
+    for a in pool:
+        for b in pool:
+            diff = a - b
+            assert diff == a + (-b)
+            for i in range(2):
+                for j in range(2):
+                    p, q = a.entry(i, j), b.entry(i, j)
+                    assert diff.entry(i, j) == p - q == p + (-q)
+            assert (a - a).is_zero()
+
+
+@pytest.mark.parametrize("level", [Level.MID, Level.QUOT], ids=lambda lv: lv.name)
+@pytest.mark.parametrize("name", KERNEL_TOWERS)
 def test_det_matches_cofactor_expansion(name, level):
     tower = kernel_tower(name)
     rng = random.Random(61)
