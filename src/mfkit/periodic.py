@@ -121,19 +121,17 @@ class PeriodicComplex:
 class PeriodicChainMap:
     """A chain map of 2-periodic complexes given by periodic data.
 
-    f_bar acts at F-positions, g_bar at G-positions; `periodic` records
-    that one matrix per parity describes the whole map.
+    f_bar acts at every F-position, g_bar at every G-position.
     """
 
-    __slots__ = ("source", "target", "f_bar", "g_bar", "periodic")
+    __slots__ = ("source", "target", "f_bar", "g_bar")
 
     def __init__(self, source: PeriodicComplex, target: PeriodicComplex,
-                 f_bar: RingMatrix, g_bar: RingMatrix, periodic: bool = True):
+                 f_bar: RingMatrix, g_bar: RingMatrix):
         self.source = source
         self.target = target
         self.f_bar = f_bar
         self.g_bar = g_bar
-        self.periodic = periodic
         if f_bar.nrows != target.rank_f or f_bar.ncols != source.rank_f:
             raise DimensionMismatch("f_bar shape does not match the complexes")
         if g_bar.nrows != target.rank_g or g_bar.ncols != source.rank_g:
@@ -234,117 +232,114 @@ def dual_reduction_check(a: MatrixFactorization) -> DualReductionReport:
     return DualReductionReport(reduced_dual == transposed, reduced_dual, transposed)
 
 
-def _divide_matrix(tower: RingTower, m: RingMatrix) -> RingMatrix:
-    """Entrywise exact division by w at MID level."""
+def _divide_matrix(tower: RingTower, m: RingMatrix, failure: str) -> RingMatrix:
+    """Entrywise exact division by w at MID level; NotDivisible(failure)
+    unless every entry vanishes over the deep quotient."""
     oracle = tower.division_oracle()
-    entries = [[oracle.divide(p) for p in row] for row in m.entries]
+    try:
+        entries = [[oracle.divide(p) for p in row] for row in m.entries]
+    except NotDivisible:
+        raise NotDivisible(failure) from None
     return RingMatrix(tower, Level.MID, entries, m.nrows, m.ncols, normalize=False)
+
+
+def _check_mid_shapes(*specs):
+    """Each (name, matrix, rows, cols) must be a MID-level rows x cols matrix."""
+    for name, m, rows, cols in specs:
+        if m.level != Level.MID:
+            raise DimensionMismatch(f"{name} must be a MID-level matrix")
+        if (m.nrows, m.ncols) != (rows, cols):
+            raise DimensionMismatch(
+                f"{name} must be {rows}x{cols}, got {m.nrows}x{m.ncols}"
+            )
 
 
 class HomotopyTransportInput:
     """Lifted diagonals (s1, t, s2) of a nullhomotopy of the reduction.
 
-    The defining residue identities are checked at construction: both
-        f - s2@phi1 - psi2@t      and      g - t@psi1 - phi2@s1
-    must vanish over the deep quotient.
+    The constructor divides both defects exactly by w, once, and keeps
+        p_corr = (f - s2@phi1 - psi2@t)/w   and   q_corr = (g - t@psi1 - phi2@s1)/w
+    at MID level. A defect is divisible exactly when it vanishes over the
+    deep quotient; otherwise NotDivisible is raised, f-defect first.
     """
 
-    __slots__ = ("theta", "s1", "t", "s2")
+    __slots__ = ("theta", "s1", "t", "s2", "p_corr", "q_corr")
 
     def __init__(self, theta: MfMorphism, s1: RingMatrix, t: RingMatrix, s2: RingMatrix):
         src, tgt = theta.source, theta.target
-        for name, m, rows, cols in (
+        _check_mid_shapes(
             ("s1", s1, tgt.rank_f, src.rank_g),
             ("t", t, tgt.rank_g, src.rank_f),
             ("s2", s2, tgt.rank_f, src.rank_g),
-        ):
-            if m.level != Level.MID:
-                raise DimensionMismatch(f"{name} must be a MID-level matrix")
-            if (m.nrows, m.ncols) != (rows, cols):
-                raise DimensionMismatch(
-                    f"{name} must be {rows}x{cols}, got {m.nrows}x{m.ncols}"
-                )
+        )
         self.theta = theta
         self.s1 = s1
         self.t = t
         self.s2 = s2
-        f_defect = theta.f - s2 @ src.phi - tgt.psi @ t
-        if not f_defect.reduce_to(Level.QUOT).is_zero():
-            raise NotDivisible(
-                "f - s2@phi1 - psi2@t does not vanish over the quotient,"
-                " the given diagonals do not reduce to a nullhomotopy"
-            )
-        g_defect = theta.g - t @ src.psi - tgt.phi @ s1
-        if not g_defect.reduce_to(Level.QUOT).is_zero():
-            raise NotDivisible(
-                "g - t@psi1 - phi2@s1 does not vanish over the quotient,"
-                " the given diagonals do not reduce to a nullhomotopy"
-            )
+        why = (" does not vanish over the quotient,"
+               " the given diagonals do not reduce to a nullhomotopy")
+        self.p_corr = _divide_matrix(
+            theta.tower, theta.f - s2 @ src.phi - tgt.psi @ t, "f - s2@phi1 - psi2@t" + why
+        )
+        self.q_corr = _divide_matrix(
+            theta.tower, theta.g - t @ src.psi - tgt.phi @ s1, "g - t@psi1 - phi2@s1" + why
+        )
 
 
 def transport_nullhomotopy(inp: HomotopyTransportInput) -> MfHomotopy:
     """Transport a reduced nullhomotopy across the quotient.
 
-    Divides both defect matrices exactly by w, corrects t by the
-    phi-composed quotient, and returns the homotopy (s2, t') verified
-    against the zero morphism. The derived identity
+    Starts from the input's exact quotients p_corr and q_corr, corrects t
+    by the phi-composed quotient, and returns the homotopy (s2, t')
+    verified against the zero morphism. The derived identity
         p@psi1 == s1 - s2 + psi2@q
     is asserted along the way; its failure would indicate a bug, not bad
     input.
     """
     theta = inp.theta
     src, tgt = theta.source, theta.target
-    tower = theta.tower
-    p_corr = _divide_matrix(tower, theta.f - inp.s2 @ src.phi - tgt.psi @ inp.t)
-    q_corr = _divide_matrix(tower, theta.g - inp.t @ src.psi - tgt.phi @ inp.s1)
-    lhs = p_corr @ src.psi
-    rhs = inp.s1 - inp.s2 + tgt.psi @ q_corr
+    lhs = inp.p_corr @ src.psi
+    rhs = inp.s1 - inp.s2 + tgt.psi @ inp.q_corr
     if lhs != rhs:
         raise VerificationFailure("internal identity p@psi1 == s1 - s2 + psi2@q failed")
-    t_prime = inp.t + tgt.phi @ p_corr
+    t_prime = inp.t + tgt.phi @ inp.p_corr
     return verify_homotopy(theta, zero_morphism(src, tgt), inp.s2, t_prime)
 
 
 class ChainLiftInput:
     """A lifted window (g1, f0, g0) of a chain map between reductions.
 
-    The two residue commutation squares are checked at construction:
-        phi2@f0 - g0@phi1   and   psi2@g1 - f0@psi1
-    must vanish over the deep quotient.
+    The constructor divides the two commutation defects exactly by w,
+    once, and keeps
+        phi_gap = (phi2@f0 - g0@phi1)/w   and   psi_gap = (psi2@g1 - f0@psi1)/w
+    at MID level. A defect is divisible exactly when it vanishes over the
+    deep quotient; otherwise NotDivisible is raised, phi-square first.
     """
 
-    __slots__ = ("source", "target", "g1", "f0", "g0")
+    __slots__ = ("source", "target", "g1", "f0", "g0", "phi_gap", "psi_gap")
 
     def __init__(self, source: MatrixFactorization, target: MatrixFactorization,
                  g1: RingMatrix, f0: RingMatrix, g0: RingMatrix):
         if source.tower is not target.tower:
             raise TowerMismatch("source and target from different towers")
-        for name, m, rows, cols in (
+        _check_mid_shapes(
             ("g1", g1, target.rank_g, source.rank_g),
             ("f0", f0, target.rank_f, source.rank_f),
             ("g0", g0, target.rank_g, source.rank_g),
-        ):
-            if m.level != Level.MID:
-                raise DimensionMismatch(f"{name} must be a MID-level matrix")
-            if (m.nrows, m.ncols) != (rows, cols):
-                raise DimensionMismatch(
-                    f"{name} must be {rows}x{cols}, got {m.nrows}x{m.ncols}"
-                )
+        )
         self.source = source
         self.target = target
         self.g1 = g1
         self.f0 = f0
         self.g0 = g0
-        if not (target.phi @ f0 - g0 @ source.phi).reduce_to(Level.QUOT).is_zero():
-            raise NotDivisible(
-                "phi2@f0 - g0@phi1 does not vanish over the quotient,"
-                " the lifted window is not a chain-map section"
-            )
-        if not (target.psi @ g1 - f0 @ source.psi).reduce_to(Level.QUOT).is_zero():
-            raise NotDivisible(
-                "psi2@g1 - f0@psi1 does not vanish over the quotient,"
-                " the lifted window is not a chain-map section"
-            )
+        why = (" does not vanish over the quotient,"
+               " the lifted window is not a chain-map section")
+        self.phi_gap = _divide_matrix(
+            source.tower, target.phi @ f0 - g0 @ source.phi, "phi2@f0 - g0@phi1" + why
+        )
+        self.psi_gap = _divide_matrix(
+            source.tower, target.psi @ g1 - f0 @ source.psi, "psi2@g1 - f0@psi1" + why
+        )
 
 
 @dataclass
@@ -366,7 +361,8 @@ class LiftWitness:
 def lift_chain_map(inp: ChainLiftInput) -> tuple[MfMorphism, LiftWitness]:
     """Lift a chain map of reduced complexes to a genuine morphism.
 
-    Divides the two commutation defects exactly by w and corrects:
+    Starts from the input's exact quotients phi_gap and psi_gap and
+    corrects:
         f = f0 - psi2@phi_gap + psi_gap@phi1
         g = g0 + phi2@psi_gap
     The result is verified as a morphism; the derived identity
@@ -374,9 +370,7 @@ def lift_chain_map(inp: ChainLiftInput) -> tuple[MfMorphism, LiftWitness]:
     identity are asserted.
     """
     src, tgt = inp.source, inp.target
-    tower = src.tower
-    phi_gap = _divide_matrix(tower, tgt.phi @ inp.f0 - inp.g0 @ src.phi)
-    psi_gap = _divide_matrix(tower, tgt.psi @ inp.g1 - inp.f0 @ src.psi)
+    phi_gap, psi_gap = inp.phi_gap, inp.psi_gap
     lhs = tgt.psi @ phi_gap @ src.psi
     rhs = inp.f0 @ src.psi - tgt.psi @ inp.g0
     if lhs != rhs:

@@ -195,10 +195,6 @@ class RingTower:
         """The oracle for exact division by w at level MID."""
         return self._division
 
-    def divide_by_w(self, p: Polynomial) -> Polynomial:
-        """q in MID normal form with p = w*q at level MID; NotDivisible otherwise."""
-        return self.division_oracle().divide(p)
-
     def is_graded(self) -> bool:
         """True when the deep quotient ideal is homogeneous."""
         return all(g.is_homogeneous() for g in self.seq_gens) and self.w.is_homogeneous()

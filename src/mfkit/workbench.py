@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ParseError
+from .errors import DivisionByZeroInCoefficient, ParseError
 from .fields import field_from_name
 from .mfcat import MatrixFactorization, MfHomotopy, MfMorphism, zero_morphism
 from .periodic import ChainLiftInput, HomotopyTransportInput
@@ -223,7 +223,10 @@ class Workbench:
         elif order_name == "grevlex":
             order = MonomialOrder.grevlex(ring.nvars)
         else:
-            raise ParseError(f"unknown order {order_name!r} (expected lex or grevlex)")
+            msg = f"unknown order {order_name!r} (expected lex or grevlex)"
+            if not order_override:
+                msg = f"line {sec.entries['order'][1]}: {msg}"
+            raise ParseError(msg)
         gens_text, gens_line = sec.entries["gens"]
         gens = [self._parse_poly(ring, g, gens_line) for g in gens_text.split(",")]
         coords_text, coords_line = sec.entries["w_coords"]
@@ -236,8 +239,10 @@ class Workbench:
                     coords.append(fld.ratio(int(num), int(den)))
                 else:
                     coords.append(fld.from_int(int(c)))
-            except (ValueError, ZeroDivisionError):
+            except ValueError:
                 raise ParseError(f"line {coords_line}: bad coordinate {c!r}") from None
+            except DivisionByZeroInCoefficient as exc:
+                raise DivisionByZeroInCoefficient(f"line {coords_line}: {exc}") from None
         return build_tower(ring, gens, coords, order)
 
     @staticmethod

@@ -66,10 +66,10 @@ def rand_homogeneous_matrix(tower: RingTower, rng: random.Random, nrows: int,
     )
 
 
-def build_corpus_towers() -> dict[str, RingTower]:
+def build_corpus_towers(field=QQ) -> dict[str, RingTower]:
     """The four towers the ship corpus uses, built directly."""
-    ruv = PolyRing(("u", "v"), QQ)
-    rxy = PolyRing(("x", "y"), QQ)
+    ruv = PolyRing(("u", "v"), field)
+    rxy = PolyRing(("x", "y"), field)
     return {
         "uv": build_tower(ruv, [ruv.parse("u*v")], [1]),
         "squares_sum": build_tower(ruv, [ruv.parse("u^2+v^2")], [1]),

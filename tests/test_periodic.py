@@ -1,5 +1,6 @@
 """Reduction functor, lifting algorithms and graded-window oracles."""
 
+import functools
 import random
 
 import pytest
@@ -23,7 +24,14 @@ from mfkit.periodic import (
 from mfkit.mfcat import compose_morphisms
 from mfkit.tower import Level, RingMatrix
 
-from .genutil import koszul_mf, rand_homogeneous_matrix, rand_matrix, rand_nullhomotopic_morphism
+from .genutil import (
+    build_corpus_objects,
+    build_corpus_towers,
+    koszul_mf,
+    rand_homogeneous_matrix,
+    rand_matrix,
+    rand_nullhomotopic_morphism,
+)
 
 
 def mat(tower, rows, level=Level.MID):
@@ -370,3 +378,105 @@ def test_graded_map_matches_reference_loop(name, objects):
             assert got == reference_periodic.graded_map(tower, m, d, e)
             nonzero += sum(map(bool, got[0]))
     assert nonzero
+
+
+@functools.cache
+def _corpus_over(field_name):
+    from mfkit.fields import field_from_name
+
+    field = field_from_name(field_name)
+    objects = build_corpus_objects(build_corpus_towers(field))
+    objects["koszul-3"] = koszul_mf(3, field)
+    return objects
+
+
+def _lifting_inputs(a, rng):
+    """A transport triple (theta, s1, t, s2) and a lift window (g1, f0, g0)
+    on the square factorization a, each perturbed by multiples of w."""
+    tower = a.tower
+    th, s, t = rand_nullhomotopic_morphism(a, a, rng)
+    d = [rand_matrix(tower, rng, a.rank_f, a.rank_f, 1).scale(tower.w) for _ in range(3)]
+    return (th, s + d[0], t + d[1], s + d[2]), (th.g + d[0], th.f + d[1], th.g + d[2])
+
+
+LIFTING_CASES = pytest.mark.parametrize("name", ["A", "B", "C", "D", "koszul-3"])
+LIFTING_FIELDS = pytest.mark.parametrize("field_name", ["qq", "fp:32003"])
+
+
+@LIFTING_FIELDS
+@LIFTING_CASES
+def test_lifting_matches_check_then_recompute_reference(name, field_name):
+    from . import reference_periodic as ref
+
+    a = _corpus_over(field_name)[name]
+    rng = random.Random(49)
+    nonzero = False
+    for _ in range(3):
+        (th, s1, t, s2), (g1, f0, g0) = _lifting_inputs(a, rng)
+        h = transport_nullhomotopy(HomotopyTransportInput(th, s1, t, s2))
+        h_ref = ref.transport_nullhomotopy(th, s1, t, s2)
+        assert (h.s, h.t) == (h_ref.s, h_ref.t)
+        theta, witness = lift_chain_map(ChainLiftInput(a, a, g1, f0, g0))
+        theta_ref, witness_ref = ref.lift_chain_map(a, a, g1, f0, g0)
+        assert (theta.f, theta.g) == (theta_ref.f, theta_ref.g)
+        assert witness == witness_ref  # all four fields
+        nonzero = nonzero or not (witness.phi_gap.is_zero() or witness.psi_gap.is_zero())
+    assert nonzero
+
+
+@LIFTING_FIELDS
+@LIFTING_CASES
+def test_broken_lifting_inputs_raise_the_reference_message(name, field_name):
+    from . import reference_periodic as ref
+
+    a = _corpus_over(field_name)[name]
+    (th, s1, t, s2), (g1, f0, g0) = _lifting_inputs(a, random.Random(50))
+    # s2 enters only the f-defect and s1 only the g-defect; g0 only the
+    # phi-square and g1 only the psi-square. Adding the identity adds
+    # -phi1, -phi2 or psi2 to a defect, none of which vanishes over the
+    # quotient.
+    e = RingMatrix.identity(a.tower, Level.MID, a.rank_f)
+    for want, args in (
+        ("f - s2@phi1", (th, s1, t, s2 + e)),
+        ("g - t@psi1", (th, s1 + e, t, s2)),
+        ("f - s2@phi1", (th, s1 + e, t, s2 + e)),
+    ):
+        with pytest.raises(NotDivisible) as got:
+            HomotopyTransportInput(*args)
+        with pytest.raises(NotDivisible) as expected:
+            ref.transport_nullhomotopy(*args)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith(want)
+    for want, args in (
+        ("phi2@f0", (g1, f0, g0 + e)),
+        ("psi2@g1", (g1 + e, f0, g0)),
+        ("phi2@f0", (g1 + e, f0, g0 + e)),
+    ):
+        with pytest.raises(NotDivisible) as got:
+            ChainLiftInput(a, a, *args)
+        with pytest.raises(NotDivisible) as expected:
+            ref.lift_chain_map(a, a, *args)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith(want)
+
+
+def test_lifting_algorithms_reuse_the_inputs_quotients(monkeypatch, objects):
+    from mfkit.groebner import DivisionOracle
+
+    calls = []
+    divide = DivisionOracle.divide
+
+    def counting_divide(self, p):
+        calls.append(p)
+        return divide(self, p)
+
+    monkeypatch.setattr(DivisionOracle, "divide", counting_divide)
+    b = objects["B"]
+    (th, s1, t, s2), (g1, f0, g0) = _lifting_inputs(b, random.Random(51))
+    transport = HomotopyTransportInput(th, s1, t, s2)
+    lift = ChainLiftInput(b, b, g1, f0, g0)
+    assert calls  # the constructors divide the defects
+    calls.clear()
+    transport_nullhomotopy(transport)
+    lift_chain_map(lift)
+    assert calls == []

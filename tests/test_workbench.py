@@ -2,7 +2,7 @@
 
 import pytest
 
-from mfkit.errors import ParseError, UnknownVariable
+from mfkit.errors import DivisionByZeroInCoefficient, ParseError, UnknownVariable
 from mfkit.workbench import Workbench, _split_matrix_rows, load_workbench
 
 MINIMAL = """
@@ -72,6 +72,16 @@ class TestSections:
     def test_two_ring_sections_rejected(self):
         with pytest.raises(ParseError):
             Workbench(MINIMAL + "\n[ring]\nfield = qq\nvars = u\ngens = u\nw_coords = 1\n")
+
+    @pytest.mark.parametrize("field_name, coords", [("qq", "1/0"), ("fp:7", "1/7")])
+    def test_zero_denominator_coordinate_names_its_line(self, field_name, coords):
+        text = MINIMAL.replace("field = qq", f"field = {field_name}")
+        with pytest.raises(DivisionByZeroInCoefficient, match="^line 7: "):
+            Workbench(text.replace("w_coords = 1", f"w_coords = {coords}"))
+
+    def test_unknown_order_names_its_line(self):
+        with pytest.raises(ParseError, match="^line 5: unknown order 'deglex'"):
+            Workbench(MINIMAL.replace("order = grevlex", "order = deglex"))
 
     def test_field_override(self):
         wb = Workbench(MINIMAL, field_override="fp:5")
