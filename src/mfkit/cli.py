@@ -248,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the file's field (qq or fp:<p>)")
         p.add_argument("--order", choices=["lex", "grevlex"], default=None,
                        help="override the file's monomial order")
-        p.add_argument("--max-degree", type=int, default=DEFAULT_BUDGET,
-                       help="budget for degree-window computations")
         if name == "acyclic-window":
+            p.add_argument("--max-degree", type=int, default=DEFAULT_BUDGET,
+                           help="budget for degree-window computations")
             p.add_argument("--min", type=int, required=True, help="window start degree")
             p.add_argument("--max", type=int, required=True, help="window end degree")
             p.add_argument("--csv", action="store_true",

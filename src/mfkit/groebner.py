@@ -20,7 +20,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd
 
-from .errors import NotDivisible, NotHomogeneous, VariableMismatch, VerificationFailure
+from .errors import NotDivisible, VariableMismatch, VerificationFailure
 from .poly import (
     MonomialOrder,
     Polynomial,
@@ -175,14 +175,14 @@ def reduce_with_cofactors(p: Polynomial, basis: GroebnerBasis) -> ReductionTrace
 
 def _spair(fi, fj, order):
     """S-polynomial data for monic fi, fj: (spoly, mult_i, mult_j) with
-    spoly = mult_i*fi - mult_j*fj."""
+    spoly = mult_i*fi + mult_j*fj, where mult_j is a negated monomial."""
     lmi = fi.leading_monomial(order)
     lmj = fj.leading_monomial(order)
     l = mono_lcm(lmi, lmj)
     ring = fi.ring
     ui = ring.monomial(mono_div(l, lmi))
-    uj = ring.monomial(mono_div(l, lmj))
-    return ui * fi - uj * fj, ui, uj
+    uj = ring.monomial(mono_div(l, lmj), ring.field.neg(ring.field.one))
+    return sum_of_products(ring, ((ui, fi), (uj, fj))), ui, uj
 
 
 def _subtract_combination(rep, cofs, basis_reps):
@@ -248,7 +248,7 @@ def buchberger_with_reps(generators, order: MonomialOrder):
         r, cofs = divide_full(s, polys, order)
         if r.is_zero():
             continue  # nothing new, so the representation is not needed
-        rep_s = [ui * a - uj * b for a, b in zip(reps[i], reps[j])]
+        rep_s = [sum_of_products(ring, ((ui, a), (uj, b))) for a, b in zip(reps[i], reps[j])]
         rep_r = _subtract_combination(rep_s, cofs, reps)
         inv = field.inv(r.leading_coefficient(order))
         polys.append(r.scale(inv))
@@ -349,16 +349,6 @@ def _certify_reps(polys, reps, gens):
             )
 
 
-def exact_divide_by_nzd(p: Polynomial, w: Polynomial, mid_basis: GroebnerBasis) -> Polynomial:
-    """q in normal form with p == w*q modulo ideal(mid_basis).
-
-    Raises NotDivisible when p is not in (w) + ideal(mid_basis). The
-    caller asserts that w is a non-zerodivisor modulo the ideal, which
-    makes q unique modulo the ideal.
-    """
-    return DivisionOracle(mid_basis, w).divide(p)
-
-
 def _independent_sets_max(lead_supports, nvars: int) -> int:
     """Largest variable subset meeting no leading-monomial support."""
     best = -1
@@ -382,24 +372,6 @@ def krull_dimension(basis: GroebnerBasis, nvars: int) -> int:
         lm = b.leading_monomial(basis.order)
         supports.append({i for i, e in enumerate(lm) if e > 0})
     return _independent_sets_max(supports, nvars)
-
-
-def quotient_dimension(ideal: Ideal) -> int:
-    """Krull dimension of ring/ideal for a homogeneous ideal.
-
-    Computed by `krull_dimension` on the reduced basis. Returns the
-    number of variables for the zero ideal and -1 for the unit ideal.
-    """
-    if not ideal.generators:
-        raise ValueError("ambient ring unknown; include at least a zero generator")
-    gens = [g for g in ideal.generators if not g.is_zero()]
-    if not gens:
-        return ideal.generators[0].ring.nvars
-    for g in gens:
-        if not g.is_homogeneous():
-            raise NotHomogeneous(f"generator {g!r} is not homogeneous")
-    basis = buchberger_basis(Ideal(tuple(gens), ideal.order))
-    return krull_dimension(basis, gens[0].ring.nvars)
 
 
 def _degree_monomials(nvars: int, degree: int):

@@ -354,11 +354,6 @@ def sum_of_products(ring: PolyRing, pairs) -> Polynomial:
     return Polynomial(ring, {m: ratio(c, den) for m, c in acc.items() if c})
 
 
-def parse_polynomial(text: str, vars, field) -> Polynomial:
-    """Parse `text` in the ring with the given variables and field."""
-    return PolyRing(tuple(vars), field).parse(text)
-
-
 def _format_monomial(ring: PolyRing, exps: Exps) -> str:
     parts = []
     for name, e in zip(ring.vars, exps):

@@ -185,12 +185,6 @@ class RingTower:
             return p
         return normal_form(p, basis)
 
-    def elt(self, p: Polynomial, level: Level) -> "RingElt":
-        return RingElt(self, level, self.normal_form(p, level))
-
-    def parse_elt(self, text: str, level: Level) -> "RingElt":
-        return self.elt(self.ring.parse(text), level)
-
     def division_oracle(self) -> DivisionOracle:
         """The oracle for exact division by w at level MID."""
         return self._division
@@ -320,42 +314,6 @@ def _check_tower_invariants(tower: RingTower):
             raise VerificationFailure("mid generator missing from the deep ideal")
 
 
-@dataclass(frozen=True)
-class RingElt:
-    """An element of a tower level, stored in normal form."""
-
-    tower: RingTower
-    level: Level
-    value: Polynomial
-
-    def _check(self, other: "RingElt"):
-        if self.tower is not other.tower:
-            raise TowerMismatch("elements from different towers")
-        if self.level != other.level:
-            raise LevelMismatch(f"levels differ: {self.level.name} vs {other.level.name}")
-
-    def __add__(self, other):
-        self._check(other)
-        return RingElt(self.tower, self.level, self.tower.normal_form(self.value + other.value, self.level))
-
-    def __sub__(self, other):
-        self._check(other)
-        return RingElt(self.tower, self.level, self.tower.normal_form(self.value - other.value, self.level))
-
-    def __mul__(self, other):
-        self._check(other)
-        return RingElt(self.tower, self.level, self.tower.normal_form(self.value * other.value, self.level))
-
-    def __neg__(self):
-        return RingElt(self.tower, self.level, -self.value)
-
-    def is_zero(self) -> bool:
-        return self.value.is_zero()
-
-    def __repr__(self) -> str:
-        return f"RingElt[{self.level.name}]({format_canonical(self.value, self.tower.order)})"
-
-
 class RingMatrix:
     """A matrix over one tower level; entries kept in normal form.
 
@@ -481,13 +439,7 @@ class RingMatrix:
         return RingMatrix(self.tower, self.level, entries, self.nrows, other.ncols, normalize=False)
 
     def scale(self, c) -> "RingMatrix":
-        """Multiply entrywise by a ring element (RingElt or Polynomial)."""
-        if isinstance(c, RingElt):
-            if c.tower is not self.tower:
-                raise TowerMismatch("scalar from a different tower")
-            if c.level != self.level:
-                raise LevelMismatch("scalar at a different level")
-            c = c.value
+        """Multiply entrywise by a polynomial."""
         entries = [
             [self.tower.normal_form(p * c, self.level) for p in row] for row in self.entries
         ]

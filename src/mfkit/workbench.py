@@ -63,13 +63,10 @@ _SECTION_KEYS = {
     "lift": {"source", "target", "g1", "f0", "g0"},
 }
 
+_OPTIONAL_KEYS = {("ring", "order"), ("homotopy", "theta_prime")}
+
 _REQUIRED_KEYS = {
-    "ring": {"field", "vars", "gens", "w_coords"},
-    "mf": {"phi", "psi"},
-    "morphism": {"source", "target", "f", "g"},
-    "homotopy": {"theta", "s", "t"},
-    "transport": {"theta", "s1", "t", "s2"},
-    "lift": {"source", "target", "g1", "f0", "g0"},
+    kind: {k for k in keys if (kind, k) not in _OPTIONAL_KEYS} for kind, keys in _SECTION_KEYS.items()
 }
 
 
@@ -211,7 +208,8 @@ class Workbench:
         try:
             fld = field_from_name(field_name)
         except ValueError as exc:
-            raise ParseError(f"line {sec.entries['field'][1]}: {exc}") from None
+            msg = str(exc) if field_override else f"line {sec.entries['field'][1]}: {exc}"
+            raise ParseError(msg) from None
         var_names = tuple(v.strip() for v in sec.get("vars").split(",") if v.strip())
         try:
             ring = PolyRing(var_names, fld)

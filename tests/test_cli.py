@@ -89,3 +89,11 @@ def test_console_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert "mf A: axioms verified" in result.stdout
+
+
+def test_max_degree_only_on_acyclic_window():
+    # Only the window command reads the budget, so only it accepts it.
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["validate", str(CORPUS_DIR / "uv_hypersurface.mfw"), "--max-degree", "3"])
+    assert exc.value.code == 2
+

@@ -83,6 +83,19 @@ class TestSections:
         with pytest.raises(ParseError, match="^line 5: unknown order 'deglex'"):
             Workbench(MINIMAL.replace("order = grevlex", "order = deglex"))
 
+    @pytest.mark.parametrize("field_name, message", [
+        ("fp:4", "modulus must be a prime"), ("zz", "unknown field"),
+    ])
+    def test_bad_field_override_names_no_line(self, field_name, message):
+        # Line 3 of the file reads `field = qq`; the bad name came from
+        # the override, so no file line is to blame.
+        with pytest.raises(ParseError, match=f"^{message}"):
+            Workbench(MINIMAL, field_override=field_name)
+
+    def test_bad_field_in_file_names_its_line(self):
+        with pytest.raises(ParseError, match="^line 3: modulus must be a prime"):
+            Workbench(MINIMAL.replace("field = qq", "field = fp:4"))
+
     def test_field_override(self):
         wb = Workbench(MINIMAL, field_override="fp:5")
         assert wb.tower.ring.field.name == "fp:5"
