@@ -17,11 +17,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from mfkit.errors import NotHomogeneous  # noqa: E402
-from mfkit.mfcat import identity_morphism, mapping_cone, suspend  # noqa: E402
+from mfkit.mfcat import MfMorphism, identity_morphism, mapping_cone, suspend  # noqa: E402
 from mfkit.periodic import (  # noqa: E402
     ChainLiftInput,
     HomotopyTransportInput,
-    PeriodicChainMap,
     dual_reduction_check,
     graded_acyclicity_window,
     graded_nullhomotopy_window,
@@ -29,6 +28,7 @@ from mfkit.periodic import (  # noqa: E402
     reduce_morphism,
     reduce_object,
     transport_nullhomotopy,
+    twist_of,
 )
 from mfkit.tower import Level, RingMatrix  # noqa: E402
 from mfkit.workbench import load_workbench  # noqa: E402
@@ -67,7 +67,7 @@ def demo_file(name: str, rng: random.Random):
         print(f"   cone of identity has rank {cone.rank_f}; suspension round trip: "
               f"{suspend(suspend(mf)) == mf}")
         complex_ = reduce_object(mf)
-        print(f"   reduction twist {complex_.twist}; transpose/reduce commute: "
+        print(f"   reduction twist {twist_of(tower)}; transpose/reduce commute: "
               f"{dual_reduction_check(mf).matches}")
         try:
             report = graded_acyclicity_window(complex_, 0, 6)
@@ -103,7 +103,7 @@ def demo_file(name: str, rng: random.Random):
         print(f"   lift: morphism verified, defects zero: "
               f"{witness.phi_gap.is_zero() and witness.psi_gap.is_zero()}")
         try:
-            eta = PeriodicChainMap(
+            eta = MfMorphism(
                 complex_, complex_,
                 lift_input.f0.reduce_to(Level.QUOT),
                 lift_input.g0.reduce_to(Level.QUOT),

@@ -25,6 +25,7 @@ from .periodic import (
     lift_chain_map,
     reduce_object,
     transport_nullhomotopy,
+    twist_of,
 )
 from .poly import format_canonical
 from .tower import Level
@@ -120,8 +121,7 @@ def cmd_cone(wb: Workbench, args, out: list[str]) -> int:
     out.append("axioms: verified")
     out.append("include morphism: verified")
     out.append("project morphism: verified")
-    comp = compose_morphisms(project, include)
-    ok = comp.f.is_zero() and comp.g.is_zero()
+    ok = compose_morphisms(project, include).is_zero()
     out.append(f"project@include == 0: {'ok' if ok else 'FAILED'}")
     if not ok:
         out.append("status=failed command=cone exit=1")
@@ -141,9 +141,9 @@ def cmd_reduce(wb: Workbench, args, out: list[str]) -> int:
     mf = wb.get_mf(args.name)
     c = reduce_object(mf)
     out.append(f"reduction of {args.name}:")
-    _print_matrix("phi_bar", c.phi_bar, out)
-    _print_matrix("psi_bar", c.psi_bar, out)
-    out.append(f"twist: {c.twist}")
+    _print_matrix("phi_bar", c.phi, out)
+    _print_matrix("psi_bar", c.psi, out)
+    out.append(f"twist: {twist_of(mf.tower)}")
     out.append("composites zero: ok")
     out.append("status=verified command=reduce exit=0")
     return EXIT_OK

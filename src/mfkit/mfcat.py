@@ -1,4 +1,4 @@
-"""The category of matrix factorizations of w at the tower's MID level.
+"""The category of matrix factorizations of w, at level MID or QUOT.
 
 Objects are pairs of matrices (phi, psi) with psi@phi and phi@psi both
 equal to w times the identity. Morphisms are pairs (f, g) making both
@@ -6,6 +6,11 @@ squares commute; homotopies are diagonal pairs (s, t). The module
 provides suspension, direct sums, mapping cones with their natural
 inclusion and projection, duals, and cokernel presentations over the
 deep quotient.
+
+At MID the objects are the factorizations of w over R. At QUOT, where w
+is 0, the same classes are the 2-periodic complexes over R/(w) with their
+chain maps and homotopies: `periodic.reduce_object` sends a MID
+factorization to a factorization of 0 at QUOT.
 
 Every constructor verifies the defining identities entrywise in normal
 form and reports the first failing entry.
@@ -29,6 +34,15 @@ from .poly import Polynomial, format_canonical
 from .tower import Level, RingMatrix, RingTower, det
 
 
+def _w_identity(tower: RingTower, level: Level, n: int) -> RingMatrix:
+    """w times the n x n identity at `level`, from one normal form of w
+    (which is 0 at QUOT)."""
+    w = tower.normal_form(tower.w, level)
+    zero = tower.ring.zero()
+    return RingMatrix(tower, level, [[w if i == j else zero for j in range(n)] for i in range(n)],
+                      nrows=n, ncols=n, normalize=False)
+
+
 def _first_diff(found: RingMatrix, expected: RingMatrix):
     """Position and values of the first entry where the matrices differ."""
     for i in range(found.nrows):
@@ -42,8 +56,8 @@ class MatrixFactorization:
     """A verified matrix factorization of the tower element w.
 
     phi maps the rank_f free module into the rank_g one (a rank_g x
-    rank_f matrix); psi maps back. Construction checks both axioms and
-    the forced rank equality.
+    rank_f matrix); psi maps back. Both are at one level, MID or QUOT.
+    Construction checks both axioms and the forced rank equality.
     """
 
     __slots__ = ("tower", "phi", "psi")
@@ -52,9 +66,10 @@ class MatrixFactorization:
         if phi.tower is not psi.tower:
             raise TowerMismatch("phi and psi from different towers")
         tower = phi.tower
-        if phi.level != Level.MID or psi.level != Level.MID:
+        if phi.level != psi.level or phi.level == Level.BASE:
             raise LevelMismatch(
-                f"factorization matrices must be MID level, got {phi.level.name}/{psi.level.name}"
+                "factorization matrices must share level MID or QUOT,"
+                f" got {phi.level.name}/{psi.level.name}"
             )
         if phi.nrows != psi.ncols or phi.ncols != psi.nrows:
             raise DimensionMismatch(
@@ -73,24 +88,20 @@ class MatrixFactorization:
     def rank_g(self) -> int:
         return self.phi.nrows
 
+    @property
+    def level(self) -> Level:
+        return self.phi.level
+
     def _verify(self):
         tower = self.tower
-        w_id_f = RingMatrix.identity(tower, Level.MID, self.rank_f).scale(tower.w)
-        w_id_g = RingMatrix.identity(tower, Level.MID, self.rank_g).scale(tower.w)
-        diff = _first_diff(self.psi @ self.phi, w_id_f)
-        if diff is not None:
-            i, j, exp, found = diff
-            raise AxiomViolation(
-                "psi@phi", i, j,
-                format_canonical(exp, tower.order), format_canonical(found, tower.order),
-            )
-        diff = _first_diff(self.phi @ self.psi, w_id_g)
-        if diff is not None:
-            i, j, exp, found = diff
-            raise AxiomViolation(
-                "phi@psi", i, j,
-                format_canonical(exp, tower.order), format_canonical(found, tower.order),
-            )
+        for name, left, right in (("psi@phi", self.psi, self.phi), ("phi@psi", self.phi, self.psi)):
+            diff = _first_diff(left @ right, _w_identity(tower, self.level, left.nrows))
+            if diff is not None:
+                i, j, exp, found = diff
+                raise AxiomViolation(
+                    name, i, j,
+                    format_canonical(exp, tower.order), format_canonical(found, tower.order),
+                )
         if self.rank_f != self.rank_g:
             raise AxiomViolation(
                 "rank", 0, 0, f"rank_f == rank_g", f"{self.rank_f} != {self.rank_g}"
@@ -176,6 +187,9 @@ class MfMorphism:
             raise EndpointMismatch("morphism difference needs equal endpoints")
         return MfMorphism(self.source, self.target, self.f - other.f, self.g - other.g)
 
+    def is_zero(self) -> bool:
+        return self.f.is_zero() and self.g.is_zero()
+
     def __repr__(self) -> str:
         return f"MfMorphism(f={self.f.format_rows()}, g={self.g.format_rows()})"
 
@@ -187,16 +201,16 @@ def verify_morphism(source, target, f, g) -> MfMorphism:
 def identity_morphism(a: MatrixFactorization) -> MfMorphism:
     return MfMorphism(
         a, a,
-        RingMatrix.identity(a.tower, Level.MID, a.rank_f),
-        RingMatrix.identity(a.tower, Level.MID, a.rank_g),
+        RingMatrix.identity(a.tower, a.level, a.rank_f),
+        RingMatrix.identity(a.tower, a.level, a.rank_g),
     )
 
 
 def zero_morphism(source: MatrixFactorization, target: MatrixFactorization) -> MfMorphism:
     return MfMorphism(
         source, target,
-        RingMatrix.zeros(source.tower, Level.MID, target.rank_f, source.rank_f),
-        RingMatrix.zeros(source.tower, Level.MID, target.rank_g, source.rank_g),
+        RingMatrix.zeros(source.tower, source.level, target.rank_f, source.rank_f),
+        RingMatrix.zeros(source.tower, source.level, target.rank_g, source.rank_g),
     )
 
 
@@ -273,14 +287,15 @@ def suspend(a: MatrixFactorization) -> MatrixFactorization:
 def direct_sum(a: MatrixFactorization, b: MatrixFactorization) -> MatrixFactorization:
     if a.tower is not b.tower:
         raise TowerMismatch("direct sum needs a common tower")
+    tower, level = a.tower, a.level
     za = RingMatrix.zeros
     phi = RingMatrix.block(
-        [[a.phi, za(a.tower, Level.MID, a.rank_g, b.rank_f)],
-         [za(a.tower, Level.MID, b.rank_g, a.rank_f), b.phi]]
+        [[a.phi, za(tower, level, a.rank_g, b.rank_f)],
+         [za(tower, level, b.rank_g, a.rank_f), b.phi]]
     )
     psi = RingMatrix.block(
-        [[a.psi, za(a.tower, Level.MID, a.rank_f, b.rank_g)],
-         [za(a.tower, Level.MID, b.rank_f, a.rank_g), b.psi]]
+        [[a.psi, za(tower, level, a.rank_f, b.rank_g)],
+         [za(tower, level, b.rank_f, a.rank_g), b.psi]]
     )
     return MatrixFactorization(phi, psi)
 
@@ -292,35 +307,35 @@ def mapping_cone(theta: MfMorphism):
     maps onto the suspended source, and project@include == 0.
     """
     src, tgt = theta.source, theta.target
-    tower = theta.tower
+    tower, level = theta.tower, src.level
     z = RingMatrix.zeros
     cone_phi = RingMatrix.block(
-        [[-src.psi, z(tower, Level.MID, src.rank_f, tgt.rank_f)],
+        [[-src.psi, z(tower, level, src.rank_f, tgt.rank_f)],
          [theta.g, tgt.phi]]
     )
     cone_psi = RingMatrix.block(
-        [[-src.phi, z(tower, Level.MID, src.rank_g, tgt.rank_g)],
+        [[-src.phi, z(tower, level, src.rank_g, tgt.rank_g)],
          [theta.f, tgt.psi]]
     )
     cone = MatrixFactorization(cone_phi, cone_psi)
 
     inc_f = RingMatrix.block(
-        [[z(tower, Level.MID, src.rank_g, tgt.rank_f)],
-         [RingMatrix.identity(tower, Level.MID, tgt.rank_f)]]
+        [[z(tower, level, src.rank_g, tgt.rank_f)],
+         [RingMatrix.identity(tower, level, tgt.rank_f)]]
     )
     inc_g = RingMatrix.block(
-        [[z(tower, Level.MID, src.rank_f, tgt.rank_g)],
-         [RingMatrix.identity(tower, Level.MID, tgt.rank_g)]]
+        [[z(tower, level, src.rank_f, tgt.rank_g)],
+         [RingMatrix.identity(tower, level, tgt.rank_g)]]
     )
     include = MfMorphism(tgt, cone, inc_f, inc_g)
 
     proj_f = RingMatrix.block(
-        [[RingMatrix.identity(tower, Level.MID, src.rank_g),
-          z(tower, Level.MID, src.rank_g, tgt.rank_f)]]
+        [[RingMatrix.identity(tower, level, src.rank_g),
+          z(tower, level, src.rank_g, tgt.rank_f)]]
     )
     proj_g = RingMatrix.block(
-        [[RingMatrix.identity(tower, Level.MID, src.rank_f),
-          z(tower, Level.MID, src.rank_f, tgt.rank_g)]]
+        [[RingMatrix.identity(tower, level, src.rank_f),
+          z(tower, level, src.rank_f, tgt.rank_g)]]
     )
     project = MfMorphism(cone, suspend(src), proj_f, proj_g)
     return cone, include, project
@@ -350,10 +365,13 @@ class CokerPresentation:
 
 
 def coker_presentation(a: MatrixFactorization) -> CokerPresentation:
+    """Needs a MID factorization: over the quotient w is 0 and certifies
+    nothing."""
     tower = a.tower
+    if a.level != Level.MID:
+        raise LevelMismatch(f"cokernel presentation needs a MID factorization, got {a.level.name}")
     presentation = a.psi.reduce_to(Level.QUOT)
-    w_id = RingMatrix.identity(tower, Level.MID, a.rank_f).scale(tower.w)
-    if (a.psi @ a.phi) != w_id:
+    if (a.psi @ a.phi) != _w_identity(tower, Level.MID, a.rank_f):
         raise VerificationFailure("annihilation certificate failed: psi@phi != w*1")
     d = tower.normal_form(det(a.phi) * det(a.psi), Level.MID)
     w_pow = tower.normal_form(tower.w ** a.rank_f, Level.MID)

@@ -3,8 +3,10 @@
 Reducing a matrix factorization modulo w yields a doubly infinite
 2-periodic complex of free modules over the deep quotient: the two
 differentials are the reduced matrices, and their composites vanish
-because w maps to zero. Reduction is functorial on morphisms and
-homotopies.
+because w maps to zero. Such a complex is a matrix factorization of 0
+at QUOT, so the reduction of an object, morphism or homotopy is the
+`mfcat` class of the same name at QUOT, verified by the same
+constructor. Reduction is functorial on morphisms and homotopies.
 
 Two constructive algorithms cross the quotient in the other direction:
 
@@ -31,10 +33,8 @@ from dataclasses import dataclass, field
 from . import linalg
 from .errors import (
     BudgetExceeded,
-    CommutationViolation,
     DimensionMismatch,
     EmptyWindow,
-    HomotopyViolation,
     LevelMismatch,
     NotDivisible,
     NotHomogeneous,
@@ -56,149 +56,26 @@ from .tower import Level, RingMatrix, RingTower
 DEFAULT_BUDGET = 32
 
 
-class PeriodicComplex:
-    """A 2-periodic complex of free modules over the deep quotient.
-
-    Positions of even parity carry the F-slot (differential phi_bar out
-    of them), odd parity the G-slot (differential psi_bar). `twist` is
-    the internal degree shift per half-period; for homogeneous data it
-    is the degree of w.
-    """
-
-    __slots__ = ("tower", "phi_bar", "psi_bar", "twist")
-
-    def __init__(self, phi_bar: RingMatrix, psi_bar: RingMatrix, twist: int):
-        if phi_bar.tower is not psi_bar.tower:
-            raise TowerMismatch("differentials from different towers")
-        if phi_bar.level != Level.QUOT or psi_bar.level != Level.QUOT:
-            raise LevelMismatch("periodic complex matrices must be QUOT level")
-        if phi_bar.nrows != psi_bar.ncols or phi_bar.ncols != psi_bar.nrows:
-            raise DimensionMismatch(
-                f"phi_bar {phi_bar.nrows}x{phi_bar.ncols} and psi_bar "
-                f"{psi_bar.nrows}x{psi_bar.ncols} do not alternate"
-            )
-        self.tower = phi_bar.tower
-        self.phi_bar = phi_bar
-        self.psi_bar = psi_bar
-        self.twist = twist
-        if not (psi_bar @ phi_bar).is_zero():
-            raise VerificationFailure("psi_bar@phi_bar != 0 over the quotient")
-        if not (phi_bar @ psi_bar).is_zero():
-            raise VerificationFailure("phi_bar@psi_bar != 0 over the quotient")
-
-    @property
-    def rank_f(self) -> int:
-        return self.phi_bar.ncols
-
-    @property
-    def rank_g(self) -> int:
-        return self.phi_bar.nrows
-
-    def transpose_dual(self) -> "PeriodicComplex":
-        """The dualized complex: transposed differentials in swapped roles."""
-        return PeriodicComplex(
-            self.psi_bar.transpose(), self.phi_bar.transpose(), self.twist
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PeriodicComplex):
-            return NotImplemented
-        return (
-            self.phi_bar == other.phi_bar
-            and self.psi_bar == other.psi_bar
-            and self.twist == other.twist
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return (
-            f"PeriodicComplex(phi_bar={self.phi_bar.format_rows()},"
-            f" psi_bar={self.psi_bar.format_rows()}, twist={self.twist})"
-        )
+# `bench/workloads.py` builds reduced chain maps under this name.
+PeriodicChainMap = MfMorphism
 
 
-class PeriodicChainMap:
-    """A chain map of 2-periodic complexes given by periodic data.
-
-    f_bar acts at every F-position, g_bar at every G-position.
-    """
-
-    __slots__ = ("source", "target", "f_bar", "g_bar")
-
-    def __init__(self, source: PeriodicComplex, target: PeriodicComplex,
-                 f_bar: RingMatrix, g_bar: RingMatrix):
-        self.source = source
-        self.target = target
-        self.f_bar = f_bar
-        self.g_bar = g_bar
-        if f_bar.nrows != target.rank_f or f_bar.ncols != source.rank_f:
-            raise DimensionMismatch("f_bar shape does not match the complexes")
-        if g_bar.nrows != target.rank_g or g_bar.ncols != source.rank_g:
-            raise DimensionMismatch("g_bar shape does not match the complexes")
-        if (g_bar @ source.phi_bar) != (target.phi_bar @ f_bar):
-            raise CommutationViolation("g_bar@phi_bar1 != phi_bar2@f_bar")
-        if (f_bar @ source.psi_bar) != (target.psi_bar @ g_bar):
-            raise CommutationViolation("f_bar@psi_bar1 != psi_bar2@g_bar")
-
-    def __sub__(self, other: "PeriodicChainMap") -> "PeriodicChainMap":
-        if self.source != other.source or self.target != other.target:
-            raise DimensionMismatch("chain map difference needs equal endpoints")
-        return PeriodicChainMap(
-            self.source, self.target, self.f_bar - other.f_bar, self.g_bar - other.g_bar
-        )
-
-    def is_zero(self) -> bool:
-        return self.f_bar.is_zero() and self.g_bar.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PeriodicChainMap):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.f_bar == other.f_bar
-            and self.g_bar == other.g_bar
-        )
-
-    __hash__ = None
-
-
-@dataclass
-class PeriodicHomotopy:
-    """Reduced homotopy data (s_bar, t_bar) between reduced chain maps."""
-
-    first: PeriodicChainMap
-    second: PeriodicChainMap
-    s_bar: RingMatrix
-    t_bar: RingMatrix
-
-    def __post_init__(self):
-        src, tgt = self.first.source, self.first.target
-        lhs_f = self.first.f_bar - self.second.f_bar
-        rhs_f = self.s_bar @ src.phi_bar + tgt.psi_bar @ self.t_bar
-        if lhs_f != rhs_f:
-            raise HomotopyViolation("reduced f-identity fails over the quotient")
-        lhs_g = self.first.g_bar - self.second.g_bar
-        rhs_g = self.t_bar @ src.psi_bar + tgt.phi_bar @ self.s_bar
-        if lhs_g != rhs_g:
-            raise HomotopyViolation("reduced g-identity fails over the quotient")
-
-
-def _twist_of(tower: RingTower) -> int:
+def twist_of(tower: RingTower) -> int:
+    """The internal degree shift per half-period of a reduced complex;
+    for homogeneous data it is the degree of w."""
     d = tower.w.homogeneous_degree()
     return d if d is not None else tower.w.degree()
 
 
-def reduce_object(a: MatrixFactorization) -> PeriodicComplex:
-    """The 2-periodic complex of a factorization: reduce both matrices."""
-    return PeriodicComplex(
-        a.phi.reduce_to(Level.QUOT), a.psi.reduce_to(Level.QUOT), _twist_of(a.tower)
-    )
+def reduce_object(a: MatrixFactorization) -> MatrixFactorization:
+    """The 2-periodic complex of a factorization: both matrices reduced
+    to QUOT, a factorization of 0 there. Even positions carry the F-slot
+    (phi out of them), odd positions the G-slot (psi out of them)."""
+    return MatrixFactorization(a.phi.reduce_to(Level.QUOT), a.psi.reduce_to(Level.QUOT))
 
 
-def reduce_morphism(theta: MfMorphism) -> PeriodicChainMap:
-    return PeriodicChainMap(
+def reduce_morphism(theta: MfMorphism) -> MfMorphism:
+    return MfMorphism(
         reduce_object(theta.source),
         reduce_object(theta.target),
         theta.f.reduce_to(Level.QUOT),
@@ -206,8 +83,8 @@ def reduce_morphism(theta: MfMorphism) -> PeriodicChainMap:
     )
 
 
-def reduce_homotopy(h: MfHomotopy) -> PeriodicHomotopy:
-    return PeriodicHomotopy(
+def reduce_homotopy(h: MfHomotopy) -> MfHomotopy:
+    return MfHomotopy(
         reduce_morphism(h.theta),
         reduce_morphism(h.theta_prime),
         h.s.reduce_to(Level.QUOT),
@@ -217,18 +94,18 @@ def reduce_homotopy(h: MfHomotopy) -> PeriodicHomotopy:
 
 @dataclass
 class DualReductionReport:
-    """Comparison of reduce(dual) against the transposed reduction."""
+    """Comparison of reduce(dual) against the dual of the reduction."""
 
     matches: bool
-    reduced_dual: PeriodicComplex
-    transposed_reduction: PeriodicComplex
+    reduced_dual: MatrixFactorization
+    transposed_reduction: MatrixFactorization
 
 
 def dual_reduction_check(a: MatrixFactorization) -> DualReductionReport:
     """Transpose commutes with reduction; this is the computational core
     of total acyclicity of the reduced complex."""
     reduced_dual = reduce_object(dual_mf(a))
-    transposed = reduce_object(a).transpose_dual()
+    transposed = dual_mf(reduce_object(a))
     return DualReductionReport(reduced_dual == transposed, reduced_dual, transposed)
 
 
@@ -396,8 +273,12 @@ def lift_chain_map(inp: ChainLiftInput) -> tuple[MfMorphism, LiftWitness]:
 # Graded windows
 
 
-def _require_graded(tower: RingTower):
-    if not tower.is_graded():
+def _require_graded(a: MatrixFactorization):
+    """Windows act on reduced complexes: QUOT factorizations over a
+    graded tower."""
+    if a.level != Level.QUOT:
+        raise LevelMismatch(f"graded windows need a QUOT-level complex, got {a.level.name}")
+    if not a.tower.is_graded():
         raise NotHomogeneous(
             "graded windows need homogeneous tower generators and element"
         )
@@ -548,15 +429,16 @@ class AcyclicityReport:
         return self._table(self.dual_rows)
 
 
-def _window_rows(c: PeriodicComplex, d_min: int, d_max: int, budget: int,
+def _window_rows(c: MatrixFactorization, d_min: int, d_max: int, budget: int,
                  table: _QuotNormalForms) -> list[HomologyRow]:
     tower = c.tower
     field = tower.ring.field
-    e_phi = _uniform_entry_degree(c.phi_bar)
-    e_psi = _uniform_entry_degree(c.psi_bar)
-    if e_phi is not None and e_psi is not None and e_phi + e_psi != c.twist:
+    e_phi = _uniform_entry_degree(c.phi)
+    e_psi = _uniform_entry_degree(c.psi)
+    twist = twist_of(tower)
+    if e_phi is not None and e_psi is not None and e_phi + e_psi != twist:
         raise NotHomogeneous(
-            f"entry degrees {e_phi}+{e_psi} do not add up to the twist {c.twist}"
+            f"entry degrees {e_phi}+{e_psi} do not add up to the twist {twist}"
         )
     max_needed = d_max + max(e for e in (e_phi, e_psi, 0) if e is not None)
     if max_needed > budget:
@@ -565,7 +447,7 @@ def _window_rows(c: PeriodicComplex, d_min: int, d_max: int, budget: int,
             f" budget is {budget}"
         )
 
-    differentials = {"phi": (c.phi_bar, e_phi), "psi": (c.psi_bar, e_psi)}
+    differentials = {"phi": (c.phi, e_phi), "psi": (c.psi, e_psi)}
     # Each differential's rank on a source degree enters the table twice,
     # once as a kernel and once as an image.
     ranks: dict[tuple[str, int], int] = {}
@@ -583,30 +465,31 @@ def _window_rows(c: PeriodicComplex, d_min: int, d_max: int, budget: int,
     out = []
     for d in range(d_min, d_max + 1):
         piece = len(tower.standard_monomials(d)) if d >= 0 else 0
-        # F-position: out by phi_bar, in by psi_bar.
+        # F-position: out by phi, in by psi.
         ker = piece * c.rank_f - rank_of("phi", d)
         im = rank_of("psi", d - (e_psi or 0))
         out.append(HomologyRow(d, "F", ker, im))
-        # G-position: out by psi_bar, in by phi_bar.
+        # G-position: out by psi, in by phi.
         ker = piece * c.rank_g - rank_of("psi", d)
         im = rank_of("phi", d - (e_phi or 0))
         out.append(HomologyRow(d, "G", ker, im))
     return out
 
 
-def graded_acyclicity_window(c: PeriodicComplex, d_min: int, d_max: int,
+def graded_acyclicity_window(c: MatrixFactorization, d_min: int, d_max: int,
                              budget: int = DEFAULT_BUDGET) -> AcyclicityReport:
-    """Homology dimensions of the complex (and its dual) in a window of
-    internal degrees, computed by exact rank computations on graded
-    pieces. All zeros on the window is evidence of total acyclicity."""
-    _require_graded(c.tower)
+    """Homology dimensions of the reduced complex `c` (and its dual) in a
+    window of internal degrees, computed by exact rank computations on
+    graded pieces. All zeros on the window is evidence of total
+    acyclicity."""
+    _require_graded(c)
     if d_min > d_max:
         raise EmptyWindow(f"empty degree window {d_min}..{d_max}")
     # The dual's maps are the transposed matrices on the same pieces, so
     # both share one table of normal forms.
     table = _QuotNormalForms(c.tower)
     rows = _window_rows(c, d_min, d_max, budget, table)
-    dual_rows = _window_rows(c.transpose_dual(), d_min, d_max, budget, table)
+    dual_rows = _window_rows(dual_mf(c), d_min, d_max, budget, table)
     return AcyclicityReport(d_min, d_max, rows, dual_rows)
 
 
@@ -626,9 +509,10 @@ class NullhomotopyWindow:
     verified_positions: list[int] = field(default_factory=list)
 
 
-def graded_nullhomotopy_window(delta: PeriodicChainMap, p_min: int, p_max: int,
+def graded_nullhomotopy_window(delta: MfMorphism, p_min: int, p_max: int,
                                budget: int = DEFAULT_BUDGET) -> NullhomotopyWindow:
-    """Search for diagonals nullhomotoping `delta` on a position window.
+    """Search for diagonals nullhomotoping the reduced chain map `delta`
+    on a position window.
 
     Solves the homotopy equations at positions p_min+1..p_max for
     unknown diagonal matrices at p_min..p_max (one per position, not
@@ -638,7 +522,7 @@ def graded_nullhomotopy_window(delta: PeriodicChainMap, p_min: int, p_max: int,
     """
     src, tgt = delta.source, delta.target
     tower = src.tower
-    _require_graded(tower)
+    _require_graded(src)
     if p_min >= p_max:
         raise EmptyWindow(
             f"position window {p_min}..{p_max} must contain at least two positions"
@@ -652,12 +536,12 @@ def graded_nullhomotopy_window(delta: PeriodicChainMap, p_min: int, p_max: int,
         ]
         return NullhomotopyWindow(True, positions, diagonals, positions[1:])
 
-    e_phi1 = _uniform_entry_degree(src.phi_bar)
-    e_psi1 = _uniform_entry_degree(src.psi_bar)
-    e_phi2 = _uniform_entry_degree(tgt.phi_bar)
-    e_psi2 = _uniform_entry_degree(tgt.psi_bar)
-    d_f = _uniform_entry_degree(delta.f_bar)
-    d_g = _uniform_entry_degree(delta.g_bar)
+    e_phi1 = _uniform_entry_degree(src.phi)
+    e_psi1 = _uniform_entry_degree(src.psi)
+    e_phi2 = _uniform_entry_degree(tgt.phi)
+    e_psi2 = _uniform_entry_degree(tgt.psi)
+    d_f = _uniform_entry_degree(delta.f)
+    d_g = _uniform_entry_degree(delta.g)
     if None in (e_phi1, e_psi1, e_phi2, e_psi2):
         raise NotHomogeneous("window solver needs nonzero graded differentials")
 
@@ -701,15 +585,15 @@ def graded_nullhomotopy_window(delta: PeriodicChainMap, p_min: int, p_max: int,
     def add_equations(p: int):
         # Equation at position p: delta_p = d2_{p+1} @ sigma_p + sigma_{p-1} @ d1_p
         if p % 2 == 0:
-            lhs = delta.f_bar
+            lhs = delta.f
             lhs_deg = d_f if d_f is not None else (t_deg + e_psi2)
-            left_mat, e_left = tgt.psi_bar, e_psi2     # multiplies sigma_p
-            right_mat, e_right = src.phi_bar, e_phi1   # multiplied by sigma_{p-1}
+            left_mat, e_left = tgt.psi, e_psi2     # multiplies sigma_p
+            right_mat, e_right = src.phi, e_phi1   # multiplied by sigma_{p-1}
         else:
-            lhs = delta.g_bar
+            lhs = delta.g
             lhs_deg = d_g if d_g is not None else (s_deg + e_phi2)
-            left_mat, e_left = tgt.phi_bar, e_phi2
-            right_mat, e_right = src.psi_bar, e_psi1
+            left_mat, e_left = tgt.phi, e_phi2
+            right_mat, e_right = src.psi, e_psi1
         tgt_monos = tower.standard_monomials(lhs_deg) if lhs_deg >= 0 else []
         tgt_idx = {m: k for k, m in enumerate(tgt_monos)}
         ntgt = len(tgt_monos)
@@ -785,16 +669,16 @@ def graded_nullhomotopy_window(delta: PeriodicChainMap, p_min: int, p_max: int,
         sigma_p = diagonals[idx]
         sigma_q = diagonals[idx - 1]
         if p % 2 == 0:
-            ok = delta.f_bar == tgt.psi_bar @ sigma_p + sigma_q @ src.phi_bar
+            ok = delta.f == tgt.psi @ sigma_p + sigma_q @ src.phi
         else:
-            ok = delta.g_bar == tgt.phi_bar @ sigma_p + sigma_q @ src.psi_bar
+            ok = delta.g == tgt.phi @ sigma_p + sigma_q @ src.psi
         if not ok:
             raise VerificationFailure("window solution failed re-verification")
         verified.append(p)
     return NullhomotopyWindow(True, positions, diagonals, verified)
 
 
-def _sigma_shape(src: PeriodicComplex, tgt: PeriodicComplex, p: int,
+def _sigma_shape(src: MatrixFactorization, tgt: MatrixFactorization, p: int,
                  t_deg: int, s_deg: int):
     """Shape and entry degree of the diagonal out of position p."""
     if p % 2 == 0:
@@ -802,6 +686,7 @@ def _sigma_shape(src: PeriodicComplex, tgt: PeriodicComplex, p: int,
     return (tgt.rank_f, src.rank_g), s_deg
 
 
-def _sigma_zero(tower: RingTower, src: PeriodicComplex, tgt: PeriodicComplex, p: int) -> RingMatrix:
+def _sigma_zero(tower: RingTower, src: MatrixFactorization, tgt: MatrixFactorization,
+                p: int) -> RingMatrix:
     shape, _ = _sigma_shape(src, tgt, p, 0, 0)
     return RingMatrix.zeros(tower, Level.QUOT, shape[0], shape[1])

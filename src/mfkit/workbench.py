@@ -22,7 +22,7 @@ Format (line oriented, '#' starts a comment line, blank lines ignored)::
 
     [homotopy h]
     theta = th
-    theta_prime = zero      # optional, defaults to zero
+    theta_prime = zero      # optional, defaults to zero (a reserved name)
     s = [[v]]
     t = [[0]]
 
@@ -40,7 +40,8 @@ Format (line oriented, '#' starts a comment line, blank lines ignored)::
     g0 = [[1]]
 
 Section keys are exactly those documented; unknown keys, unresolved
-names, and malformed matrices are parse errors.
+names, and malformed matrices are parse errors. `zero` is a reserved
+morphism name, so a `[morphism zero]` section is a parse error too.
 """
 
 from __future__ import annotations
@@ -153,6 +154,8 @@ def parse_sections(text: str) -> list[RawSection]:
                 raise ParseError(f"line {lineno}: section [{kind}] needs a name")
             if kind == "ring" and name:
                 raise ParseError(f"line {lineno}: [ring] takes no name")
+            if kind == "morphism" and name == "zero":
+                raise ParseError(f"line {lineno}: 'zero' is reserved for the zero morphism")
             current = RawSection(kind, name, lineno)
             sections.append(current)
             continue
@@ -317,4 +320,6 @@ def load_workbench(path: str, field_override: str | None = None,
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text", exc.start) from None
     return Workbench(text, field_override, order_override)

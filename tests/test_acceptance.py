@@ -23,6 +23,8 @@ from mfkit.groebner import (
     reduce_with_cofactors,
 )
 from mfkit.mfcat import (
+    MatrixFactorization,
+    MfMorphism,
     compose_morphisms,
     coker_presentation,
     direct_sum,
@@ -35,8 +37,6 @@ from mfkit.mfcat import (
 from mfkit.periodic import (
     ChainLiftInput,
     HomotopyTransportInput,
-    PeriodicChainMap,
-    PeriodicComplex,
     dual_reduction_check,
     graded_acyclicity_window,
     graded_nullhomotopy_window,
@@ -126,13 +126,13 @@ def test_criterion_04_functor_laws(objects):
     # Composite-zero for every corpus reduction.
     for mf in objects.values():
         c = reduce_object(mf)
-        assert (c.phi_bar @ c.psi_bar).is_zero()
-        assert (c.psi_bar @ c.phi_bar).is_zero()
+        assert (c.phi @ c.psi).is_zero()
+        assert (c.psi @ c.phi).is_zero()
     # Identity preservation.
     for mf in objects.values():
         cm = reduce_morphism(identity_morphism(mf))
-        assert cm.f_bar == RingMatrix.identity(mf.tower, Level.QUOT, mf.rank_f)
-        assert cm.g_bar == RingMatrix.identity(mf.tower, Level.QUOT, mf.rank_g)
+        assert cm.f == RingMatrix.identity(mf.tower, Level.QUOT, mf.rank_f)
+        assert cm.g == RingMatrix.identity(mf.tower, Level.QUOT, mf.rank_g)
     # Composition preservation on 100 randomized composable pairs.
     names = sorted(objects)
     for i in range(100):
@@ -141,8 +141,8 @@ def test_criterion_04_functor_laws(objects):
         th2, _, _ = rand_nullhomotopic_morphism(mf, mf, rng, max_degree=1)
         lhs = reduce_morphism(compose_morphisms(th2, th1))
         r1, r2 = reduce_morphism(th1), reduce_morphism(th2)
-        assert lhs.f_bar == r2.f_bar @ r1.f_bar
-        assert lhs.g_bar == r2.g_bar @ r1.g_bar
+        assert lhs.f == r2.f @ r1.f
+        assert lhs.g == r2.g @ r1.g
     # Transpose commutes with reduction on the full corpus.
     for mf in objects.values():
         assert dual_reduction_check(mf).matches
@@ -208,7 +208,7 @@ def test_criterion_06_fullness_lift(objects):
                 theta0.g + eps[2].scale(tower.w),
             )
             theta, _ = lift_chain_map(inp)
-            eta = PeriodicChainMap(
+            eta = MfMorphism(
                 reduce_object(mf), reduce_object(mf),
                 inp.f0.reduce_to(Level.QUOT), inp.g0.reduce_to(Level.QUOT),
             )
@@ -225,7 +225,7 @@ def test_criterion_07_acyclicity_oracle(objects):
     # Seeded non-complex control: both maps zero on rank one.
     tower = objects["A"].tower
     z = RingMatrix.zeros(tower, Level.QUOT, 1, 1)
-    control = PeriodicComplex(z, z, 2)
+    control = MatrixFactorization(z, z)
     report = graded_acyclicity_window(control, 0, 6)
     assert not report.all_zero
     assert all(row.homology > 0 for row in report.rows)

@@ -56,6 +56,15 @@ def test_missing_file_is_parse_error():
     assert "cannot read" in out
 
 
+def test_non_utf8_file_is_parse_error(tmp_path):
+    path = tmp_path / "bad.mfw"
+    path.write_bytes(b"\xff\xfe[ring]\n")
+    code, out = run_cli(["validate", str(path)])
+    assert code == 2
+    assert "not UTF-8" in out
+    assert out.splitlines()[-1] == "status=error kind=ParseError command=validate exit=2"
+
+
 def test_invalid_location_reported():
     code, out = run_cli(["validate", str(CORPUS_DIR / "invalid_offdiag.mfw")])
     assert code == 1

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from mfkit import linalg, periodic
 from mfkit.fields import QQ, PrimeField
+from mfkit.mfcat import MfMorphism
 from mfkit.periodic import (
     ChainLiftInput,
-    PeriodicChainMap,
     graded_acyclicity_window,
     graded_nullhomotopy_window,
     lift_chain_map,
@@ -210,7 +210,7 @@ def window_delta(mf, rng):
     inp = ChainLiftInput(mf, mf, th.g + eps[0], th.f + eps[1], th.g + eps[2])
     theta, _ = lift_chain_map(inp)
     c = reduce_object(mf)
-    eta = PeriodicChainMap(c, c, inp.f0.reduce_to(Level.QUOT), inp.g0.reduce_to(Level.QUOT))
+    eta = MfMorphism(c, c, inp.f0.reduce_to(Level.QUOT), inp.g0.reduce_to(Level.QUOT))
     return reduce_morphism(theta) - eta
 
 

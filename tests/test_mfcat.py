@@ -9,9 +9,11 @@ from mfkit.errors import (
     CommutationViolation,
     EndpointMismatch,
     HomotopyViolation,
+    LevelMismatch,
     TowerMismatch,
 )
 from mfkit.mfcat import (
+    MatrixFactorization,
     coker_presentation,
     compose_morphisms,
     direct_sum,
@@ -29,8 +31,8 @@ from mfkit.tower import Level, RingMatrix, det
 from .genutil import rand_derived_object, rand_nullhomotopic_morphism
 
 
-def mat(tower, rows):
-    return RingMatrix.from_strings(tower, Level.MID, rows)
+def mat(tower, rows, level=Level.MID):
+    return RingMatrix.from_strings(tower, level, rows)
 
 
 class TestVerify:
@@ -58,6 +60,38 @@ class TestVerify:
         z = RingMatrix.zeros(t, Level.MID, 0, 0)
         mf = verify_mf(z, z)
         assert mf.rank_f == 0
+
+
+class TestLevels:
+    def test_quot_factorization_of_zero(self, towers):
+        # At QUOT w is 0: (u, v) over k[u,v]/(uv) is a 2-periodic complex.
+        t = towers["uv"]
+        mf = MatrixFactorization(mat(t, [["u"]], Level.QUOT), mat(t, [["v"]], Level.QUOT))
+        assert mf.level == Level.QUOT
+        assert identity_morphism(mf).f.level == Level.QUOT
+        assert zero_morphism(mf, mf).is_zero()
+        assert direct_sum(mf, mf).level == Level.QUOT
+        assert mapping_cone(identity_morphism(mf))[0].level == Level.QUOT
+
+    def test_quot_nonzero_composite_is_axiom_violation(self, towers):
+        t = towers["uv"]
+        with pytest.raises(AxiomViolation) as err:
+            MatrixFactorization(mat(t, [["u"]], Level.QUOT), mat(t, [["u"]], Level.QUOT))
+        assert (err.value.identity, err.value.expected, err.value.found) == ("psi@phi", "0", "u^2")
+
+    @pytest.mark.parametrize("levels", [
+        (Level.BASE, Level.BASE), (Level.MID, Level.QUOT), (Level.QUOT, Level.MID),
+    ], ids=["base", "mid-quot", "quot-mid"])
+    def test_base_and_mixed_levels_rejected(self, towers, levels):
+        t = towers["uv"]
+        with pytest.raises(LevelMismatch):
+            MatrixFactorization(mat(t, [["u"]], levels[0]), mat(t, [["v"]], levels[1]))
+
+    def test_coker_of_quot_factorization_rejected(self, towers):
+        t = towers["uv"]
+        mf = MatrixFactorization(mat(t, [["u"]], Level.QUOT), mat(t, [["v"]], Level.QUOT))
+        with pytest.raises(LevelMismatch, match="MID"):
+            coker_presentation(mf)
 
 
 class TestMorphisms:
@@ -193,6 +227,7 @@ class TestMappingCone:
                 cone, inc, proj = mapping_cone(th)
                 comp = compose_morphisms(proj, inc)
                 assert comp.f.is_zero() and comp.g.is_zero()
+                assert comp.is_zero()
 
 
 class TestDual:

@@ -5,13 +5,21 @@ import random
 
 import pytest
 
-from mfkit.errors import BudgetExceeded, EmptyWindow, NotDivisible, NotHomogeneous
-from mfkit.mfcat import identity_morphism, verify_mf, verify_morphism, zero_morphism
+from mfkit.errors import BudgetExceeded, EmptyWindow, LevelMismatch, NotDivisible, NotHomogeneous
+from mfkit.mfcat import (
+    MatrixFactorization,
+    MfMorphism,
+    direct_sum,
+    identity_morphism,
+    mapping_cone,
+    suspend,
+    verify_mf,
+    verify_morphism,
+    zero_morphism,
+)
 from mfkit.periodic import (
     ChainLiftInput,
     HomotopyTransportInput,
-    PeriodicChainMap,
-    PeriodicComplex,
     dual_reduction_check,
     graded_acyclicity_window,
     graded_nullhomotopy_window,
@@ -20,6 +28,7 @@ from mfkit.periodic import (
     reduce_morphism,
     reduce_object,
     transport_nullhomotopy,
+    twist_of,
 )
 from mfkit.mfcat import compose_morphisms
 from mfkit.tower import Level, RingMatrix
@@ -41,9 +50,9 @@ def mat(tower, rows, level=Level.MID):
 class TestReduceObject:
     def test_uv_complex(self, objects):
         c = reduce_object(objects["A"])
-        assert c.phi_bar == mat(objects["A"].tower, [["u"]], Level.QUOT)
-        assert c.psi_bar == mat(objects["A"].tower, [["v"]], Level.QUOT)
-        assert c.twist == 2
+        assert c.phi == mat(objects["A"].tower, [["u"]], Level.QUOT)
+        assert c.psi == mat(objects["A"].tower, [["v"]], Level.QUOT)
+        assert twist_of(c.tower) == 2
 
     def test_rank_zero(self, objects):
         t = objects["A"].tower
@@ -54,15 +63,15 @@ class TestReduceObject:
     def test_square_complex(self, objects):
         c = reduce_object(objects["C"])
         t = objects["C"].tower
-        assert c.phi_bar == c.psi_bar == mat(t, [["x"]], Level.QUOT)
-        assert (c.phi_bar @ c.psi_bar).is_zero()
+        assert c.phi == c.psi == mat(t, [["x"]], Level.QUOT)
+        assert (c.phi @ c.psi).is_zero()
 
 
 class TestReduceMorphismAndHomotopy:
     def test_identity_reduces_to_identity(self, objects):
         for mf in objects.values():
             cm = reduce_morphism(identity_morphism(mf))
-            assert cm.f_bar == RingMatrix.identity(mf.tower, Level.QUOT, mf.rank_f)
+            assert cm.f == RingMatrix.identity(mf.tower, Level.QUOT, mf.rank_f)
 
     def test_w_multiple_reduces_to_zero(self, objects):
         a = objects["A"]
@@ -80,8 +89,8 @@ class TestReduceMorphismAndHomotopy:
                 lhs = reduce_morphism(compose_morphisms(th2, th1))
                 rhs_f = th2.f.reduce_to(Level.QUOT) @ th1.f.reduce_to(Level.QUOT)
                 rhs_g = th2.g.reduce_to(Level.QUOT) @ th1.g.reduce_to(Level.QUOT)
-                assert lhs.f_bar == rhs_f
-                assert lhs.g_bar == rhs_g
+                assert lhs.f == rhs_f
+                assert lhs.g == rhs_g
 
     def test_homotopy_reduces(self, objects):
         rng = random.Random(42)
@@ -91,6 +100,27 @@ class TestReduceMorphismAndHomotopy:
 
         h = verify_homotopy(th, zero_morphism(b, b), s, t)
         reduce_homotopy(h)  # verifies the reduced identities internally
+
+
+class TestReductionCommutesWithConstructions:
+    def test_direct_sum(self, objects):
+        for name in ("A", "B", "C"):
+            a = objects[name]
+            for b in (a, suspend(a)):
+                assert reduce_object(direct_sum(a, b)) == direct_sum(reduce_object(a), reduce_object(b))
+
+    def test_mapping_cone(self, objects):
+        rng = random.Random(44)
+        for name in ("A", "B", "C"):
+            a = objects[name]
+            thetas = [identity_morphism(a), zero_morphism(a, a)]
+            thetas += [rand_nullhomotopic_morphism(a, a, rng)[0] for _ in range(3)]
+            for theta in thetas:
+                cone, include, project = mapping_cone(theta)
+                cone_bar, include_bar, project_bar = mapping_cone(reduce_morphism(theta))
+                assert reduce_object(cone) == cone_bar
+                assert reduce_morphism(include) == include_bar
+                assert reduce_morphism(project) == project_bar
 
 
 class TestDualReduction:
@@ -214,7 +244,7 @@ class TestAcyclicityWindow:
     def test_noncomplex_control_has_homology(self, objects):
         t = objects["A"].tower
         z = RingMatrix.zeros(t, Level.QUOT, 1, 1)
-        fake = PeriodicComplex(z, z, 2)
+        fake = MatrixFactorization(z, z)
         report = graded_acyclicity_window(fake, 0, 4)
         assert not report.all_zero
         # Every admissible degree carries homology: the quotient ring is
@@ -224,6 +254,10 @@ class TestAcyclicityWindow:
     def test_inhomogeneous_tower_rejected(self, objects):
         with pytest.raises(NotHomogeneous):
             graded_acyclicity_window(reduce_object(objects["D"]), 0, 4)
+
+    def test_mid_level_input_rejected(self, objects):
+        with pytest.raises(LevelMismatch):
+            graded_acyclicity_window(objects["A"], 0, 4)
 
     def test_budget(self, objects):
         with pytest.raises(BudgetExceeded):
@@ -284,7 +318,7 @@ class TestNullhomotopyWindow:
                 th.g + eps[2].scale(tower.w),
             )
             theta, _ = lift_chain_map(inp)
-            eta = PeriodicChainMap(
+            eta = MfMorphism(
                 reduce_object(b), reduce_object(b),
                 inp.f0.reduce_to(Level.QUOT), inp.g0.reduce_to(Level.QUOT),
             )
@@ -293,6 +327,11 @@ class TestNullhomotopyWindow:
             win = graded_nullhomotopy_window(delta, 0, 6)
             assert win.solvable
         assert found_nonzero  # the certification was not vacuous
+
+    def test_mid_level_input_rejected(self, objects):
+        a = objects["A"]
+        with pytest.raises(LevelMismatch):
+            graded_nullhomotopy_window(identity_morphism(a), 0, 4)
 
     def test_single_position_window_rejected(self, objects):
         a = objects["A"]
@@ -367,7 +406,7 @@ def test_graded_map_matches_reference_loop(name, objects):
 
     c, top = _graded_case(name, objects)
     tower = c.tower
-    maps = [c.phi_bar, c.psi_bar, c.phi_bar.transpose(), c.psi_bar.transpose()]
+    maps = [c.phi, c.psi, c.phi.transpose(), c.psi.transpose()]
     # One table for every map and degree, as a window call shares it.
     table = periodic._QuotNormalForms(tower)
     nonzero = 0

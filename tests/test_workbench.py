@@ -118,6 +118,20 @@ t = [[0]]
         assert h.theta_prime.f.is_zero()
 
 
+    def test_morphism_named_zero_is_reserved(self):
+        # theta_prime = zero always means the zero morphism, so a section
+        # of that name could never be reached.
+        text = MINIMAL + """
+[morphism zero]
+source = A
+target = A
+f = [[u*v]]
+g = [[u*v]]
+"""
+        with pytest.raises(ParseError, match="^line 13: 'zero' is reserved"):
+            Workbench(text)
+
+
 class TestCorpusFiles:
     def test_all_valid_corpus_files_load(self, corpus_dir):
         for name in ("uv_hypersurface", "sum_of_squares", "tower_squares", "tower_cusp"):
