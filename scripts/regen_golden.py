@@ -16,14 +16,14 @@ sys.path.insert(0, str(ROOT))
 sys.path.insert(0, str(ROOT / "src"))
 
 from mfkit.cli import main  # noqa: E402
-from tests.cli_cases import CASES, argv_for  # noqa: E402
+from tests.cli_cases import CASES, FIELD_CASES, argv_for  # noqa: E402
 
 
 def run():
     corpus = ROOT / "corpus"
     golden = ROOT / "tests" / "golden"
     golden.mkdir(exist_ok=True)
-    for name, argv, expected in CASES:
+    for name, argv, expected in CASES + FIELD_CASES:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = main(argv_for(argv, corpus))

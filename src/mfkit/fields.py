@@ -1,26 +1,32 @@
 """Exact coefficient fields: the rationals and prime fields.
 
-Rational coefficients are `fractions.Fraction` values (always stored in
-lowest terms with positive denominator). Prime field coefficients are
-plain ints in the range [0, p). All arithmetic goes through the field
-object so that polynomial code never hardcodes a coefficient type.
+Coefficients live on ints. A polynomial, a linear-algebra row or a
+normal-form vector holds an int numerator per entry and, where a
+denominator is needed, one positive int denominator for all of them.
+The field object supplies the few integer steps that differ between QQ
+and GF(p):
 
-Three hot loops work on plain ints instead: division
-(`groebner.divide_full`) keeps the pending terms as integers over one
-running denominator, `poly.sum_of_products` accumulates a sum of
-products as integers over one common denominator, and the echelon
-engine of `mfkit.linalg` eliminates on integer multiples of its rows.
-The field supplies the steps that differ between QQ and GF(p):
-`integer_form` clears denominators, `cancel` picks the multipliers that
-cancel a leading term, `reduce_int` reduces an integer coefficient
-(modulo p, or not at all over QQ), and `ratio` and `from_int` turn an
-integer fraction or an integer back into a field element.
+* `normalize(nums, den)` makes the pair canonical. Over QQ it drops
+  zero entries, makes den positive and divides out the common gcd of den
+  and the numerators, so that den is the least common denominator of the
+  reduced coefficients. Over GF(p) it reduces every numerator modulo p,
+  multiplies by the inverse of den, and returns den 1. Equal values then
+  give equal pairs.
+* `cancel(c, a)` picks the multipliers that cancel a leading term in
+  the fraction-free loops (division, elimination, back substitution).
+* `reduce_int(n)` reduces an int coefficient: modulo p, or not at all
+  over QQ.
+
+Scalars at the public surface are ints, or over QQ anything with int
+`numerator` and `denominator` (a `fractions.Fraction`). `from_int` and
+`ratio` build them; `ratio` over QQ is the one place that builds a
+`Fraction`, for coefficients parsed from text.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DivisionByZeroInCoefficient
 
@@ -42,46 +48,33 @@ class Rationals:
     """The field of rational numbers."""
 
     name = "qq"
+    characteristic = 0
 
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n: int) -> int:
+        return n
 
     def ratio(self, num: int, den: int) -> Fraction:
         if den == 0:
             raise DivisionByZeroInCoefficient("zero denominator in coefficient")
         return Fraction(num, den)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise DivisionByZeroInCoefficient("division by zero coefficient")
-        return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def integer_form(self, terms: dict) -> tuple[dict, int]:
-        """(F, D): D > 0 is the lcm of the denominators and F = D*terms
-        has int coefficients."""
-        den = lcm(*[c.denominator for c in terms.values()])
-        return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+    def normalize(self, nums: dict, den: int) -> tuple[dict, int]:
+        """The canonical (nums, den) of nums/den: no zero entry, den > 0,
+        gcd(den, every numerator) == 1; the zero value is ({}, 1)."""
+        nums = {k: c for k, c in nums.items() if c}
+        if den == 1 or not nums:
+            return nums, 1
+        g = gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = {k: c // g for k, c in nums.items()}
+            den //= g
+        return nums, den
 
     def cancel(self, c: int, a: int) -> tuple[int, int]:
-        """(s, t) with s*c == t*a and s > 0 as small as possible.
+        """(s, t) with s*c == t*a and s > 0 as small as possible, so that
+        t/s is c/a in lowest terms.
 
         Scaling a pending term c*x^m by s and subtracting t*x^u times a
         divisor with leading term a*x^(m-u) cancels it.
@@ -93,9 +86,6 @@ class Rationals:
 
     def reduce_int(self, n: int) -> int:
         return n
-
-    def fmt(self, a) -> str:
-        return str(a)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Rationals)
@@ -114,44 +104,29 @@ class PrimeField:
         if not (2 <= p < 2**31) or not _is_prime(p):
             raise ValueError(f"modulus must be a prime in [2, 2^31): {p}")
         self.p = p
+        self.characteristic = p
         self.name = f"fp:{p}"
-        self.zero = 0
-        self.one = 1 % p
 
     def from_int(self, n: int) -> int:
         return n % self.p
 
-    def ratio(self, num: int, den: int) -> int:
+    def _inverse(self, den: int) -> int:
         d = den % self.p
         if d == 0:
-            raise DivisionByZeroInCoefficient(
-                f"denominator is zero modulo {self.p}"
-            )
-        return num % self.p * pow(d, -1, self.p) % self.p
+            raise DivisionByZeroInCoefficient(f"denominator is zero modulo {self.p}")
+        return pow(d, -1, self.p)
 
-    def add(self, a, b):
-        return (a + b) % self.p
+    def ratio(self, num: int, den: int) -> int:
+        return num * self._inverse(den) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise DivisionByZeroInCoefficient("division by zero coefficient")
-        return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def integer_form(self, terms: dict) -> tuple[dict, int]:
-        """(terms, 1): elements are ints already."""
-        return terms, 1
+    def normalize(self, nums: dict, den: int) -> tuple[dict, int]:
+        """The canonical (nums, 1) of nums/den: every numerator in
+        [1, p), zero entries dropped."""
+        p = self.p
+        if den != 1:
+            inv = self._inverse(den)
+            return {k: v for k, c in nums.items() if (v := c * inv % p)}, 1
+        return {k: v for k, c in nums.items() if (v := c % p)}, 1
 
     def cancel(self, c: int, a: int) -> tuple[int, int]:
         """(s, t) with s*c == t*a: here s = 1 and t = c/a."""
@@ -159,9 +134,6 @@ class PrimeField:
 
     def reduce_int(self, n: int) -> int:
         return n % self.p
-
-    def fmt(self, a) -> str:
-        return str(a % self.p)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p

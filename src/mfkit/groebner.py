@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NotDivisible, VariableMismatch, VerificationFailure
 from .poly import (
@@ -72,6 +72,18 @@ def _check_ring(p: Polynomial, divisors):
         p._check_compatible(d)
 
 
+def _rebase(out: dict, dens: list, k: int, num: int, mu: int) -> int:
+    """Move the int dict out (over dens[k]) and a new numerator num (over
+    mu) to the lcm of the two denominators; returns num rescaled."""
+    common = lcm(dens[k], mu)
+    scale = common // dens[k]
+    if scale != 1:
+        for key in out:
+            out[key] *= scale
+    dens[k] = common
+    return num * (common // mu)
+
+
 def divide_full(p: Polynomial, divisors, order: MonomialOrder):
     """Multivariate long division of p by an ordered list of divisors.
 
@@ -87,35 +99,37 @@ def divide_full(p: Polynomial, divisors, order: MonomialOrder):
     skipped when popped; it cannot reappear later, because every term a
     reduction step adds is smaller than the monomial just popped.
 
-    The loop runs on ints, fraction-free: the pending terms are an int
-    dict `work` over one running denominator `mu`, so that
+    The loop runs on the polynomials' own (nums, den) form, fraction-free:
+    the pending terms are an int dict `work` over one running
+    denominator `mu`, starting from (p.nums, p.den), so that
     p == work/mu + sum(cofactor_i * divisor_i) + remainder throughout.
-    Each divisor enters in its cached integer form F = D*divisor. To
-    cancel a pending term c*x^m against F's leading coefficient a, the
-    field's `cancel` gives (s, t) with s*c == t*a; then work becomes
-    s*work - t*x^u*F and mu becomes s*mu. Over GF(p), s is always 1 and
-    mu stays 1. Over QQ, after each s > 1 the common content of work and
-    mu is divided out, which makes mu the least common denominator of
-    the pending terms at that step, so the ints stay as small as the
-    fractions they stand for. Field elements are built only for the
-    terms that leave the loop: one per cofactor term and one per
-    remainder term.
+    To cancel a pending term c*x^m against the leading numerator a of a
+    divisor (nums F, denominator D), the field's `cancel` gives (s, t)
+    with s*c == t*a; then work becomes s*work - t*x^u*F and mu becomes
+    s*mu, and the cofactor gains the term (t*D/mu)*x^u. Over GF(p), s is
+    always 1 and mu stays 1. Over QQ, after each s > 1 the common content
+    of work and mu is divided out, which makes mu the least common
+    denominator of the pending terms at that step, so the ints stay as
+    small as the fractions they stand for. The remainder and each
+    cofactor are built as one int dict over their own denominator: a
+    term that arrives over a new mu rescales the dict to the lcm of the
+    two, which never happens while mu is constant. Each is normalized
+    once, when the loop ends.
     """
     ring = p.ring
     field = ring.field
-    cancel, reduce_int, ratio = field.cancel, field.reduce_int, field.ratio
+    cancel, reduce_int = field.cancel, field.reduce_int
     _check_ring(p, divisors)
     lms = [d.leading_monomial(order) for d in divisors]
-    forms = [d.integer_form() for d in divisors]
-    work, mu = field.integer_form(p.terms)
-    work = dict(work)
+    work, mu = dict(p.nums), p.den
     heap = [(tuple(-v for v in order.key(m)), m) for m in work]
     heapify(heap)
     queued = set(work)
-    rem: dict = {}
-    # Popped monomials strictly decrease, so each divisor's quotient
+    # The remainder and the cofactors, each an int dict and its
+    # denominator. Popped monomials strictly decrease, so each output's
     # monomials are distinct and can be stored without adding.
-    cof_terms: list[dict] = [{} for _ in divisors]
+    outs: list[dict] = [{} for _ in divisors] + [{}]
+    out_dens = [mu] * len(outs)
     while heap:
         m = heappop(heap)[1]
         c = work.pop(m, None)
@@ -123,14 +137,18 @@ def divide_full(p: Polynomial, divisors, order: MonomialOrder):
             continue
         for i, lm in enumerate(lms):
             if mono_divides(lm, m):
-                f_terms, den = forms[i]
+                divisor = divisors[i]
+                f_terms = divisor.nums
                 s, t = cancel(c, f_terms[lm])
                 if s != 1:
                     for k in work:
                         work[k] *= s
                     mu *= s
                 q_mono = mono_div(m, lm)
-                cof_terms[i][q_mono] = ratio(t * den, mu)
+                num = t * divisor.den
+                if out_dens[i] != mu:
+                    num = _rebase(outs[i], out_dens, i, num, mu)
+                outs[i][q_mono] = num
                 for dm, dc in f_terms.items():
                     if dm == lm:
                         continue
@@ -151,8 +169,14 @@ def divide_full(p: Polynomial, divisors, order: MonomialOrder):
                         mu //= g
                 break
         else:
-            rem[m] = ratio(c, mu)
-    return Polynomial(ring, rem), [Polynomial(ring, t) for t in cof_terms]
+            if out_dens[-1] != mu:
+                c = _rebase(outs[-1], out_dens, -1, c, mu)
+            outs[-1][m] = c
+    # Every stored numerator is nonzero, and reduced over GF(p), so an
+    # output over denominator 1 is canonical as it stands.
+    polys = [Polynomial(ring, out) if den == 1 else Polynomial(ring, *field.normalize(out, den))
+             for out, den in zip(outs, out_dens)]
+    return polys[-1], polys[:-1]
 
 
 def normal_form(p: Polynomial, basis: GroebnerBasis) -> Polynomial:
@@ -181,7 +205,7 @@ def _spair(fi, fj, order):
     l = mono_lcm(lmi, lmj)
     ring = fi.ring
     ui = ring.monomial(mono_div(l, lmi))
-    uj = ring.monomial(mono_div(l, lmj), ring.field.neg(ring.field.one))
+    uj = ring.monomial(mono_div(l, lmj), -1)
     return sum_of_products(ring, ((ui, fi), (uj, fj))), ui, uj
 
 
@@ -205,23 +229,19 @@ def buchberger_with_reps(generators, order: MonomialOrder):
     if not gens:
         return [], []
     ring = gens[0].ring
-    field = ring.field
+    one = (0,) * ring.nvars
 
     polys: list[Polynomial] = []
     reps: list[list[Polynomial]] = []
 
-    def unit_rep(j, scale):
-        row = [ring.zero() for _ in gens]
-        row[j] = ring.const(scale)
-        return row
-
     for j, g in enumerate(gens):
         if g.is_zero():
             continue
-        lc = g.leading_coefficient(order)
-        inv = field.inv(lc)
-        polys.append(g.scale(inv))
-        reps.append(unit_rep(j, inv))
+        monic, num, den = g.monic(order)
+        polys.append(monic)
+        row = [ring.zero() for _ in gens]
+        row[j] = ring.from_ints({one: num}, den)
+        reps.append(row)
 
     # Pending pairs as a min-heap of (key of the lcm of the leading
     # monomials, (i, j)): `polys` only grows inside the loop, so an
@@ -250,9 +270,9 @@ def buchberger_with_reps(generators, order: MonomialOrder):
             continue  # nothing new, so the representation is not needed
         rep_s = [sum_of_products(ring, ((ui, a), (uj, b))) for a, b in zip(reps[i], reps[j])]
         rep_r = _subtract_combination(rep_s, cofs, reps)
-        inv = field.inv(r.leading_coefficient(order))
-        polys.append(r.scale(inv))
-        reps.append([a.scale(inv) for a in rep_r])
+        monic, num, den = r.monic(order)
+        polys.append(monic)
+        reps.append([a.scale(num, den) for a in rep_r])
         add_pairs(len(polys) - 1)
 
     # Minimalize: drop elements whose leading monomial is divisible by
@@ -283,9 +303,8 @@ def buchberger_with_reps(generators, order: MonomialOrder):
                 continue
             changed = True
             new_rep = _subtract_combination(reps[i], cofs, other_reps)
-            inv = field.inv(rem.leading_coefficient(order))
-            polys[i] = rem.scale(inv)
-            reps[i] = [a.scale(inv) for a in new_rep]
+            polys[i], num, den = rem.monic(order)
+            reps[i] = [a.scale(num, den) for a in new_rep]
 
     final = sorted(
         range(len(polys)), key=lambda i: order.key(polys[i].leading_monomial(order)), reverse=True
@@ -338,8 +357,8 @@ class DivisionOracle:
 def _certify_reps(polys, reps, gens):
     """Raise VerificationFailure unless polys[i] == sum_j reps[i][j] * gens[j].
 
-    Checked exactly by `sum_of_products`, on the same integer forms that
-    division uses.
+    Checked exactly by `sum_of_products`, on the same (nums, den) form
+    that division uses.
     """
     ring = gens[0].ring
     for i, (b, rep) in enumerate(zip(polys, reps)):

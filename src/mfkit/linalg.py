@@ -1,39 +1,42 @@
-"""Sparse exact linear algebra over a coefficient field.
+"""Sparse exact linear algebra over a coefficient field, on ints.
 
-A row is a `{column: value}` dict of nonzero field elements; a matrix is
-a list of rows. One incremental echelon engine serves both entry points:
-each row is reduced at its leading column against the pivot rows found
-so far and, unless it reduces to zero, becomes a new pivot row. The
-pivot columns of an echelon form depend only on the row space, so rank
-and the solution with free variables set to zero do not depend on row
-order.
+A row is a `{column: int}` dict: the int numerators of one equation, or
+of any nonzero multiple of it, since scaling a row by a nonzero constant
+changes neither the rank nor the solution set. Over QQ a caller clears
+a row's denominators by scaling it; over GF(p) the ints stand for their
+residues. A matrix is a list of rows. One incremental echelon engine
+serves both entry points: each row is reduced at its leading column
+against the pivot rows found so far and, unless it reduces to zero,
+becomes a new pivot row. The pivot columns of an echelon form depend
+only on the row space, so rank and the solution with free variables set
+to zero do not depend on row order.
 
-The engine runs on ints, fraction-free, like `groebner.divide_full`.
-A row enters as its field's `integer_form`, a nonzero multiple of it,
-and scaling a row by a nonzero constant changes neither the rank nor
-the solution set. To cancel the leading entry c of the working row
-against a pivot row with leading entry a, the field's `cancel` gives
-(s, t) with s*c == t*a, and the working row becomes s*row - t*pivot,
-each entry passed through `reduce_int`. Over GF(p), s is always 1 and
-every entry stays in [0, p). Over QQ, after each s > 1 the row's content
-is divided out, so its ints stay as small as its primitive form. Pivot
-rows keep their leading entry as it is; `solve_linear` divides by it
-during back substitution, and builds field elements only there. No
-zero entry is stored.
+The engine is fraction-free, like `groebner.divide_full`. A row enters
+as the field's `normalize` of it over denominator 1: its zero entries
+dropped and, over GF(p), every entry reduced into [0, p). To cancel the
+leading entry c of the working row against a pivot row with leading
+entry a, the field's `cancel` gives (s, t) with s*c == t*a, and the
+working row becomes s*row - t*pivot, each entry passed through
+`reduce_int`. Over GF(p), s
+is always 1 and every entry stays in [0, p). Over QQ, after each s > 1
+the row's content is divided out, so its ints stay as small as its
+primitive form. Pivot rows keep their leading entry as it is;
+`solve_linear` divides by it during back substitution, where the
+solution is built over one common denominator. No zero entry is stored.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 
 def _insert(pivots: dict[int, dict], row: dict, field) -> int | None:
-    """Reduce `row` against the int `pivots` and add it as a pivot row.
+    """Reduce the int `row` against the int `pivots` and add it as a pivot row.
 
     Returns the new pivot column, or None when the row reduces to zero.
     """
     cancel, reduce_int = field.cancel, field.reduce_int
-    work = {c: v for c, v in field.integer_form(row)[0].items() if v}
+    work = field.normalize(row, 1)[0]
     while work:
         col = min(work)
         pivot = pivots.get(col)
@@ -65,23 +68,36 @@ def matrix_rank(rows: list[dict], field) -> int:
     return len(pivots)
 
 
-def solve_linear(rows: list[dict], ncols: int, field) -> list | None:
+def solve_linear(rows: list[dict], ncols: int, field) -> tuple[list[int], int] | None:
     """One solution x of A x = b, or None when the system is inconsistent.
 
-    `rows` are the augmented rows of (A | b): column `ncols` holds b.
-    Free variables are set to zero, which makes x unique.
+    `rows` are the int augmented rows of (A | b): column `ncols` holds b.
+    Free variables are set to zero, which makes x unique. The solution
+    comes back as (nums, den) with x[c] == nums[c]/den: over QQ, den is
+    the least common denominator of the entries of x; over GF(p), den is
+    1 and every numerator lies in [0, p).
     """
     pivots: dict[int, dict] = {}
     for row in rows:
         if _insert(pivots, row, field) == ncols:
             return None
-    zero, from_int = field.zero, field.from_int
-    x = [zero] * ncols
+    cancel, reduce_int = field.cancel, field.reduce_int
+    nums, den = [0] * ncols, 1
     for col in sorted(pivots, reverse=True):
         row = pivots[col]
-        value = from_int(row.get(ncols, 0))
+        # x[col] = (b - sum a_c*x[c]) / a_col, with x[c] = nums[c]/den.
+        value = row.get(ncols, 0) * den
         for c, v in row.items():
-            if col < c < ncols and x[c] != zero:
-                value = field.sub(value, field.mul(from_int(v), x[c]))
-        x[col] = field.div(value, from_int(row[col]))
-    return x
+            if col < c < ncols:
+                value -= v * nums[c]
+        value = reduce_int(value)
+        if not value:
+            continue
+        s, t = cancel(value, den * row[col])  # x[col] == t/s, s > 0 minimal
+        if s != 1 and den % s:
+            common = lcm(den, s)
+            k = common // den
+            nums = [n * k for n in nums]
+            den = common
+        nums[col] = t * (den // s)
+    return nums, den

@@ -29,6 +29,8 @@ not a proof.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
+from operator import add
 
 from . import linalg
 from .errors import (
@@ -50,7 +52,7 @@ from .mfcat import (
     verify_morphism,
     zero_morphism,
 )
-from .poly import Polynomial, mono_mul
+from .poly import sum_of_products
 from .tower import Level, RingMatrix, RingTower
 
 DEFAULT_BUDGET = 32
@@ -120,15 +122,42 @@ def _divide_matrix(tower: RingTower, m: RingMatrix, failure: str) -> RingMatrix:
     return RingMatrix(tower, Level.MID, entries, m.nrows, m.ncols, normalize=False)
 
 
-def _check_mid_shapes(*specs):
-    """Each (name, matrix, rows, cols) must be a MID-level rows x cols matrix."""
+def _check_mid_shapes(tower: RingTower, *specs):
+    """Each (name, matrix, rows, cols) must be a MID-level rows x cols
+    matrix over `tower`."""
     for name, m, rows, cols in specs:
         if m.level != Level.MID:
-            raise DimensionMismatch(f"{name} must be a MID-level matrix")
+            raise LevelMismatch(f"{name} must be a MID-level matrix, got {m.level.name}")
         if (m.nrows, m.ncols) != (rows, cols):
             raise DimensionMismatch(
                 f"{name} must be {rows}x{cols}, got {m.nrows}x{m.ncols}"
             )
+    for _, m, _, _ in specs:
+        if m.tower is not tower:
+            raise TowerMismatch("matrices from different towers")
+
+
+def _defect(tower: RingTower, lead: RingMatrix | None, products) -> RingMatrix:
+    """lead + sum of a@b over the (a, b) in `products`, at MID level;
+    `lead` may be None.
+
+    Each entry is one `sum_of_products` call over every term of the
+    combination, followed by one MID normal form; normal form is linear,
+    so this equals the sum of the normalized products.
+    """
+    ring, one = tower.ring, tower.ring.one()
+    rows, cols = products[0][0].nrows, products[0][1].ncols
+    columns = [[[row[j] for row in b.entries] for j in range(cols)] for _, b in products]
+    entries = []
+    for i in range(rows):
+        line = []
+        for j in range(cols):
+            pairs = [(lead.entries[i][j], one)] if lead is not None else []
+            for (a, _), bcols in zip(products, columns):
+                pairs.extend(zip(a.entries[i], bcols[j]))
+            line.append(tower.normal_form(sum_of_products(ring, pairs), Level.MID))
+        entries.append(line)
+    return RingMatrix(tower, Level.MID, entries, rows, cols, normalize=False)
 
 
 class HomotopyTransportInput:
@@ -144,10 +173,13 @@ class HomotopyTransportInput:
 
     def __init__(self, theta: MfMorphism, s1: RingMatrix, t: RingMatrix, s2: RingMatrix):
         src, tgt = theta.source, theta.target
+        tower = theta.tower
         _check_mid_shapes(
+            tower,
             ("s1", s1, tgt.rank_f, src.rank_g),
             ("t", t, tgt.rank_g, src.rank_f),
             ("s2", s2, tgt.rank_f, src.rank_g),
+            ("f", theta.f, tgt.rank_f, src.rank_f),
         )
         self.theta = theta
         self.s1 = s1
@@ -156,10 +188,12 @@ class HomotopyTransportInput:
         why = (" does not vanish over the quotient,"
                " the given diagonals do not reduce to a nullhomotopy")
         self.p_corr = _divide_matrix(
-            theta.tower, theta.f - s2 @ src.phi - tgt.psi @ t, "f - s2@phi1 - psi2@t" + why
+            tower, _defect(tower, theta.f, [(-s2, src.phi), (-tgt.psi, t)]),
+            "f - s2@phi1 - psi2@t" + why,
         )
         self.q_corr = _divide_matrix(
-            theta.tower, theta.g - t @ src.psi - tgt.phi @ s1, "g - t@psi1 - phi2@s1" + why
+            tower, _defect(tower, theta.g, [(-t, src.psi), (-tgt.phi, s1)]),
+            "g - t@psi1 - phi2@s1" + why,
         )
 
 
@@ -197,12 +231,16 @@ class ChainLiftInput:
 
     def __init__(self, source: MatrixFactorization, target: MatrixFactorization,
                  g1: RingMatrix, f0: RingMatrix, g0: RingMatrix):
-        if source.tower is not target.tower:
+        tower = source.tower
+        if target.tower is not tower:
             raise TowerMismatch("source and target from different towers")
         _check_mid_shapes(
+            tower,
             ("g1", g1, target.rank_g, source.rank_g),
             ("f0", f0, target.rank_f, source.rank_f),
             ("g0", g0, target.rank_g, source.rank_g),
+            ("phi1", source.phi, source.rank_g, source.rank_f),
+            ("phi2", target.phi, target.rank_g, target.rank_f),
         )
         self.source = source
         self.target = target
@@ -212,10 +250,12 @@ class ChainLiftInput:
         why = (" does not vanish over the quotient,"
                " the lifted window is not a chain-map section")
         self.phi_gap = _divide_matrix(
-            source.tower, target.phi @ f0 - g0 @ source.phi, "phi2@f0 - g0@phi1" + why
+            tower, _defect(tower, None, [(target.phi, f0), (-g0, source.phi)]),
+            "phi2@f0 - g0@phi1" + why,
         )
         self.psi_gap = _divide_matrix(
-            source.tower, target.psi @ g1 - f0 @ source.psi, "psi2@g1 - f0@psi1" + why
+            tower, _defect(tower, None, [(target.psi, g1), (-f0, source.psi)]),
+            "psi2@g1 - f0@psi1" + why,
         )
 
 
@@ -304,15 +344,18 @@ def _uniform_entry_degree(m: RingMatrix) -> int | None:
 
 
 class _QuotNormalForms:
-    """QUOT normal forms of monomials, as coordinate vectors.
+    """QUOT normal forms of monomials, as int coordinate vectors.
 
-    The vector of a monomial m is a list of (k, c): the normal form of m
-    is the sum of c times standard monomial k of m's degree, indexed as
-    in `tower.standard_monomials`. Normal form is linear, so the image
-    of p*s is the sum of c_t times the vector of m_t*s over the terms
-    c_t*m_t of p, and each monomial's normal form is computed once per
-    table. A window call makes one table, shares it between every graded
-    map it builds, and drops it when it returns.
+    The vector of a monomial m is a pair (coords, den) with coords a list
+    of (k, c) over ints: the normal form of m is the sum of c/den times
+    standard monomial k of m's degree, indexed as in
+    `tower.standard_monomials`. These are the normal form's own (nums,
+    den), so den is 1 over GF(p) and for integral normal forms over QQ.
+    Normal form is linear, so the image of p*s is the sum of c_t times
+    the vector of m_t*s over the terms c_t*m_t of p, and each monomial's
+    normal form is computed once per table. A window call makes one
+    table, shares it between every graded map it builds, and drops it
+    when it returns.
     """
 
     __slots__ = ("tower", "_indexes", "_vectors")
@@ -320,9 +363,9 @@ class _QuotNormalForms:
     def __init__(self, tower: RingTower):
         self.tower = tower
         self._indexes: dict[int, dict] = {}
-        self._vectors: dict[tuple, list] = {}
+        self._vectors: dict[tuple, tuple] = {}
 
-    def vector(self, mono: tuple) -> list:
+    def vector(self, mono: tuple) -> tuple[list, int]:
         vec = self._vectors.get(mono)
         if vec is not None:
             return vec
@@ -332,14 +375,16 @@ class _QuotNormalForms:
         if index is None:
             index = {m: k for k, m in enumerate(tower.standard_monomials(degree))}
             self._indexes[degree] = index
-        vec = []
-        for m, c in tower.normal_form(tower.ring.monomial(mono), Level.QUOT).terms.items():
+        nf = tower.normal_form(tower.ring.monomial(mono), Level.QUOT)
+        coords = []
+        for m, c in nf.nums.items():
             k = index.get(m)
             if k is None:
                 raise VerificationFailure(
                     "graded piece bookkeeping failed: unexpected monomial"
                 )
-            vec.append((k, c))
+            coords.append((k, c))
+        vec = (coords, nf.den)
         self._vectors[mono] = vec
         return vec
 
@@ -355,31 +400,52 @@ def _graded_map(tower: RingTower, m: RingMatrix, src_degree: int, entry_degree: 
     form at QUOT, a vector over target indices i*len(tgt) + t, summed
     from the normal forms of the product monomials in `table`. Every
     nonzero entry of m is homogeneous of entry_degree, so each product
-    monomial lies in the target degree. Returns (images, source
-    dimension, target dimension) with images[k] the image of source
-    element k. The rank of the map is the rank of its image vectors.
+    monomial lies in the target degree.
+
+    Returns (images, den, source dimension, target dimension): images[k]
+    is an int dict with the image of source element k equal to
+    images[k]/den, one den for the whole map. Each image is the raw int
+    sum of an entry's numerators times a vector's coordinates: it may
+    hold zero entries and, over GF(p), ints outside [0, p), which
+    `linalg` reduces as each row enters. den is 1 unless an entry or a
+    vector has a denominator (never over GF(p), nor for integral data
+    over QQ); a term over a new denominator moves every image to the
+    lcm. The rank of the map is the rank of its int image rows.
     """
-    field = tower.ring.field
-    zero, add, mul = field.zero, field.add, field.mul
-    vector = table.vector
+    # A table hit is one dict lookup, with no call.
+    cached, vector = table._vectors.get, table.vector
     src_monos = tower.standard_monomials(src_degree) if src_degree >= 0 else []
     tgt_degree = src_degree + entry_degree
     ntgt = len(tower.standard_monomials(tgt_degree)) if tgt_degree >= 0 else 0
-    images = []
+    images: list[dict] = []
+    den = 1
     for j in range(m.ncols):
-        column = [(i * ntgt, row[j].terms) for i, row in enumerate(m.entries) if row[j].terms]
+        column = [(i * ntgt, e.nums, e.den) for i, row in enumerate(m.entries)
+                  if (e := row[j]).nums]
         for sm in src_monos:
-            image = {}
-            for base, terms in column:
-                for mono, coeff in terms.items():
-                    for k, c in vector(mono_mul(mono, sm)):
-                        value = add(image.get(base + k, zero), mul(coeff, c))
-                        if value == zero:
-                            image.pop(base + k, None)
-                        else:
-                            image[base + k] = value
+            image: dict = {}
+            for base, nums, eden in column:
+                for mono, coeff in nums.items():
+                    prod = tuple(map(add, mono, sm))
+                    coords, vden = cached(prod) or vector(prod)
+                    d = eden * vden
+                    if d != 1:
+                        if den % d:
+                            # A new denominator: move every image so far
+                            # to the lcm.
+                            scale = lcm(den, d) // den
+                            den *= scale
+                            for done in (*images, image):
+                                for key in done:
+                                    done[key] *= scale
+                        coeff *= den // d
+                    elif den != 1:
+                        coeff *= den
+                    for k, c in coords:
+                        key = base + k
+                        image[key] = image.get(key, 0) + coeff * c
             images.append(image)
-    return images, len(src_monos) * m.ncols, ntgt * m.nrows
+    return images, den, len(src_monos) * m.ncols, ntgt * m.nrows
 
 
 @dataclass(frozen=True)
@@ -458,7 +524,7 @@ def _window_rows(c: MatrixFactorization, d_min: int, d_max: int, budget: int,
             return 0
         key = (name, src_degree)
         if key not in ranks:
-            images, src_dim, tgt_dim = _graded_map(tower, m, src_degree, entry_degree, table)
+            images, _, src_dim, tgt_dim = _graded_map(tower, m, src_degree, entry_degree, table)
             ranks[key] = linalg.matrix_rank(images, field) if src_dim and tgt_dim else 0
         return ranks[key]
 
@@ -527,7 +593,6 @@ def graded_nullhomotopy_window(delta: MfMorphism, p_min: int, p_max: int,
         raise EmptyWindow(
             f"position window {p_min}..{p_max} must contain at least two positions"
         )
-    field_ops = tower.ring.field
 
     if delta.is_zero():
         positions = list(range(p_min, p_max + 1))
@@ -578,8 +643,9 @@ def graded_nullhomotopy_window(delta: MfMorphism, p_min: int, p_max: int,
         layout[p] = (nvars, shape, deg, monos)
         nvars += shape[0] * shape[1] * len(monos)
 
-    # Augmented sparse rows; column nvars holds the right-hand side.
+    # Augmented sparse int rows; column nvars holds the right-hand side.
     rows: list[dict] = []
+    reduce_int = tower.ring.field.reduce_int
     table = _QuotNormalForms(tower)
 
     def add_equations(p: int):
@@ -599,40 +665,52 @@ def graded_nullhomotopy_window(delta: MfMorphism, p_min: int, p_max: int,
         ntgt = len(tgt_monos)
         ncols = lhs.ncols
         eqs = [{} for _ in range(lhs.nrows * ncols * ntgt)]
+        rhs = []
         for i in range(lhs.nrows):
             for j in range(ncols):
-                for mono, coeff in lhs.entries[i][j].terms.items():
+                entry = lhs.entries[i][j]
+                for mono, coeff in entry.nums.items():
                     k = tgt_idx.get(mono)
                     if k is None:
                         raise NotHomogeneous("chain map entry outside its graded piece")
-                    eqs[(i * ncols + j) * ntgt + k][nvars] = coeff
+                    rhs.append(((i * ncols + j) * ntgt + k, coeff, entry.den))
 
         def images(m: RingMatrix, src_degree: int, entry_degree: int):
-            found, _, _ = _graded_map(tower, m, src_degree, entry_degree, table)
-            if src_degree + entry_degree != lhs_deg and any(found):
+            found, den, _, _ = _graded_map(tower, m, src_degree, entry_degree, table)
+            if src_degree + entry_degree != lhs_deg and any(
+                    reduce_int(v) for image in found for v in image.values()):
                 raise NotHomogeneous("product left the graded window")
-            return found
+            return found, den
 
+        left_offset, (_, left_cols), left_deg, left_monos = layout[p]
+        left, left_den = images(left_mat, left_deg, e_left)
+        right_offset, (_, right_cols), right_deg, right_monos = layout[p - 1]
+        right, right_den = images(right_mat.transpose(), right_deg, e_right)
+        # Every equation of this position is scaled by one common
+        # denominator, so that all its coefficients are ints.
+        den = lcm(left_den, right_den, *[d for _, _, d in rhs])
+        for row, coeff, d in rhs:
+            eqs[row][nvars] = coeff * (den // d)
         # left_mat @ sigma_p: unknown (r, j, k) of sigma_p enters entry (i, j)
         # through column r of left_mat.
-        offset, (_, shape_cols), deg, monos = layout[p]
-        for src_k, image in enumerate(images(left_mat, deg, e_left)):
-            r, k = divmod(src_k, len(monos))
+        scale = den // left_den
+        for src_k, image in enumerate(left):
+            r, k = divmod(src_k, len(left_monos))
             for j in range(ncols):
-                var = offset + (r * shape_cols + j) * len(monos) + k
+                var = left_offset + (r * left_cols + j) * len(left_monos) + k
                 for tgt_k, coeff in image.items():
                     i, t = divmod(tgt_k, ntgt)
-                    eqs[(i * ncols + j) * ntgt + t][var] = coeff
+                    eqs[(i * ncols + j) * ntgt + t][var] = coeff * scale
         # sigma_{p-1} @ right_mat: unknown (i, r, k) of sigma_{p-1} enters
         # entry (i, j) through row r of right_mat.
-        offset, (_, shape_cols), deg, monos = layout[p - 1]
-        for src_k, image in enumerate(images(right_mat.transpose(), deg, e_right)):
-            r, k = divmod(src_k, len(monos))
+        scale = den // right_den
+        for src_k, image in enumerate(right):
+            r, k = divmod(src_k, len(right_monos))
             for i in range(lhs.nrows):
-                var = offset + (i * shape_cols + r) * len(monos) + k
+                var = right_offset + (i * right_cols + r) * len(right_monos) + k
                 for tgt_k, coeff in image.items():
                     j, t = divmod(tgt_k, ntgt)
-                    eqs[(i * ncols + j) * ntgt + t][var] = coeff
+                    eqs[(i * ncols + j) * ntgt + t][var] = coeff * scale
         rows.extend(eqs)
 
     for p in range(p_min + 1, p_max + 1):
@@ -640,9 +718,10 @@ def graded_nullhomotopy_window(delta: MfMorphism, p_min: int, p_max: int,
 
     if not rows:
         return NullhomotopyWindow(False)
-    solution = linalg.solve_linear(rows, nvars, field_ops)
+    solution = linalg.solve_linear(rows, nvars, tower.ring.field)
     if solution is None:
         return NullhomotopyWindow(False, positions)
+    nums, den = solution
 
     diagonals = []
     for p in positions:
@@ -652,12 +731,8 @@ def graded_nullhomotopy_window(delta: MfMorphism, p_min: int, p_max: int,
             row_entries = []
             for j in range(shape[1]):
                 base = offset + (i * shape[1] + j) * len(monos)
-                terms = {
-                    mono: c
-                    for mono, c in zip(monos, solution[base:base + len(monos)])
-                    if c != field_ops.zero
-                }
-                row_entries.append(Polynomial(tower.ring, terms))
+                coeffs = dict(zip(monos, nums[base:base + len(monos)]))
+                row_entries.append(tower.ring.from_ints(coeffs, den))
             entries.append(row_entries)
         # Combinations of standard monomials are in QUOT normal form.
         diagonals.append(

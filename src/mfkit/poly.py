@@ -1,11 +1,25 @@
 """Sparse multivariate polynomials with exact coefficients.
 
 A monomial is a tuple of non-negative exponents aligned with a fixed
-variable list; a polynomial is a finite map from monomials to nonzero
-field elements. The zero polynomial is the empty map. Two monomial
-orders are provided (lex and graded reverse lex, each with an optional
-variable precedence), together with a parser and a canonical printer
-whose output round-trips through the parser byte for byte.
+variable list. A polynomial is one int dict `nums` from monomials to
+nonzero int numerators plus one positive int denominator `den`: its
+coefficient at m is nums[m]/den. The pair is kept canonical by the
+field's `normalize`:
+
+* over QQ, den is the least common denominator of the reduced
+  coefficients, that is gcd(den, every numerator) == 1;
+* over GF(p), every numerator lies in [1, p) and den is 1.
+
+So equal polynomials have equal dicts and equal denominators, and every
+operation works on ints: it accumulates int numerators over a common
+denominator and normalizes once at the end. When every denominator
+involved is 1 (always over GF(p), and for integral data over QQ), no
+content gcd is taken. The zero polynomial is ({}, 1).
+
+Two monomial orders are provided (lex and graded reverse lex, each with
+an optional variable precedence), together with a parser and a
+canonical printer whose output round-trips through the parser byte for
+byte.
 
 Expression grammar accepted by the parser (whitespace insignificant)::
 
@@ -22,7 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 from operator import add, le, sub
 
 from .errors import (
@@ -140,24 +154,28 @@ class PolyRing:
     def one(self) -> "Polynomial":
         return self.const_int(1)
 
+    def from_ints(self, nums: dict, den: int = 1) -> "Polynomial":
+        """The polynomial nums/den, for int numerators and a nonzero int
+        denominator, in canonical form."""
+        return Polynomial(self, *self.field.normalize(nums, den))
+
     def const(self, c) -> "Polynomial":
-        zero_mono = (0,) * self.nvars
-        if c == self.field.zero:
-            return self.zero()
-        return Polynomial(self, {zero_mono: c})
+        """The constant polynomial of a scalar: an int, or an exact
+        rational with int numerator and denominator."""
+        return self.monomial((0,) * self.nvars, c)
 
     def const_int(self, n: int) -> "Polynomial":
         return self.const(self.field.from_int(n))
 
     def var(self, i: int) -> "Polynomial":
         exps = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, {exps: self.field.one})
+        return Polynomial(self, {exps: 1})
 
-    def monomial(self, exps: Exps, coeff=None) -> "Polynomial":
-        c = self.field.one if coeff is None else coeff
-        if c == self.field.zero:
-            return self.zero()
-        return Polynomial(self, {tuple(exps): c})
+    def monomial(self, exps: Exps, coeff=1) -> "Polynomial":
+        """coeff * x^exps, for a scalar coeff as in `const`."""
+        if coeff == 1:  # canonical in every field as it stands
+            return Polynomial(self, {tuple(exps): 1})
+        return self.from_ints({tuple(exps): coeff.numerator}, coeff.denominator)
 
     def parse(self, text: str) -> "Polynomial":
         return _Parser(self, text).run()
@@ -170,19 +188,22 @@ class PolyRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial over a `PolyRing`.
+    """Immutable sparse polynomial over a `PolyRing`: nums/den.
 
-    `terms` maps exponent tuples to nonzero field elements; consumers
-    must not mutate it.
+    `nums` maps exponent tuples to nonzero int numerators and `den` is
+    one positive int denominator, in the canonical form described in
+    the module docstring. The constructor trusts its arguments to be
+    canonical; `PolyRing.from_ints` normalizes. Consumers must not
+    mutate `nums`.
     """
 
-    __slots__ = ("ring", "terms", "_lm", "_int_form")
+    __slots__ = ("ring", "nums", "den", "_lm")
 
-    def __init__(self, ring: PolyRing, terms: dict):
+    def __init__(self, ring: PolyRing, nums: dict, den: int = 1):
         self.ring = ring
-        self.terms = terms
+        self.nums = nums
+        self.den = den
         self._lm = None  # (order, leading monomial) of the last query
-        self._int_form = None
 
     def _check_compatible(self, other: "Polynomial"):
         if self.ring.vars != other.ring.vars:
@@ -195,54 +216,60 @@ class Polynomial:
             )
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self.den == other.den and self.nums == other.nums
 
     __hash__ = None
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return self._combine(other, self.ring.field.add)
+        return self._combine(other, add)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self._combine(other, self.ring.field.sub)
+        return self._combine(other, sub)
 
     def _combine(self, other: "Polynomial", op) -> "Polynomial":
-        """Termwise self op other, for op the field's add or sub."""
+        """Termwise self op other, for op int addition or subtraction,
+        over the lcm of the two denominators."""
         self._check_compatible(other)
-        zero = self.ring.field.zero
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = op(res.get(m, zero), c)
-            if s == zero:
-                res.pop(m, None)
-            else:
-                res[m] = s
-        return Polynomial(self.ring, res)
+        if not other.nums:
+            return self
+        da, db = self.den, other.den
+        if da == db:
+            ka = kb = 1
+            den = da
+        else:
+            den = lcm(da, db)
+            ka, kb = den // da, den // db
+        res = dict(self.nums) if ka == 1 else {m: c * ka for m, c in self.nums.items()}
+        get = res.get
+        for m, c in other.nums.items():
+            res[m] = op(get(m, 0), c * kb)
+        return Polynomial(self.ring, *self.ring.field.normalize(res, den))
 
     def __neg__(self) -> "Polynomial":
-        field = self.ring.field
-        return Polynomial(self.ring, {m: field.neg(c) for m, c in self.terms.items()})
+        p = self.ring.field.characteristic
+        if p:
+            nums = {m: p - c for m, c in self.nums.items()}
+        else:
+            nums = {m: -c for m, c in self.nums.items()}
+        return Polynomial(self.ring, nums, self.den)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
-        field = self.ring.field
         res: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = field.add(res.get(m, field.zero), field.mul(c1, c2))
-                if s == field.zero:
-                    res.pop(m, None)
-                else:
-                    res[m] = s
-        return Polynomial(self.ring, res)
+        get = res.get
+        for m1, c1 in self.nums.items():
+            for m2, c2 in other.nums.items():
+                m = tuple(map(add, m1, m2))
+                res[m] = get(m, 0) + c1 * c2
+        return Polynomial(self.ring, *self.ring.field.normalize(res, self.den * other.den))
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -256,36 +283,28 @@ class Polynomial:
             n >>= 1
         return result
 
-    def scale(self, c) -> "Polynomial":
-        """Multiply by a field element."""
-        field = self.ring.field
-        if c == field.zero:
-            return self.ring.zero()
-        return Polynomial(self.ring, {m: field.mul(cc, c) for m, cc in self.terms.items()})
+    def scale(self, num: int, den: int = 1) -> "Polynomial":
+        """Multiply by the scalar num/den, for ints num and den != 0."""
+        return self.mul_term((0,) * self.ring.nvars, num, den)
 
-    def mul_term(self, exps: Exps, coeff) -> "Polynomial":
-        """Multiply by a single term coeff * x^exps."""
-        field = self.ring.field
-        if coeff == field.zero:
-            return self.ring.zero()
-        return Polynomial(
-            self.ring,
-            {mono_mul(m, exps): field.mul(c, coeff) for m, c in self.terms.items()},
-        )
+    def mul_term(self, exps: Exps, num: int = 1, den: int = 1) -> "Polynomial":
+        """Multiply by the single term (num/den) * x^exps."""
+        nums = {mono_mul(m, exps): c * num for m, c in self.nums.items()}
+        return Polynomial(self.ring, *self.ring.field.normalize(nums, self.den * den))
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(total_degree(m) for m in self.terms)
+        return max(total_degree(m) for m in self.nums)
 
     def is_homogeneous(self) -> bool:
-        degs = {total_degree(m) for m in self.terms}
+        degs = {total_degree(m) for m in self.nums}
         return len(degs) <= 1
 
     def homogeneous_degree(self) -> int | None:
         """The common total degree of all terms, or None (zero or mixed)."""
-        degs = {total_degree(m) for m in self.terms}
+        degs = {total_degree(m) for m in self.nums}
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -295,21 +314,21 @@ class Polynomial:
         cached = self._lm
         if cached is not None and cached[0] == order:
             return cached[1]
-        if not self.terms:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading monomial")
-        lm = max(self.terms, key=order.key)
+        lm = max(self.nums, key=order.key)
         self._lm = (order, lm)
         return lm
 
-    def leading_coefficient(self, order: MonomialOrder):
-        return self.terms[self.leading_monomial(order)]
+    def leading_coefficient(self, order: MonomialOrder) -> tuple[int, int]:
+        """The leading coefficient as an int pair (numerator, denominator)."""
+        return self.nums[self.leading_monomial(order)], self.den
 
-    def integer_form(self) -> tuple[dict, int]:
-        """(F, D) with F = D*self on int coefficients, from the field's
-        `integer_form`; cached, as it does not depend on any order."""
-        if self._int_form is None:
-            self._int_form = self.ring.field.integer_form(self.terms)
-        return self._int_form
+    def monic(self, order: MonomialOrder) -> tuple["Polynomial", int, int]:
+        """(self / lc, num, den): the monic associate and the scalar
+        num/den it was multiplied by."""
+        lc, den = self.leading_coefficient(order)
+        return self.scale(den, lc), den, lc
 
     def __repr__(self) -> str:
         return f"<{format_canonical(self, self.ring.default_order())}>"
@@ -318,24 +337,22 @@ class Polynomial:
 def sum_of_products(ring: PolyRing, pairs) -> Polynomial:
     """sum_k a_k*b_k over the (a_k, b_k) in `pairs`, exactly, in `ring`.
 
-    Runs on the cached integer forms F = d*a of the factors: with L the
-    lcm of the d_a*d_b, it accumulates one int dict of
-    sum_k (L/(d_a*d_b)) * F_a*F_b and builds one field element per
-    result term at the end. When L == 1 (always over GF(p)) that is the
-    field's `from_int`, so no term pays for a gcd or a modular inverse.
+    With L the lcm of the products of the factors' denominators d_a*d_b,
+    it accumulates one int dict of sum_k (L/(d_a*d_b)) * nums_a*nums_b
+    and normalizes it over L once at the end. When L == 1 (always over
+    GF(p)) that takes no gcd, only the reduction of each numerator.
     """
-    field = ring.field
     prods = []
     den = 1
     for a, b in pairs:
         for f in (a, b):
             if f.ring is not ring and f.ring != ring:
                 ring.zero()._check_compatible(f)
-        if a.terms and b.terms:
-            fa, da = a.integer_form()
-            fb, db = b.integer_form()
-            prods.append((fa, fb, da * db))
-            den = lcm(den, da * db)
+        if a.nums and b.nums:
+            d = a.den * b.den
+            prods.append((a.nums, b.nums, d))
+            if d != 1:
+                den = lcm(den, d)
     acc: dict = {}
     get = acc.get
     for fa, fb, d in prods:
@@ -345,13 +362,7 @@ def sum_of_products(ring: PolyRing, pairs) -> Polynomial:
             for mb, cb in fb.items():
                 m = tuple(map(add, ma, mb))
                 acc[m] = get(m, 0) + ca * cb
-    # A cancelled sum builds no element; over GF(p) a nonzero c may
-    # still reduce to 0, which the walrus test drops.
-    if den == 1:
-        from_int = field.from_int
-        return Polynomial(ring, {m: v for m, c in acc.items() if c and (v := from_int(c))})
-    ratio = field.ratio
-    return Polynomial(ring, {m: ratio(c, den) for m, c in acc.items() if c})
+    return Polynomial(ring, *ring.field.normalize(acc, den))
 
 
 def _format_monomial(ring: PolyRing, exps: Exps) -> str:
@@ -372,25 +383,23 @@ def format_canonical(p: Polynomial, order: MonomialOrder) -> str:
     """
     if p.is_zero():
         return "0"
-    field = p.ring.field
-    rational = isinstance(field, Rationals)
-    monos = sorted(p.terms, key=order.key, reverse=True)
+    den = p.den
     out = []
-    for i, m in enumerate(monos):
-        c = p.terms[m]
+    for i, m in enumerate(sorted(p.nums, key=order.key, reverse=True)):
+        num = p.nums[m]
+        # Over GF(p) numerators are in [1, p) and den is 1, so the sign
+        # and the reduction below only act over QQ.
+        sign = "-" if num < 0 else "+"
+        mag = abs(num)
+        g = gcd(mag, den) if den != 1 else 1
+        text = str(mag // g) if g == den else f"{mag // g}/{den // g}"
         mono_str = _format_monomial(p.ring, m)
-        if rational and c < 0:
-            sign = "-"
-            mag = -c
-        else:
-            sign = "+"
-            mag = c
         if not mono_str:
-            body = field.fmt(mag)
-        elif mag == field.one:
+            body = text
+        elif text == "1":
             body = mono_str
         else:
-            body = f"{field.fmt(mag)}*{mono_str}"
+            body = f"{text}*{mono_str}"
         if i == 0:
             out.append(body if sign == "+" else f"-{body}")
         else:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import functools
 import operator
+from math import lcm
 from dataclasses import dataclass
 
 from .errors import (
@@ -100,7 +101,7 @@ def _ci_report(ring: PolyRing, gens: list, deep_basis) -> CiReport:
     is judged without a Groebner basis.
     """
     in_square = tuple(
-        (not g.is_zero()) and all(total_degree(m) >= 2 for m in g.terms) for g in gens
+        (not g.is_zero()) and all(total_degree(m) >= 2 for m in g.nums) for g in gens
     )
     if not all(g.is_homogeneous() for g in gens):
         return CiReport(in_square, False, None, None, None)
@@ -130,10 +131,13 @@ class RingTower:
       ring         ambient polynomial ring
       order        monomial order used for all bases
       seq_gens     the regular sequence generating the deep quotient ideal
-      w_coords     coordinates of w in the span of the sequence images
-      basis_change square invertible matrix over the field; first row is
-                   w_coords, the remaining rows present the mid-ideal
-                   generators as combinations of seq_gens
+      w_coords     coordinates of w in the span of the sequence images,
+                   each an int pair (numerator, denominator) in lowest
+                   terms (denominator 1 over GF(p))
+      basis_change square invertible matrix over the field, with entries
+                   such pairs; first row is w_coords, the remaining rows
+                   are unit vectors that present the mid-ideal generators
+                   as combinations of seq_gens
       mid_gens     those combinations (empty when the sequence has length 1)
       w            the distinguished element, a non-zerodivisor at level MID
       mid_basis    reduced Groebner basis of (mid_gens)
@@ -210,23 +214,27 @@ class RingTower:
         return f"RingTower(vars={','.join(self.ring.vars)}; seq=[{gens}]; w={format_canonical(self.w, self.order)})"
 
 
-def _complete_to_basis(field, first_row: list) -> list[list]:
-    """Extend first_row to an invertible square matrix over the field.
+def _complete_to_basis(field, first_row: list[tuple[int, int]]) -> list[int]:
+    """The indices of the standard unit vectors that extend the nonzero
+    row of scalar pairs (num, den) to an invertible square matrix.
 
-    Deterministic: append standard unit vectors in index order, keeping
-    each one that increases the rank.
+    Deterministic: unit vectors are tried in index order, keeping each
+    one that increases the rank.
     """
     n = len(first_row)
-    rows = [{j: c for j, c in enumerate(first_row) if c != field.zero}]
+    den = lcm(*[d for _, d in first_row])
+    rows = [{j: num * (den // d) for j, (num, d) in enumerate(first_row) if num}]
+    units = []
     for i in range(n):
         if len(rows) == n:
             break
-        unit = {i: field.one}
+        unit = {i: 1}
         if matrix_rank(rows + [unit], field) > len(rows):
             rows.append(unit)
+            units.append(i)
     if len(rows) < n:
         raise ZeroVector("coordinate vector could not be completed to a basis")
-    return [[row.get(j, field.zero) for j in range(n)] for row in rows]
+    return units
 
 
 def build_tower(ring: PolyRing, seq_gens, w_coords, order: MonomialOrder | None = None,
@@ -244,28 +252,25 @@ def build_tower(ring: PolyRing, seq_gens, w_coords, order: MonomialOrder | None 
     gens = list(seq_gens)
     if not gens:
         raise ZeroVector("need at least one sequence generator")
-    field = ring.field
-    coords = [field.from_int(c) if isinstance(c, int) else c for c in w_coords]
+    # Each coordinate as a constant polynomial, and as its scalar pair.
+    consts = [ring.const(c) for c in w_coords]
+    coords = tuple((k.nums.get((0,) * ring.nvars, 0), k.den) for k in consts)
     if len(coords) != len(gens):
         raise DimensionMismatch(
             f"{len(coords)} coordinates for {len(gens)} generators"
         )
-    if all(c == field.zero for c in coords):
+    if not any(num for num, _ in coords):
         raise ZeroVector("coordinate vector is zero")
     for g in gens:
         if g.ring != ring:
             raise FieldMismatch("sequence generator lives in a different ring")
 
-    basis_change = _complete_to_basis(field, coords)
-    w = ring.zero()
-    for c, g in zip(coords, gens):
-        w = w + g.scale(c)
-    mid_gens = []
-    for row in basis_change[1:]:
-        h = ring.zero()
-        for c, g in zip(row, gens):
-            h = h + g.scale(c)
-        mid_gens.append(h)
+    units = _complete_to_basis(ring.field, coords)
+    basis_change = [coords] + [
+        tuple((1 if j == i else 0, 1) for j in range(len(gens))) for i in units
+    ]
+    w = sum_of_products(ring, zip(consts, gens))
+    mid_gens = [gens[i] for i in units]
 
     # The basis change is invertible, so (seq_gens) == (mid_gens + w):
     # validation and quot_basis both use the oracle's combined basis.
@@ -282,7 +287,7 @@ def build_tower(ring: PolyRing, seq_gens, w_coords, order: MonomialOrder | None 
         oracle = DivisionOracle(mid_basis, w)  # w == 0: raises NotDivisible
 
     tower = RingTower(
-        ring, order, tuple(gens), tuple(coords), tuple(tuple(r) for r in basis_change),
+        ring, order, tuple(gens), coords, tuple(basis_change),
         tuple(mid_gens), w, mid_basis, quot_basis, validation, oracle,
     )
     _check_tower_invariants(tower)

@@ -42,6 +42,23 @@ CASES = [
     ("acyclic_budget", ["acyclic-window", "uv_hypersurface.mfw", "A", "--min", "0", "--max", "50", "--max-degree", "10"], 4),
 ]
 
+# Coefficients beyond the integers: a corpus file with a/b coefficients
+# over QQ, and prime-field overrides. Kept out of CASES, which the
+# benchmark's cli workload runs in full.
+FIELD_CASES = [
+    ("validate_fractional", ["validate", "fractional.mfw"], 0),
+    ("gb_fractional", ["gb", "fractional.mfw"], 0),
+    ("transport_fractional", ["transport", "fractional.mfw", "trF"], 0),
+    ("lift_fractional", ["lift", "fractional.mfw", "LF"], 0),
+    ("acyclic_fractional", ["acyclic-window", "fractional.mfw", "F", "--min", "0", "--max", "4"], 0),
+    ("gb_tower_cusp_fp32003", ["gb", "tower_cusp.mfw", "--field", "fp:32003"], 0),
+    ("lift_lb_fp32003", ["lift", "sum_of_squares.mfw", "LB", "--field", "fp:32003"], 0),
+    ("gb_fractional_fp32003", ["gb", "fractional.mfw", "--field", "fp:32003"], 0),
+    ("lift_fractional_fp32003", ["lift", "fractional.mfw", "LF", "--field", "fp:32003"], 0),
+    ("acyclic_fractional_fp32003",
+     ["acyclic-window", "fractional.mfw", "F", "--min", "0", "--max", "3", "--field", "fp:32003"], 0),
+]
+
 
 def argv_for(case_argv: list[str], corpus_dir) -> list[str]:
     """Prefix the file argument (always position 1) with the corpus dir."""

@@ -1,13 +1,21 @@
 """Dense exact Gaussian elimination, kept as the reference that the sparse
 engine in `mfkit.linalg` is tested against.
 
-`matrix_rank` and `solve_linear` take the same sparse rows as the
-functions of `mfkit.linalg`, so this module can stand in for it; they
-expand the rows to dense lists and run Gauss-Jordan elimination with
-deterministic pivoting (first nonzero entry in column order).
+`matrix_rank` and `solve_linear` take the same sparse int rows as the
+functions of `mfkit.linalg` and return the same values, so this module
+can stand in for it. They turn each int into a field element of
+`reference_poly.RefField` (a Fraction over QQ), expand the rows to dense
+lists and run Gauss-Jordan elimination with deterministic pivoting
+(first nonzero entry in column order), one field operation per entry.
+`solve_linear` turns its solution back into mfkit's (nums, den) form
+only at the end.
 """
 
 from __future__ import annotations
+
+from math import lcm
+
+from .reference_poly import RefField
 
 
 def row_echelon(rows: list[list], field) -> tuple[int, list[int]]:
@@ -44,24 +52,38 @@ def row_echelon(rows: list[list], field) -> tuple[int, list[int]]:
     return r, pivots
 
 
-def dense(rows: list[dict], ncols: int, field) -> list[list]:
-    return [[row.get(c, field.zero) for c in range(ncols)] for row in rows]
+def dense(rows: list[dict], ncols: int, field: RefField) -> list[list]:
+    return [[field.of(row.get(c, 0)) for c in range(ncols)] for row in rows]
 
 
 def matrix_rank(rows: list[dict], field) -> int:
     ncols = 1 + max((c for row in rows for c in row), default=-1)
     if not rows or not ncols:
         return 0
-    rank, _ = row_echelon(dense(rows, ncols, field), field)
+    ref = RefField(field)
+    rank, _ = row_echelon(dense(rows, ncols, ref), ref)
     return rank
 
 
-def solve_linear(rows: list[dict], ncols: int, field) -> list | None:
+def solve_linear(rows: list[dict], ncols: int, field) -> tuple[list[int], int] | None:
     """One solution x of A x = b, or None when the system is inconsistent.
 
-    `rows` are the augmented rows of (A | b), column `ncols` holding b.
-    Free variables are set to zero.
+    `rows` are the augmented int rows of (A | b), column `ncols` holding
+    b. Free variables are set to zero. The solution comes back as
+    (nums, den) with x[c] == nums[c]/den and den the least common
+    denominator (1 over GF(p)).
     """
+    ref = RefField(field)
+    x = _solve(rows, ncols, ref)
+    if x is None:
+        return None
+    if ref.p is not None:
+        return x, 1
+    den = lcm(*[v.denominator for v in x])
+    return [int(v * den) for v in x], den
+
+
+def _solve(rows: list[dict], ncols: int, field: RefField) -> list | None:
     if not rows:
         return [field.zero] * ncols
     aug = dense(rows, ncols + 1, field)

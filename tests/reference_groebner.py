@@ -5,9 +5,11 @@ heap-driven code in `mfkit.groebner` is tested against.
 every step, and `buchberger_with_reps` picks the next pair with a `min`
 scan over all pending pairs. Leading monomials are found by scanning the
 terms, so nothing here relies on the cache in `Polynomial`, and order
-keys come from `order_key` here, not from `MonomialOrder.key`. Both
-return the same values, in the same shape, as their `mfkit.groebner`
-namesakes.
+keys come from `order_key` here, not from `MonomialOrder.key`.
+Coefficients are handled one at a time, as field elements of
+`reference_poly.RefField` (Fractions over QQ), not on mfkit's int
+numerators over a common denominator. Both return the same values, in
+the same shape, as their `mfkit.groebner` namesakes.
 
 `membership_oracle` decides ideal membership by linear algebra alone,
 with no Groebner machinery, on small instances.
@@ -21,6 +23,8 @@ from mfkit.groebner import monomials_of_degree
 from mfkit.linalg import solve_linear
 from mfkit.poly import Polynomial, mono_div, mono_divides, mono_lcm, mono_mul
 
+from .reference_poly import RefField, coeffs, from_coeffs, scale
+
 
 def order_key(order, exps):
     """Sort key under `order`: bigger key means bigger monomial."""
@@ -31,15 +35,16 @@ def order_key(order, exps):
 
 
 def leading_monomial(p: Polynomial, order):
-    return max(p.terms, key=lambda m: order_key(order, m))
+    return max(p.nums, key=lambda m: order_key(order, m))
 
 
 def divide_full(p: Polynomial, divisors, order):
     ring = p.ring
-    field = ring.field
+    field = RefField(ring.field)
     lms = [leading_monomial(d, order) for d in divisors]
-    lcs = [d.terms[lm] for d, lm in zip(divisors, lms)]
-    work = dict(p.terms)
+    terms = [coeffs(d) for d in divisors]
+    lcs = [t[lm] for t, lm in zip(terms, lms)]
+    work = coeffs(p)
     rem: dict = {}
     cofs = [ring.zero() for _ in divisors]
     while work:
@@ -50,7 +55,7 @@ def divide_full(p: Polynomial, divisors, order):
                 q_mono = mono_div(m, lm)
                 q_coeff = field.div(c, lcs[i])
                 cofs[i] = cofs[i] + ring.monomial(q_mono, q_coeff)
-                for dm, dc in divisors[i].terms.items():
+                for dm, dc in terms[i].items():
                     if dm == lm:
                         continue
                     t = mono_mul(dm, q_mono)
@@ -62,7 +67,7 @@ def divide_full(p: Polynomial, divisors, order):
                 break
         else:
             rem[m] = c
-    return Polynomial(ring, rem), cofs
+    return from_coeffs(ring, rem), cofs
 
 
 def _combine(rep, cofs, basis_reps):
@@ -80,10 +85,10 @@ def buchberger_with_reps(generators, order):
     if not gens:
         return [], []
     ring = gens[0].ring
-    field = ring.field
+    field = RefField(ring.field)
 
     def lc(p):
-        return p.terms[leading_monomial(p, order)]
+        return coeffs(p)[leading_monomial(p, order)]
 
     polys: list[Polynomial] = []
     reps: list[list[Polynomial]] = []
@@ -91,7 +96,7 @@ def buchberger_with_reps(generators, order):
         if g.is_zero():
             continue
         inv = field.inv(lc(g))
-        polys.append(g.scale(inv))
+        polys.append(scale(g, inv))
         row = [ring.zero() for _ in gens]
         row[j] = ring.const(inv)
         reps.append(row)
@@ -121,8 +126,8 @@ def buchberger_with_reps(generators, order):
             continue
         rep_r = _combine(rep_s, cofs, reps)
         inv = field.inv(lc(r))
-        polys.append(r.scale(inv))
-        reps.append([a.scale(inv) for a in rep_r])
+        polys.append(scale(r, inv))
+        reps.append([scale(a, inv) for a in rep_r])
         k = len(polys) - 1
         pairs.update((t, k) for t in range(k))
 
@@ -154,8 +159,8 @@ def buchberger_with_reps(generators, order):
             changed = True
             new_rep = _combine(reps[i], cofs, reps[:i] + reps[i + 1 :])
             inv = field.inv(lc(rem))
-            polys[i] = rem.scale(inv)
-            reps[i] = [a.scale(inv) for a in new_rep]
+            polys[i] = scale(rem, inv)
+            reps[i] = [scale(a, inv) for a in new_rep]
 
     final = sorted(range(len(polys)), key=lm_key, reverse=True)
     return [polys[i] for i in final], [tuple(reps[i]) for i in final]
@@ -173,20 +178,22 @@ def membership_oracle(p: Polynomial, generators, max_cof_degree: int) -> bool:
     if not gens:
         return False
     ring = p.ring
-    field = ring.field
     monos = [m for d in range(max_cof_degree + 1) for m in monomials_of_degree(ring.nvars, d)]
     columns = []
-    target_monos = set(p.terms)
+    target_monos = set(p.nums)
     for g in gens:
         for m in monos:
-            prod = g.mul_term(m, field.one)
+            prod = g.mul_term(m)
             columns.append(prod)
-            target_monos.update(prod.terms)
-    # One augmented row per monomial; column len(columns) holds p.
+            target_monos.update(prod.nums)
+    # One augmented row per monomial; column len(columns) holds p. Each
+    # column is scaled by its polynomial's denominator, and the
+    # right-hand side by p's: the unknowns change by nonzero factors,
+    # which keeps the system's solvability.
     rows = {m: {} for m in sorted(target_monos)}
     for k, col in enumerate(columns):
-        for m, c in col.terms.items():
+        for m, c in col.nums.items():
             rows[m][k] = c
-    for m, c in p.terms.items():
+    for m, c in p.nums.items():
         rows[m][len(columns)] = c
-    return solve_linear(list(rows.values()), len(columns), field) is not None
+    return solve_linear(list(rows.values()), len(columns), ring.field) is not None

@@ -4,8 +4,10 @@ current code is tested against.
 `graded_map` is the loop that `_graded_map` ran before it summed images
 from a table of monomial normal forms: one QUOT normal form per (entry,
 standard monomial) product, read off on the target degree's standard
-monomials. It returns the same (images, source dimension, target
-dimension) triple.
+monomials. Its images hold one field element per coordinate
+(`reference_poly.RefField`), where `_graded_map` returns int images over
+one denominator; it returns (images, source dimension, target
+dimension).
 
 `transport_nullhomotopy` and `lift_chain_map` check first that both
 lifting defects vanish over the quotient, raising NotDivisible with the
@@ -27,9 +29,10 @@ from mfkit.mfcat import (
 from mfkit.periodic import LiftWitness
 from mfkit.tower import Level, RingMatrix, RingTower
 
+from .reference_poly import coeffs
+
 
 def graded_map(tower: RingTower, m: RingMatrix, src_degree: int, entry_degree: int):
-    one = tower.ring.field.one
     src_monos = tower.standard_monomials(src_degree) if src_degree >= 0 else []
     tgt_degree = src_degree + entry_degree
     tgt_monos = tower.standard_monomials(tgt_degree) if tgt_degree >= 0 else []
@@ -41,8 +44,8 @@ def graded_map(tower: RingTower, m: RingMatrix, src_degree: int, entry_degree: i
         for sm in src_monos:
             image = {}
             for i, p in column:
-                prod = tower.normal_form(p.mul_term(sm, one), Level.QUOT)
-                for mono, coeff in prod.terms.items():
+                prod = tower.normal_form(p.mul_term(sm), Level.QUOT)
+                for mono, coeff in coeffs(prod).items():
                     k = tgt_index.get(mono)
                     if k is None:
                         raise VerificationFailure(

@@ -9,7 +9,7 @@ import pytest
 
 from mfkit.cli import main
 
-from .cli_cases import CASES, argv_for
+from .cli_cases import CASES, FIELD_CASES, argv_for
 from .conftest import CORPUS_DIR, GOLDEN_DIR
 
 
@@ -20,7 +20,8 @@ def run_cli(argv) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
-@pytest.mark.parametrize("name,argv,expected", CASES, ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("name,argv,expected", CASES + FIELD_CASES,
+                         ids=[c[0] for c in CASES + FIELD_CASES])
 def test_golden(name, argv, expected):
     code, out = run_cli(argv_for(argv, CORPUS_DIR))
     assert code == expected
@@ -28,7 +29,8 @@ def test_golden(name, argv, expected):
     assert out == golden
 
 
-@pytest.mark.parametrize("name,argv,expected", CASES, ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("name,argv,expected", CASES + FIELD_CASES,
+                         ids=[c[0] for c in CASES + FIELD_CASES])
 def test_two_runs_byte_identical(name, argv, expected):
     first = run_cli(argv_for(argv, CORPUS_DIR))
     second = run_cli(argv_for(argv, CORPUS_DIR))

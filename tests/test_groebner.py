@@ -1,8 +1,6 @@
 """Buchberger engine: bases, normal forms, cofactors, exact division."""
 
 import random
-from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +25,7 @@ from mfkit.poly import MonomialOrder, PolyRing, format_canonical
 from . import reference_groebner
 from .reference_groebner import membership_oracle
 from .genutil import rand_homogeneous_poly, rand_poly
+from .reference_poly import assert_canonical
 
 RXY = PolyRing(("x", "y"), QQ)
 RXYU = PolyRing(("x", "y", "u"), QQ)
@@ -318,16 +317,17 @@ RXYZ = PolyRing(("x", "y", "z"), QQ)
 
 def test_divisor_reused_across_orders():
     # The leading coefficient of g is 3 under lex and -5/2 under grevlex;
-    # its cached integer form is the same object under both orders.
+    # division reads g's own (nums, den) under both orders and leaves
+    # them as they were.
     g = RXYZ.parse("3*x^2 - 5/2*y^3 + 7/4*z")
     h = RXYZ.parse("-2/3*x*y + z^2")
     p = RXYZ.parse("x^4*y^3 + 1/3*x^2*y^5 - y^6 + x*z^3 - 9/8*x^2*z")
     lex, grevlex = MonomialOrder.lex(3), MonomialOrder.grevlex(3)
     assert g.leading_coefficient(lex) != g.leading_coefficient(grevlex)
-    form = g.integer_form()
+    nums, before = g.nums, dict(g.nums)
     for order in (lex, grevlex, lex):
         assert divide_full(p, [g, h], order) == reference_groebner.divide_full(p, [g, h], order)
-    assert g.integer_form() is form
+    assert g.nums is nums and g.nums == before and g.den == 4
 
 
 @pytest.mark.parametrize("order", [MonomialOrder.lex(3), MonomialOrder.grevlex(3)], ids=["lex", "grevlex"])
@@ -339,21 +339,24 @@ def test_coprime_leading_coefficients(order):
     assert (rem, cofs) == reference_groebner.divide_full(p, divisors, order)
     assert rem.degree() == 0
     for q in (rem, *cofs):
-        for c in q.terms.values():
-            assert type(c) is Fraction
-            assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+        assert_canonical(q)
 
 
 def test_field_hooks_of_the_division_loop():
     m, n = (1, 0, 0), (0, 2, 0)
-    assert QQ.integer_form({m: Fraction(1, 6), n: Fraction(-3, 4)}) == ({m: 2, n: -9}, 12)
-    assert QQ.integer_form({}) == ({}, 1)
+    # 1/6 and -3/4 over their least common denominator 12, from any
+    # common denominator and either sign.
+    assert QQ.normalize({m: 2, n: -9}, 12) == ({m: 2, n: -9}, 12)
+    assert QQ.normalize({m: 4, n: -18}, 24) == ({m: 2, n: -9}, 12)
+    assert QQ.normalize({m: -4, n: 18, (0, 0, 1): 0}, -24) == ({m: 2, n: -9}, 12)
+    assert QQ.normalize({m: 0}, 5) == ({}, 1)
     # s > 0 and minimal, whatever the signs: 6 * s == t * (-4).
     assert QQ.cancel(6, -4) == (2, -3)
     assert QQ.cancel(-6, 4) == (2, -3)
     assert QQ.cancel(5, 1) == (1, 5)
     f7 = PrimeField(7)
-    assert f7.integer_form({m: 3}) == ({m: 3}, 1)
+    assert f7.normalize({m: 3}, 1) == ({m: 3}, 1)
+    assert f7.normalize({m: 3, n: 7}, 2) == ({m: 5}, 1)  # 3/2 == 5 mod 7
     assert f7.cancel(3, 5) == (1, 2)  # 3 == 2*5 mod 7
     assert f7.reduce_int(-1) == 6 and QQ.reduce_int(-1) == -1
 

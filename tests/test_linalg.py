@@ -1,7 +1,6 @@
 """The sparse echelon engine against the dense reference it replaced."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +21,7 @@ from mfkit.tower import Level
 
 from . import dense_linalg
 from .genutil import koszul_mf, rand_homogeneous_matrix, rand_nullhomotopic_morphism
+from .reference_poly import RefField, int_row
 
 FIELDS = [QQ, PrimeField(2), PrimeField(32003)]
 
@@ -33,8 +33,7 @@ int_matrices = st.integers(0, 7).flatmap(
 
 
 def sparse(int_rows, field):
-    rows = [{c: field.from_int(v) for c, v in enumerate(row)} for row in int_rows]
-    return [{c: v for c, v in row.items() if v != field.zero} for row in rows]
+    return [{c: r for c, v in enumerate(row) if (r := field.from_int(v))} for row in int_rows]
 
 
 def augmented(int_rows, rhs, field):
@@ -43,12 +42,12 @@ def augmented(int_rows, rhs, field):
 
 
 def check_solution(rows, ncols, x, field):
+    """x = (nums, den) solves the int rows: sum a_c*nums[c] == b*den."""
+    nums, den = x
+    assert len(nums) == ncols and den > 0
     for row in rows:
-        total = field.zero
-        for c, v in row.items():
-            if c < ncols:
-                total = field.add(total, field.mul(v, x[c]))
-        assert total == row.get(ncols, field.zero)
+        total = sum(v * nums[c] for c, v in row.items() if c < ncols)
+        assert field.reduce_int(total - row.get(ncols, 0) * den) == 0
 
 
 @given(int_matrices, st.sampled_from(FIELDS))
@@ -72,7 +71,7 @@ def test_solution_matches_dense(int_rows, data, field):
     assert x == dense_linalg.solve_linear(rows, ncols, field)
     assert linalg.solve_linear(rows[::-1], ncols, field) == x
     if x is not None:
-        assert len(x) == ncols
+        assert len(x[0]) == ncols
         check_solution(rows, ncols, x, field)
 
 
@@ -89,14 +88,13 @@ def test_inconsistent_system_has_no_solution(int_rows, data, field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_degenerate_systems(field):
-    zero, one = field.zero, field.one
     assert linalg.matrix_rank([], field) == 0
     assert linalg.matrix_rank([{}, {}, {}], field) == 0
-    assert linalg.solve_linear([], 3, field) == [zero] * 3
-    assert linalg.solve_linear([{}, {}], 2, field) == [zero] * 2
-    assert linalg.solve_linear([{0: one, 2: one}, {}], 2, field) == [one, zero]
-    assert linalg.solve_linear([{2: one}], 2, field) is None
-    assert linalg.solve_linear([{0: one}], 0, field) is None
+    assert linalg.solve_linear([], 3, field) == ([0] * 3, 1)
+    assert linalg.solve_linear([{}, {}], 2, field) == ([0] * 2, 1)
+    assert linalg.solve_linear([{0: 1, 2: 1}, {}], 2, field) == ([1, 0], 1)
+    assert linalg.solve_linear([{2: 1}], 2, field) is None
+    assert linalg.solve_linear([{0: 1}], 0, field) is None
 
 
 BIG_DEN = 2**40 + 15
@@ -115,18 +113,20 @@ def element(field, n, d):
 def draw_row(data, field, ncols):
     pairs = data.draw(st.lists(st.tuples(numerators, denominators), min_size=ncols, max_size=ncols))
     row = {c: element(field, n, d) for c, (n, d) in enumerate(pairs)}
-    return {c: v for c, v in row.items() if v != field.zero}
+    return {c: v for c, v in row.items() if v}
 
 
 def combination(data, field, rows):
-    """a*rows[i] + b*rows[j] for drawn i, j and field elements a, b."""
+    """a*rows[i] + b*rows[j] for drawn i, j and field elements a, b,
+    one reference field operation per entry."""
+    ref = RefField(field)
     i, j = (data.draw(st.integers(0, len(rows) - 1)) for _ in range(2))
     a, b = (element(field, *data.draw(st.tuples(numerators, denominators))) for _ in range(2))
     out = {}
     for r, k in ((rows[i], a), (rows[j], b)):
         for c, v in r.items():
-            out[c] = field.add(out.get(c, field.zero), field.mul(k, v))
-    return {c: v for c, v in out.items() if v != field.zero}
+            out[c] = ref.add(out.get(c, ref.zero), ref.mul(k, v))
+    return {c: v for c, v in out.items() if v}
 
 
 def draw_rational_rows(data, field, ncols):
@@ -136,13 +136,13 @@ def draw_rational_rows(data, field, ncols):
     rows = [draw_row(data, field, ncols) for _ in range(data.draw(st.integers(0, 5)))]
     if rows:
         rows += [combination(data, field, rows) for _ in range(data.draw(st.integers(0, 3)))]
-    rows += [{}, {c: field.zero for c in range(ncols)}][: data.draw(st.integers(0, 2))]
+    rows += [{}, {c: 0 for c in range(ncols)}][: data.draw(st.integers(0, 2))]
     return data.draw(st.permutations(rows))
 
 
 @given(st.data(), st.sampled_from(FIELDS), st.integers(0, 6))
 def test_rational_rank_matches_dense(data, field, ncols):
-    rows = draw_rational_rows(data, field, ncols)
+    rows = [int_row(r) for r in draw_rational_rows(data, field, ncols)]
     pivots: dict[int, dict] = {}
     for row in rows:
         linalg._insert(pivots, row, field)
@@ -163,9 +163,11 @@ def test_rational_solution_matches_dense(data, field, ncols):
     if rows and data.draw(st.booleans()):
         # 0 = 1 in every characteristic: a combination of the rows with
         # its right-hand side moved by one.
+        ref = RefField(field)
         bad = combination(data, field, rows)
-        bad[ncols] = field.add(bad.get(ncols, field.zero), field.one)
-        rows.append({c: v for c, v in bad.items() if v != field.zero})
+        bad[ncols] = ref.add(bad.get(ncols, ref.zero), ref.one)
+        rows.append({c: v for c, v in bad.items() if v})
+    rows = [int_row(r) for r in rows]
     x = linalg.solve_linear(rows, ncols, field)
     assert x == dense_linalg.solve_linear(rows, ncols, field)
     assert linalg.solve_linear(rows[::-1], ncols, field) == x
@@ -174,11 +176,12 @@ def test_rational_solution_matches_dense(data, field, ncols):
 
 
 def test_qq_elimination_divides_out_the_content():
-    # Rows enter as (2, 1) and (3, 3). cancel(3, 2) scales the second by
-    # s = 2: 2*(3, 3) - 3*(2, 1) = (0, 3), stored as its primitive (0, 1).
+    # Rows enter as (2, 1) and (3, 3), the int forms of (1/2, 1/4) and
+    # (3/7, 3/7). cancel(3, 2) scales the second by s = 2:
+    # 2*(3, 3) - 3*(2, 1) = (0, 3), stored as its primitive (0, 1).
     pivots: dict[int, dict] = {}
-    assert linalg._insert(pivots, {0: Fraction(1, 2), 1: Fraction(1, 4)}, QQ) == 0
-    assert linalg._insert(pivots, {0: Fraction(3, 7), 1: Fraction(3, 7)}, QQ) == 1
+    assert linalg._insert(pivots, {0: 2, 1: 1}, QQ) == 0
+    assert linalg._insert(pivots, {0: 3, 1: 3}, QQ) == 1
     assert pivots == {0: {0: 2, 1: 1}, 1: {1: 1}}
 
 
@@ -195,10 +198,12 @@ def test_prime_field_elimination_reduces_each_entry():
 def test_solution_divides_by_each_pivot(field):
     # No pivot is normalized to 1: x0 + 2*x1 = 3 and 2*x1 = 2 give (1, 1),
     # and 3*x0 = 3 with x1 free gives (1, 0).
-    one, two, three = (field.from_int(n) for n in (1, 2, 3))
-    rows = [{0: one, 1: two, 2: three}, {1: two, 2: two}]
-    assert linalg.solve_linear(rows, 2, field) == [one, one]
-    assert linalg.solve_linear([{0: three, 2: three}], 2, field) == [one, field.zero]
+    rows = [{0: 1, 1: 2, 2: 3}, {1: 2, 2: 2}]
+    assert linalg.solve_linear(rows, 2, field) == ([1, 1], 1)
+    assert linalg.solve_linear([{0: 3, 2: 3}], 2, field) == ([1, 0], 1)
+    # Over QQ, x0 = 1/2 and x1 = 1/3 come back over their lcm 6.
+    if field == QQ:
+        assert linalg.solve_linear([{0: 2, 2: 1}, {1: 3, 2: 1}], 2, field) == ([3, 2], 6)
 
 
 def window_delta(mf, rng):

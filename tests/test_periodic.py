@@ -180,6 +180,24 @@ class TestTransport:
                 assert h.theta is th
                 assert h.theta_prime.f.is_zero()
 
+    def test_quot_level_diagonals_are_a_level_error(self, objects):
+        # Diagonals at QUOT are a level error (exit 3, like every other
+        # level check), for a MID theta and for its reduction alike.
+        a = objects["A"]
+        z = RingMatrix.zeros(a.tower, Level.QUOT, 1, 1)
+        theta = zero_morphism(a, a)
+        for th in (theta, reduce_morphism(theta)):
+            with pytest.raises(LevelMismatch, match="s1 must be a MID-level matrix, got QUOT"):
+                HomotopyTransportInput(th, z, z, z)
+        zm = RingMatrix.zeros(a.tower, Level.MID, 1, 1)
+        with pytest.raises(LevelMismatch, match="f must be a MID-level matrix, got QUOT"):
+            HomotopyTransportInput(reduce_morphism(theta), zm, zm, zm)
+        c = reduce_object(a)
+        with pytest.raises(LevelMismatch, match="g1 must be a MID-level matrix, got QUOT"):
+            ChainLiftInput(a, a, z, z, z)
+        with pytest.raises(LevelMismatch, match="phi1 must be a MID-level matrix, got QUOT"):
+            ChainLiftInput(c, c, zm, zm, zm)
+
 
 class TestLift:
     def test_identity_lifts(self, objects):
@@ -403,6 +421,7 @@ def test_graded_map_matches_reference_loop(name, objects):
     from mfkit import periodic
 
     from . import reference_periodic
+    from .reference_poly import RefField
 
     c, top = _graded_case(name, objects)
     tower = c.tower
@@ -413,9 +432,12 @@ def test_graded_map_matches_reference_loop(name, objects):
     for d in range(top, -2, -1):
         for m in maps:
             e = periodic._uniform_entry_degree(m)
-            got = periodic._graded_map(tower, m, d, e, table)
-            assert got == reference_periodic.graded_map(tower, m, d, e)
-            nonzero += sum(map(bool, got[0]))
+            images, den, src_dim, tgt_dim = periodic._graded_map(tower, m, d, e, table)
+            ref = RefField(tower.ring.field)
+            got = [{k: c for k, v in image.items() if (c := ref.of(v, den))} for image in images]
+            assert (got, src_dim, tgt_dim) == reference_periodic.graded_map(tower, m, d, e)
+            assert all(type(v) is int for image in images for v in image.values())
+            nonzero += sum(map(bool, got))
     assert nonzero
 
 
@@ -497,6 +519,32 @@ def test_broken_lifting_inputs_raise_the_reference_message(name, field_name):
             ref.lift_chain_map(a, a, *args)
         assert str(got.value) == str(expected.value)
         assert str(got.value).startswith(want)
+
+
+@pytest.mark.parametrize("field_name", ["qq", "fp:32003"])
+def test_lifting_defects_take_no_matrix_products(monkeypatch, field_name):
+    # Each defect entry is one sum of products and one normal form; the
+    # quotients equal those of the product-by-product defects.
+    from mfkit import periodic
+
+    a = _corpus_over(field_name)["koszul-3"]
+    (th, s1, t, s2), (g1, f0, g0) = _lifting_inputs(a, random.Random(52))
+    src = tgt = a
+    tower = a.tower
+    expected = [
+        periodic._divide_matrix(tower, th.f - s2 @ src.phi - tgt.psi @ t, ""),
+        periodic._divide_matrix(tower, th.g - t @ src.psi - tgt.phi @ s1, ""),
+        periodic._divide_matrix(tower, tgt.phi @ f0 - g0 @ src.phi, ""),
+        periodic._divide_matrix(tower, tgt.psi @ g1 - f0 @ src.psi, ""),
+    ]
+
+    def no_products(*args):
+        raise AssertionError("matrix product in a lifting input")
+
+    monkeypatch.setattr(RingMatrix, "__matmul__", no_products)
+    transport = HomotopyTransportInput(th, s1, t, s2)
+    lift = ChainLiftInput(a, a, g1, f0, g0)
+    assert [transport.p_corr, transport.q_corr, lift.phi_gap, lift.psi_gap] == expected
 
 
 def test_lifting_algorithms_reuse_the_inputs_quotients(monkeypatch, objects):
