@@ -17,11 +17,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from mfkit.errors import NotHomogeneous  # noqa: E402
-from mfkit.mfcat import MfMorphism, identity_morphism, mapping_cone, suspend  # noqa: E402
+from mfkit.mfcat import MfMorphism, dual_mf, identity_morphism, mapping_cone, suspend  # noqa: E402
 from mfkit.periodic import (  # noqa: E402
     ChainLiftInput,
     HomotopyTransportInput,
-    dual_reduction_check,
     graded_acyclicity_window,
     graded_nullhomotopy_window,
     lift_chain_map,
@@ -68,7 +67,7 @@ def demo_file(name: str, rng: random.Random):
               f"{suspend(suspend(mf)) == mf}")
         complex_ = reduce_object(mf)
         print(f"   reduction twist {twist_of(tower)}; transpose/reduce commute: "
-              f"{dual_reduction_check(mf).matches}")
+              f"{reduce_object(dual_mf(mf)) == dual_mf(complex_)}")
         try:
             report = graded_acyclicity_window(complex_, 0, 6)
             print(f"   acyclicity window 0..6 all zero: {report.all_zero}")

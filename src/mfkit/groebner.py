@@ -394,9 +394,11 @@ def krull_dimension(basis: GroebnerBasis, nvars: int) -> int:
 
 
 def _degree_monomials(nvars: int, degree: int):
-    """All exponent tuples of the given total degree, lexicographically."""
+    """All exponent tuples of the given total degree, lexicographically;
+    none for a negative degree."""
     if nvars == 1:
-        yield (degree,)
+        if degree >= 0:
+            yield (degree,)
         return
     for e in range(degree, -1, -1):
         for rest in _degree_monomials(nvars - 1, degree - e):

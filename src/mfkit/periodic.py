@@ -23,12 +23,18 @@ Two constructive algorithms cross the quotient in the other direction:
 Degree-window oracles verify acyclicity and nullhomotopy statements on
 finite windows by exact linear algebra over the coefficient field for
 graded data; a window verdict is evidence for the infinite statement,
-not a proof.
+not a proof. Multiplication by a matrix on graded pieces is read from
+the tower's table of monomial normal forms (`RingTower.quot_coords`),
+which every window on that tower shares. The nullhomotopy window states
+its homotopy equations, one matrix equation per position, through one
+builder of graded linear systems (`_GradedSystem`), solves them at once
+and re-verifies each with matrix arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from math import lcm
 from operator import add
 
@@ -92,23 +98,6 @@ def reduce_homotopy(h: MfHomotopy) -> MfHomotopy:
         h.s.reduce_to(Level.QUOT),
         h.t.reduce_to(Level.QUOT),
     )
-
-
-@dataclass
-class DualReductionReport:
-    """Comparison of reduce(dual) against the dual of the reduction."""
-
-    matches: bool
-    reduced_dual: MatrixFactorization
-    transposed_reduction: MatrixFactorization
-
-
-def dual_reduction_check(a: MatrixFactorization) -> DualReductionReport:
-    """Transpose commutes with reduction; this is the computational core
-    of total acyclicity of the reduced complex."""
-    reduced_dual = reduce_object(dual_mf(a))
-    transposed = dual_mf(reduce_object(a))
-    return DualReductionReport(reduced_dual == transposed, reduced_dual, transposed)
 
 
 def _divide_matrix(tower: RingTower, m: RingMatrix, failure: str) -> RingMatrix:
@@ -343,54 +332,7 @@ def _uniform_entry_degree(m: RingMatrix) -> int | None:
     return degs.pop()
 
 
-class _QuotNormalForms:
-    """QUOT normal forms of monomials, as int coordinate vectors.
-
-    The vector of a monomial m is a pair (coords, den) with coords a list
-    of (k, c) over ints: the normal form of m is the sum of c/den times
-    standard monomial k of m's degree, indexed as in
-    `tower.standard_monomials`. These are the normal form's own (nums,
-    den), so den is 1 over GF(p) and for integral normal forms over QQ.
-    Normal form is linear, so the image of p*s is the sum of c_t times
-    the vector of m_t*s over the terms c_t*m_t of p, and each monomial's
-    normal form is computed once per table. A window call makes one
-    table, shares it between every graded map it builds, and drops it
-    when it returns.
-    """
-
-    __slots__ = ("tower", "_indexes", "_vectors")
-
-    def __init__(self, tower: RingTower):
-        self.tower = tower
-        self._indexes: dict[int, dict] = {}
-        self._vectors: dict[tuple, tuple] = {}
-
-    def vector(self, mono: tuple) -> tuple[list, int]:
-        vec = self._vectors.get(mono)
-        if vec is not None:
-            return vec
-        tower = self.tower
-        degree = sum(mono)
-        index = self._indexes.get(degree)
-        if index is None:
-            index = {m: k for k, m in enumerate(tower.standard_monomials(degree))}
-            self._indexes[degree] = index
-        nf = tower.normal_form(tower.ring.monomial(mono), Level.QUOT)
-        coords = []
-        for m, c in nf.nums.items():
-            k = index.get(m)
-            if k is None:
-                raise VerificationFailure(
-                    "graded piece bookkeeping failed: unexpected monomial"
-                )
-            coords.append((k, c))
-        vec = (coords, nf.den)
-        self._vectors[mono] = vec
-        return vec
-
-
-def _graded_map(tower: RingTower, m: RingMatrix, src_degree: int, entry_degree: int,
-                table: _QuotNormalForms):
+def _graded_map(tower: RingTower, m: RingMatrix, src_degree: int, entry_degree: int):
     """Sparse image vectors of multiplication by m on graded pieces.
 
     The source is (piece of src_degree)^ncols, the target (piece of
@@ -398,9 +340,9 @@ def _graded_map(tower: RingTower, m: RingMatrix, src_degree: int, entry_degree: 
     Source basis element (j, s), index j*len(src) + s, is the standard
     monomial s in slot j; it maps to column j of m times s, in normal
     form at QUOT, a vector over target indices i*len(tgt) + t, summed
-    from the normal forms of the product monomials in `table`. Every
-    nonzero entry of m is homogeneous of entry_degree, so each product
-    monomial lies in the target degree.
+    from the normal forms of the product monomials in the tower's
+    `quot_coords` table. Every nonzero entry of m is homogeneous of
+    entry_degree, so each product monomial lies in the target degree.
 
     Returns (images, den, source dimension, target dimension): images[k]
     is an int dict with the image of source element k equal to
@@ -413,10 +355,9 @@ def _graded_map(tower: RingTower, m: RingMatrix, src_degree: int, entry_degree: 
     lcm. The rank of the map is the rank of its int image rows.
     """
     # A table hit is one dict lookup, with no call.
-    cached, vector = table._vectors.get, table.vector
-    src_monos = tower.standard_monomials(src_degree) if src_degree >= 0 else []
-    tgt_degree = src_degree + entry_degree
-    ntgt = len(tower.standard_monomials(tgt_degree)) if tgt_degree >= 0 else 0
+    cached, vector = tower._quot_coords.get, tower.quot_coords
+    src_monos = tower.standard_monomials(src_degree)
+    ntgt = len(tower.standard_monomials(src_degree + entry_degree))
     images: list[dict] = []
     den = 1
     for j in range(m.ncols):
@@ -446,6 +387,119 @@ def _graded_map(tower: RingTower, m: RingMatrix, src_degree: int, entry_degree: 
                         image[key] = image.get(key, 0) + coeff * c
             images.append(image)
     return images, den, len(src_monos) * m.ncols, ntgt * m.nrows
+
+
+class _GradedSystem:
+    """An exact linear system for unknown QUOT matrices with graded entries.
+
+    `unknown` adds a matrix whose entries range over one graded piece;
+    the coefficient of standard monomial k in entry (i, j) of an unknown
+    is variable offset + (i*ncols + j)*len(piece) + k, with offsets in
+    creation order. `equation` adds the equations c == sum of A@X +
+    sum of X@B, one per entry of c and standard monomial of the
+    equation's degree, read off the graded maps of A and of B transposed.
+    `solve` sets free variables to zero, so the solution does not depend
+    on the order of the equations, and re-verifies every equation with
+    matrix arithmetic before it returns.
+    """
+
+    __slots__ = ("tower", "nvars", "_unknowns", "_rows", "_equations")
+
+    def __init__(self, tower: RingTower):
+        self.tower = tower
+        self.nvars = 0
+        self._unknowns: list[tuple] = []     # (offset, nrows, ncols, degree)
+        self._rows: list[tuple[dict, int]] = []  # (coefficients, right-hand side)
+        self._equations: list[tuple] = []
+
+    def unknown(self, nrows: int, ncols: int, degree: int) -> int:
+        """Add an unknown nrows x ncols matrix with entries in the graded
+        piece of `degree`; returns its handle."""
+        self._unknowns.append((self.nvars, nrows, ncols, degree))
+        self.nvars += nrows * ncols * len(self.tower.standard_monomials(degree))
+        return len(self._unknowns) - 1
+
+    def equation(self, c: RingMatrix, degree: int, left=(), right=()):
+        """Add c == sum of A@X over (A, X) in `left` + sum of X@B over
+        (X, B) in `right`, where X are unknown handles.
+
+        Every entry of c and every product must be homogeneous of
+        `degree`; NotHomogeneous otherwise. The rows of one call share
+        one denominator, so every coefficient is an int.
+        """
+        tower = self.tower
+        ntgt = len(tower.standard_monomials(degree))
+        rows, cols = c.nrows, c.ncols
+        # A term is (graded map of M, unknown, left?). For A@X, unknown
+        # (r, j, k) enters entry (i, j) through column r of A; for X@B,
+        # unknown (i, r, k) enters entry (i, j) through column r of B^T.
+        terms = []
+        for m, x, is_left in [*((a, x, True) for a, x in left),
+                              *((b.transpose(), x, False) for x, b in right)]:
+            xdeg = self._unknowns[x][3]
+            if _uniform_entry_degree(m) not in (None, degree - xdeg):
+                raise NotHomogeneous("product left the graded piece of its equation")
+            terms.append((_graded_map(tower, m, xdeg, degree - xdeg), x, is_left))
+        rhs = []
+        for i, line in enumerate(c.entries):
+            for j, e in enumerate(line):
+                for mono, coeff in e.nums.items():
+                    if sum(mono) != degree:
+                        raise NotHomogeneous("equation entry outside its graded piece")
+                    coords, vden = tower.quot_coords(mono)
+                    rhs.extend(((i * cols + j) * ntgt + k, coeff * v, e.den * vden)
+                               for k, v in coords)
+        den = lcm(*[d for (_, d, _, _), _, _ in terms], *[d for _, _, d in rhs])
+        eqs = [{} for _ in range(rows * cols * ntgt)]
+        b = [0] * len(eqs)
+        for row, coeff, d in rhs:
+            b[row] += coeff * (den // d)
+        for (images, mden, _, _), x, is_left in terms:
+            offset, xrows, xcols, xdeg = self._unknowns[x]
+            size = len(tower.standard_monomials(xdeg))
+            # Variable (r, f, k) and equation (a, f, t), with f the
+            # unknown's index that the product leaves alone.
+            if is_left:
+                free, var_r, var_f, row_a, row_f = xcols, xcols * size, size, cols * ntgt, ntgt
+            else:
+                free, var_r, var_f, row_a, row_f = xrows, size, xcols * size, ntgt, cols * ntgt
+            scale = den // mden
+            for src_k, image in enumerate(images):
+                r, k = divmod(src_k, size)
+                for f in range(free):
+                    var = offset + r * var_r + f * var_f + k
+                    for tgt_k, coeff in image.items():
+                        a, t = divmod(tgt_k, ntgt)
+                        eq = eqs[a * row_a + f * row_f + t]
+                        eq[var] = eq.get(var, 0) + coeff * scale
+        self._rows.extend(zip(eqs, b))
+        self._equations.append((c, left, right))
+
+    def solve(self) -> list[RingMatrix] | None:
+        """The unknowns, free variables set to zero, or None when the
+        system is inconsistent. VerificationFailure if the solution
+        fails an equation."""
+        tower, n = self.tower, self.nvars
+        rows = [{**eq, n: b} if b else eq for eq, b in self._rows]
+        solution = linalg.solve_linear(rows, n, tower.ring.field)
+        if solution is None:
+            return None
+        nums, den = solution
+        xs = []
+        for offset, nrows, ncols, degree in self._unknowns:
+            monos = tower.standard_monomials(degree)
+            size = len(monos)
+            coeffs = [nums[offset + cell * size:offset + (cell + 1) * size]
+                      for cell in range(nrows * ncols)]
+            entries = [[tower.ring.from_ints(dict(zip(monos, coeffs[i * ncols + j])), den)
+                        for j in range(ncols)] for i in range(nrows)]
+            # Combinations of standard monomials are in QUOT normal form.
+            xs.append(RingMatrix(tower, Level.QUOT, entries, nrows, ncols, normalize=False))
+        for c, left, right in self._equations:
+            products = [a @ xs[x] for a, x in left] + [xs[x] @ b for x, b in right]
+            if c != reduce(add, products):
+                raise VerificationFailure("graded system solution failed re-verification")
+        return xs
 
 
 @dataclass(frozen=True)
@@ -495,17 +549,24 @@ class AcyclicityReport:
         return self._table(self.dual_rows)
 
 
-def _window_rows(c: MatrixFactorization, d_min: int, d_max: int, budget: int,
-                 table: _QuotNormalForms) -> list[HomologyRow]:
-    tower = c.tower
-    field = tower.ring.field
+def _entry_degrees(c: MatrixFactorization) -> tuple[int | None, int | None]:
+    """The uniform entry degrees of phi and psi (None for a zero matrix).
+    Raises NotHomogeneous unless, when both are known, they add up to
+    the twist."""
     e_phi = _uniform_entry_degree(c.phi)
     e_psi = _uniform_entry_degree(c.psi)
-    twist = twist_of(tower)
+    twist = twist_of(c.tower)
     if e_phi is not None and e_psi is not None and e_phi + e_psi != twist:
         raise NotHomogeneous(
             f"entry degrees {e_phi}+{e_psi} do not add up to the twist {twist}"
         )
+    return e_phi, e_psi
+
+
+def _window_rows(c: MatrixFactorization, d_min: int, d_max: int, budget: int) -> list[HomologyRow]:
+    tower = c.tower
+    field = tower.ring.field
+    e_phi, e_psi = _entry_degrees(c)
     max_needed = d_max + max(e for e in (e_phi, e_psi, 0) if e is not None)
     if max_needed > budget:
         raise BudgetExceeded(
@@ -524,13 +585,13 @@ def _window_rows(c: MatrixFactorization, d_min: int, d_max: int, budget: int,
             return 0
         key = (name, src_degree)
         if key not in ranks:
-            images, _, src_dim, tgt_dim = _graded_map(tower, m, src_degree, entry_degree, table)
+            images, _, src_dim, tgt_dim = _graded_map(tower, m, src_degree, entry_degree)
             ranks[key] = linalg.matrix_rank(images, field) if src_dim and tgt_dim else 0
         return ranks[key]
 
     out = []
     for d in range(d_min, d_max + 1):
-        piece = len(tower.standard_monomials(d)) if d >= 0 else 0
+        piece = len(tower.standard_monomials(d))
         # F-position: out by phi, in by psi.
         ker = piece * c.rank_f - rank_of("phi", d)
         im = rank_of("psi", d - (e_psi or 0))
@@ -551,11 +612,8 @@ def graded_acyclicity_window(c: MatrixFactorization, d_min: int, d_max: int,
     _require_graded(c)
     if d_min > d_max:
         raise EmptyWindow(f"empty degree window {d_min}..{d_max}")
-    # The dual's maps are the transposed matrices on the same pieces, so
-    # both share one table of normal forms.
-    table = _QuotNormalForms(c.tower)
-    rows = _window_rows(c, d_min, d_max, budget, table)
-    dual_rows = _window_rows(dual_mf(c), d_min, d_max, budget, table)
+    rows = _window_rows(c, d_min, d_max, budget)
+    dual_rows = _window_rows(dual_mf(c), d_min, d_max, budget)
     return AcyclicityReport(d_min, d_max, rows, dual_rows)
 
 
@@ -583,8 +641,8 @@ def graded_nullhomotopy_window(delta: MfMorphism, p_min: int, p_max: int,
     Solves the homotopy equations at positions p_min+1..p_max for
     unknown diagonal matrices at p_min..p_max (one per position, not
     assumed periodic). Unknown entries are homogeneous of the degree
-    forced by the grading; the equations decompose into exact linear
-    systems over the coefficient field, solved degreewise.
+    forced by the grading; all equations form one exact linear system
+    over the coefficient field.
     """
     src, tgt = delta.source, delta.target
     tower = src.tower
@@ -593,18 +651,15 @@ def graded_nullhomotopy_window(delta: MfMorphism, p_min: int, p_max: int,
         raise EmptyWindow(
             f"position window {p_min}..{p_max} must contain at least two positions"
         )
-
+    positions = list(range(p_min, p_max + 1))
+    # Diagonals out of even positions map F1 -> G2, out of odd ones G1 -> F2.
+    shapes = ((tgt.rank_g, src.rank_f), (tgt.rank_f, src.rank_g))
     if delta.is_zero():
-        positions = list(range(p_min, p_max + 1))
-        diagonals = [
-            _sigma_zero(tower, src, tgt, p) for p in positions
-        ]
+        diagonals = [RingMatrix.zeros(tower, Level.QUOT, *shapes[p % 2]) for p in positions]
         return NullhomotopyWindow(True, positions, diagonals, positions[1:])
 
-    e_phi1 = _uniform_entry_degree(src.phi)
-    e_psi1 = _uniform_entry_degree(src.psi)
-    e_phi2 = _uniform_entry_degree(tgt.phi)
-    e_psi2 = _uniform_entry_degree(tgt.psi)
+    e_phi1, e_psi1 = _entry_degrees(src)
+    e_phi2, e_psi2 = _entry_degrees(tgt)
     d_f = _uniform_entry_degree(delta.f)
     d_g = _uniform_entry_degree(delta.g)
     if None in (e_phi1, e_psi1, e_phi2, e_psi2):
@@ -631,137 +686,17 @@ def graded_nullhomotopy_window(delta: MfMorphism, p_min: int, p_max: int,
             f"window needs graded pieces up to degree {needed}, budget is {budget}"
         )
 
-    positions = list(range(p_min, p_max + 1))
-    # Unknowns: the coefficient of standard monomial k in entry (i, j) of
-    # the diagonal out of position p is variable
-    # offset + (i*shape[1] + j)*len(monos) + k.
-    layout = {}
-    nvars = 0
-    for p in positions:
-        shape, deg = _sigma_shape(src, tgt, p, t_deg, s_deg)
-        monos = tower.standard_monomials(deg) if deg >= 0 else []
-        layout[p] = (nvars, shape, deg, monos)
-        nvars += shape[0] * shape[1] * len(monos)
-
-    # Augmented sparse int rows; column nvars holds the right-hand side.
-    rows: list[dict] = []
-    reduce_int = tower.ring.field.reduce_int
-    table = _QuotNormalForms(tower)
-
-    def add_equations(p: int):
-        # Equation at position p: delta_p = d2_{p+1} @ sigma_p + sigma_{p-1} @ d1_p
+    system = _GradedSystem(tower)
+    sigma = {p: system.unknown(*shapes[p % 2], (t_deg, s_deg)[p % 2]) for p in positions}
+    # The equation at position p: delta_p == d2_{p+1}@sigma_p + sigma_{p-1}@d1_p.
+    # Every product in it has the degree of d_f (even p) or of d_g (odd p),
+    # as the entry degrees of source and target add up to the twist.
+    for p in positions[1:]:
         if p % 2 == 0:
-            lhs = delta.f
-            lhs_deg = d_f if d_f is not None else (t_deg + e_psi2)
-            left_mat, e_left = tgt.psi, e_psi2     # multiplies sigma_p
-            right_mat, e_right = src.phi, e_phi1   # multiplied by sigma_{p-1}
+            system.equation(delta.f, t_deg + e_psi2, [(tgt.psi, sigma[p])], [(sigma[p - 1], src.phi)])
         else:
-            lhs = delta.g
-            lhs_deg = d_g if d_g is not None else (s_deg + e_phi2)
-            left_mat, e_left = tgt.phi, e_phi2
-            right_mat, e_right = src.psi, e_psi1
-        tgt_monos = tower.standard_monomials(lhs_deg) if lhs_deg >= 0 else []
-        tgt_idx = {m: k for k, m in enumerate(tgt_monos)}
-        ntgt = len(tgt_monos)
-        ncols = lhs.ncols
-        eqs = [{} for _ in range(lhs.nrows * ncols * ntgt)]
-        rhs = []
-        for i in range(lhs.nrows):
-            for j in range(ncols):
-                entry = lhs.entries[i][j]
-                for mono, coeff in entry.nums.items():
-                    k = tgt_idx.get(mono)
-                    if k is None:
-                        raise NotHomogeneous("chain map entry outside its graded piece")
-                    rhs.append(((i * ncols + j) * ntgt + k, coeff, entry.den))
-
-        def images(m: RingMatrix, src_degree: int, entry_degree: int):
-            found, den, _, _ = _graded_map(tower, m, src_degree, entry_degree, table)
-            if src_degree + entry_degree != lhs_deg and any(
-                    reduce_int(v) for image in found for v in image.values()):
-                raise NotHomogeneous("product left the graded window")
-            return found, den
-
-        left_offset, (_, left_cols), left_deg, left_monos = layout[p]
-        left, left_den = images(left_mat, left_deg, e_left)
-        right_offset, (_, right_cols), right_deg, right_monos = layout[p - 1]
-        right, right_den = images(right_mat.transpose(), right_deg, e_right)
-        # Every equation of this position is scaled by one common
-        # denominator, so that all its coefficients are ints.
-        den = lcm(left_den, right_den, *[d for _, _, d in rhs])
-        for row, coeff, d in rhs:
-            eqs[row][nvars] = coeff * (den // d)
-        # left_mat @ sigma_p: unknown (r, j, k) of sigma_p enters entry (i, j)
-        # through column r of left_mat.
-        scale = den // left_den
-        for src_k, image in enumerate(left):
-            r, k = divmod(src_k, len(left_monos))
-            for j in range(ncols):
-                var = left_offset + (r * left_cols + j) * len(left_monos) + k
-                for tgt_k, coeff in image.items():
-                    i, t = divmod(tgt_k, ntgt)
-                    eqs[(i * ncols + j) * ntgt + t][var] = coeff * scale
-        # sigma_{p-1} @ right_mat: unknown (i, r, k) of sigma_{p-1} enters
-        # entry (i, j) through row r of right_mat.
-        scale = den // right_den
-        for src_k, image in enumerate(right):
-            r, k = divmod(src_k, len(right_monos))
-            for i in range(lhs.nrows):
-                var = right_offset + (i * right_cols + r) * len(right_monos) + k
-                for tgt_k, coeff in image.items():
-                    j, t = divmod(tgt_k, ntgt)
-                    eqs[(i * ncols + j) * ntgt + t][var] = coeff * scale
-        rows.extend(eqs)
-
-    for p in range(p_min + 1, p_max + 1):
-        add_equations(p)
-
-    if not rows:
-        return NullhomotopyWindow(False)
-    solution = linalg.solve_linear(rows, nvars, tower.ring.field)
-    if solution is None:
+            system.equation(delta.g, s_deg + e_phi2, [(tgt.phi, sigma[p])], [(sigma[p - 1], src.psi)])
+    diagonals = system.solve()
+    if diagonals is None:
         return NullhomotopyWindow(False, positions)
-    nums, den = solution
-
-    diagonals = []
-    for p in positions:
-        offset, shape, _, monos = layout[p]
-        entries = []
-        for i in range(shape[0]):
-            row_entries = []
-            for j in range(shape[1]):
-                base = offset + (i * shape[1] + j) * len(monos)
-                coeffs = dict(zip(monos, nums[base:base + len(monos)]))
-                row_entries.append(tower.ring.from_ints(coeffs, den))
-            entries.append(row_entries)
-        # Combinations of standard monomials are in QUOT normal form.
-        diagonals.append(
-            RingMatrix(tower, Level.QUOT, entries, shape[0], shape[1], normalize=False)
-        )
-
-    verified = []
-    for idx, p in enumerate(positions[1:], start=1):
-        sigma_p = diagonals[idx]
-        sigma_q = diagonals[idx - 1]
-        if p % 2 == 0:
-            ok = delta.f == tgt.psi @ sigma_p + sigma_q @ src.phi
-        else:
-            ok = delta.g == tgt.phi @ sigma_p + sigma_q @ src.psi
-        if not ok:
-            raise VerificationFailure("window solution failed re-verification")
-        verified.append(p)
-    return NullhomotopyWindow(True, positions, diagonals, verified)
-
-
-def _sigma_shape(src: MatrixFactorization, tgt: MatrixFactorization, p: int,
-                 t_deg: int, s_deg: int):
-    """Shape and entry degree of the diagonal out of position p."""
-    if p % 2 == 0:
-        return (tgt.rank_g, src.rank_f), t_deg
-    return (tgt.rank_f, src.rank_g), s_deg
-
-
-def _sigma_zero(tower: RingTower, src: MatrixFactorization, tgt: MatrixFactorization,
-                p: int) -> RingMatrix:
-    shape, _ = _sigma_shape(src, tgt, p, 0, 0)
-    return RingMatrix.zeros(tower, Level.QUOT, shape[0], shape[1])
+    return NullhomotopyWindow(True, positions, diagonals, positions[1:])

@@ -159,6 +159,8 @@ class RingTower:
         "validation",
         "_division",
         "_std_monos",
+        "_std_index",
+        "_quot_coords",
     )
 
     def __init__(self, ring, order, seq_gens, w_coords, basis_change, mid_gens, w,
@@ -175,6 +177,8 @@ class RingTower:
         self.validation = validation
         self._division = division
         self._std_monos = {}
+        self._std_index = {}
+        self._quot_coords = {}
 
     def basis_for(self, level: Level) -> GroebnerBasis | None:
         if level == Level.BASE:
@@ -198,7 +202,8 @@ class RingTower:
         return all(g.is_homogeneous() for g in self.seq_gens) and self.w.is_homogeneous()
 
     def standard_monomials(self, degree: int) -> list:
-        """Monomial basis of the QUOT-level graded piece of this degree."""
+        """Monomial basis of the QUOT-level graded piece of this degree;
+        empty for a negative degree."""
         key = degree
         if key not in self._std_monos:
             lms = [b.leading_monomial(self.order) for b in self.quot_basis.polys]
@@ -208,6 +213,38 @@ class RingTower:
                 if not any(mono_divides(lm, m) for lm in lms)
             ]
         return self._std_monos[key]
+
+    def quot_coords(self, mono: tuple) -> tuple[list, int]:
+        """The QUOT normal form of a monomial, as int coordinates.
+
+        Returns (coords, den) with coords a list of (k, c) over ints: the
+        normal form of `mono` is the sum of c/den times standard monomial
+        k of mono's degree, indexed as in `standard_monomials`. These are
+        the normal form's own (nums, den), so den is 1 over GF(p) and for
+        integral normal forms over QQ. Each monomial's normal form is
+        computed once per tower; the graded windows read every product of
+        a matrix entry and a standard monomial from this table.
+        """
+        vec = self._quot_coords.get(mono)
+        if vec is not None:
+            return vec
+        degree = sum(mono)
+        index = self._std_index.get(degree)
+        if index is None:
+            index = {m: k for k, m in enumerate(self.standard_monomials(degree))}
+            self._std_index[degree] = index
+        nf = self.normal_form(self.ring.monomial(mono), Level.QUOT)
+        coords = []
+        for m, c in nf.nums.items():
+            k = index.get(m)
+            if k is None:
+                raise VerificationFailure(
+                    "graded piece bookkeeping failed: unexpected monomial"
+                )
+            coords.append((k, c))
+        vec = (coords, nf.den)
+        self._quot_coords[mono] = vec
+        return vec
 
     def __repr__(self) -> str:
         gens = ", ".join(format_canonical(g, self.order) for g in self.seq_gens)

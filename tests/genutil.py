@@ -11,11 +11,13 @@ import random
 from mfkit.fields import QQ
 from mfkit.mfcat import (
     MatrixFactorization,
+    MfMorphism,
     direct_sum,
     suspend,
     verify_mf,
     verify_morphism,
 )
+from mfkit.periodic import ChainLiftInput, lift_chain_map, reduce_morphism, reduce_object
 from mfkit.poly import PolyRing, Polynomial
 from mfkit.tower import Level, RingMatrix, RingTower, build_tower
 
@@ -152,3 +154,29 @@ def koszul_mf(n: int, field=QQ) -> MatrixFactorization:
 
         p, q = blocks(p, diag(-y), diag(x), q), blocks(q, diag(y), diag(-x), p)
     return verify_mf(RingMatrix(tower, Level.MID, p), RingMatrix(tower, Level.MID, q))
+
+
+def fractions_mf() -> MatrixFactorization:
+    """A rank-2 factorization of 2*x*y + z^2 over QQ whose data is not
+    integral: w's leading coefficient is 2, so QQ normal forms carry
+    halves, and the entries carry thirds."""
+    ring = PolyRing(("x", "y", "z"), QQ)
+    tower = build_tower(ring, [ring.parse("2*x*y + z^2")], [1])
+    phi = RingMatrix.from_strings(tower, Level.MID, [["2/3*x", "-1/3*z"], ["z", "y"]])
+    psi = RingMatrix.from_strings(tower, Level.MID, [["3*y", "z"], ["-3*z", "2*x"]])
+    return verify_mf(phi, psi)
+
+
+def window_delta(mf: MatrixFactorization, rng: random.Random) -> MfMorphism:
+    """A nonzero criterion-06-style chain map that is nullhomotopic: the
+    reduction of a lifted chain map minus the reduced window it was
+    lifted from."""
+    tower = mf.tower
+    n = mf.rank_f
+    th, _, _ = rand_nullhomotopic_morphism(mf, mf, rng, homogeneous_degree=1)
+    eps = [rand_homogeneous_matrix(tower, rng, n, n, 0).scale(tower.w) for _ in range(3)]
+    inp = ChainLiftInput(mf, mf, th.g + eps[0], th.f + eps[1], th.g + eps[2])
+    theta, _ = lift_chain_map(inp)
+    c = reduce_object(mf)
+    eta = MfMorphism(c, c, inp.f0.reduce_to(Level.QUOT), inp.g0.reduce_to(Level.QUOT))
+    return reduce_morphism(theta) - eta

@@ -387,3 +387,11 @@ def test_cofactor_certificate_matches_polynomial_arithmetic(field):
         polys[i] = polys[i] + off
         with pytest.raises(VerificationFailure, match=f"element {i} do not reproduce"):
             groebner._certify_reps(polys, reps, gens)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_negative_degrees_have_no_monomials(nvars):
+    # One variable used to give the exponent tuple (-1,).
+    for degree in (-1, -2):
+        assert groebner.monomials_of_degree(nvars, degree) == []
+    assert groebner.monomials_of_degree(nvars, 0) == [(0,) * nvars]

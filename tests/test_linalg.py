@@ -8,19 +8,10 @@ from hypothesis import strategies as st
 
 from mfkit import linalg, periodic
 from mfkit.fields import QQ, PrimeField
-from mfkit.mfcat import MfMorphism
-from mfkit.periodic import (
-    ChainLiftInput,
-    graded_acyclicity_window,
-    graded_nullhomotopy_window,
-    lift_chain_map,
-    reduce_morphism,
-    reduce_object,
-)
-from mfkit.tower import Level
+from mfkit.periodic import graded_acyclicity_window, graded_nullhomotopy_window, reduce_object
 
 from . import dense_linalg
-from .genutil import koszul_mf, rand_homogeneous_matrix, rand_nullhomotopic_morphism
+from .genutil import fractions_mf, koszul_mf, window_delta
 from .reference_poly import RefField, int_row
 
 FIELDS = [QQ, PrimeField(2), PrimeField(32003)]
@@ -206,22 +197,11 @@ def test_solution_divides_by_each_pivot(field):
         assert linalg.solve_linear([{0: 2, 2: 1}, {1: 3, 2: 1}], 2, field) == ([3, 2], 6)
 
 
-def window_delta(mf, rng):
-    """A nonzero criterion-06-style chain map that is nullhomotopic."""
-    tower = mf.tower
-    n = mf.rank_f
-    th, _, _ = rand_nullhomotopic_morphism(mf, mf, rng, homogeneous_degree=1)
-    eps = [rand_homogeneous_matrix(tower, rng, n, n, 0).scale(tower.w) for _ in range(3)]
-    inp = ChainLiftInput(mf, mf, th.g + eps[0], th.f + eps[1], th.g + eps[2])
-    theta, _ = lift_chain_map(inp)
-    c = reduce_object(mf)
-    eta = MfMorphism(c, c, inp.f0.reduce_to(Level.QUOT), inp.g0.reduce_to(Level.QUOT))
-    return reduce_morphism(theta) - eta
-
-
-@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
-def test_koszul_windows_match_dense(field, monkeypatch):
-    mf = koszul_mf(3, field)
+# The Koszul n=3 complex over each field, and a complex over QQ whose
+# window equations carry denominators.
+@pytest.mark.parametrize("case", [QQ, PrimeField(32003), "fractions"], ids=str)
+def test_koszul_windows_match_dense(case, monkeypatch):
+    mf = fractions_mf() if case == "fractions" else koszul_mf(3, case)
     delta = window_delta(mf, random.Random(71))
     assert not delta.is_zero()
 

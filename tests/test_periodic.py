@@ -10,6 +10,7 @@ from mfkit.mfcat import (
     MatrixFactorization,
     MfMorphism,
     direct_sum,
+    dual_mf,
     identity_morphism,
     mapping_cone,
     suspend,
@@ -20,7 +21,6 @@ from mfkit.mfcat import (
 from mfkit.periodic import (
     ChainLiftInput,
     HomotopyTransportInput,
-    dual_reduction_check,
     graded_acyclicity_window,
     graded_nullhomotopy_window,
     lift_chain_map,
@@ -36,10 +36,12 @@ from mfkit.tower import Level, RingMatrix
 from .genutil import (
     build_corpus_objects,
     build_corpus_towers,
+    fractions_mf,
     koszul_mf,
     rand_homogeneous_matrix,
     rand_matrix,
     rand_nullhomotopic_morphism,
+    window_delta,
 )
 
 
@@ -126,7 +128,7 @@ class TestReductionCommutesWithConstructions:
 class TestDualReduction:
     def test_corpus_objects(self, objects):
         for mf in objects.values():
-            assert dual_reduction_check(mf).matches
+            assert reduce_object(dual_mf(mf)) == dual_mf(reduce_object(mf))
 
     def test_random_derived(self, objects):
         rng = random.Random(43)
@@ -135,7 +137,7 @@ class TestDualReduction:
         for name in ("A", "B", "C", "D"):
             for _ in range(10):
                 obj = rand_derived_object(objects[name], rng)
-                assert dual_reduction_check(obj).matches
+                assert reduce_object(dual_mf(obj)) == dual_mf(reduce_object(obj))
 
 
 class TestTransport:
@@ -366,6 +368,106 @@ class TestNullhomotopyWindow:
         win = graded_nullhomotopy_window(delta, 0, 6)
         assert not win.solvable
 
+    def test_equation_without_rows_is_solved_by_zero(self):
+        # The equation at position 1 lives in degree 4, where QQ[x]/(x^4)
+        # is zero, so it has no rows; sigma = 0 solves it.
+        delta = _over_x4(("x", "x^3"), ("x^3", "x"), "x^2", "0")
+        win = graded_nullhomotopy_window(delta, 0, 1)
+        assert (win.solvable, win.positions, win.verified_positions) == (True, [0, 1], [1])
+        assert all(d.is_zero() for d in win.diagonals)
+        assert graded_nullhomotopy_window(delta, 0, 2).solvable
+
+    def test_diagonals_of_negative_degree_are_zero(self):
+        # x^2 times the identity of (x, x^3): the even diagonals would have
+        # degree -1, and the odd ones are x.
+        delta = _over_x4(("x", "x^3"), ("x", "x^3"), "x^2", "x^2")
+        win = graded_nullhomotopy_window(delta, 0, 3)
+        assert win.solvable and win.verified_positions == [1, 2, 3]
+        assert [d.format_rows() for d in win.diagonals] == [["[0]"], ["[x]"]] * 2
+
+    def test_target_off_the_twist_rejected(self):
+        # The twist is 4, but the target's entry degrees add up to 6.
+        delta = _over_x4(("x", "x^3"), ("x^3", "x^3"), "x^2", "0")
+        with pytest.raises(NotHomogeneous):
+            graded_nullhomotopy_window(delta, 0, 2)
+
+    def test_second_call_reuses_the_towers_normal_forms(self, monkeypatch):
+        from mfkit.tower import RingTower
+
+        mf = koszul_mf(2)  # a fresh tower, whose table is empty
+        tower = mf.tower
+        delta = window_delta(mf, random.Random(72))
+        calls = []
+        normal_form = RingTower.normal_form
+        monkeypatch.setattr(RingTower, "normal_form",
+                            lambda self, p, level: calls.append(p) or normal_form(self, p, level))
+
+        def counted():
+            calls.clear()
+            result = (graded_acyclicity_window(reduce_object(mf), 0, 4),
+                      graded_nullhomotopy_window(delta, 0, 4))
+            return result, len(calls)
+
+        (report, win), first = counted()
+        entries = len(tower._quot_coords)
+        (report2, win2), second = counted()
+        # The first calls computed one normal form per table entry on top
+        # of the ones both calls make; the second computed none of them.
+        assert entries > 0
+        assert len(tower._quot_coords) == entries
+        assert first - second == entries
+        assert (report2.rows, report2.dual_rows) == (report.rows, report.dual_rows)
+        assert win.solvable and win2.diagonals == win.diagonals
+
+
+class TestGradedSystem:
+    def test_terms_outside_the_equations_degree_rejected(self):
+        from mfkit.periodic import _GradedSystem
+
+        delta = _over_x4(("x", "x^3"), ("x", "x^3"), "x^2", "x^2")
+        phi, psi = delta.source.phi, delta.source.psi
+        system = _GradedSystem(delta.tower)
+        x1, x0 = system.unknown(1, 1, 1), system.unknown(1, 1, 0)
+        # x * (degree 1) has degree 2, not 3.
+        with pytest.raises(NotHomogeneous, match="product"):
+            system.equation(delta.f, 3, [(phi, x1)])
+        with pytest.raises(NotHomogeneous, match="product"):
+            system.equation(delta.f, 3, [], [(x1, phi)])
+        # The products have degree 3, but delta.f == x^2 has degree 2.
+        with pytest.raises(NotHomogeneous, match="equation entry"):
+            system.equation(delta.f, 3, [(psi, x0)])
+
+    def test_solution_is_reverified(self, monkeypatch):
+        import types
+
+        from mfkit import periodic
+        from mfkit.errors import VerificationFailure
+
+        # The odd diagonals are the only unknowns, and x solves; a solver
+        # that answers 2 for every variable gives 2*x, which does not.
+        wrong = types.SimpleNamespace(solve_linear=lambda rows, n, field: ([2] * n, 1))
+        monkeypatch.setattr(periodic, "linalg", wrong)
+        delta = _over_x4(("x", "x^3"), ("x", "x^3"), "x^2", "x^2")
+        with pytest.raises(VerificationFailure, match="re-verification"):
+            graded_nullhomotopy_window(delta, 0, 3)
+
+
+def _over_x4(src, tgt, f, g):
+    """A reduced chain map over QQ[x]/(x^4) between 1x1 complexes given
+    as (phi, psi) entry strings."""
+    from mfkit.fields import QQ
+    from mfkit.poly import PolyRing
+    from mfkit.tower import build_tower
+
+    ring = PolyRing(("x",), QQ)
+    tower = build_tower(ring, [ring.parse("x^4")], [1])
+
+    def one(s):
+        return mat(tower, [[s]], Level.QUOT)
+
+    source, target = (MatrixFactorization(one(phi), one(psi)) for phi, psi in (src, tgt))
+    return MfMorphism(source, target, one(f), one(g))
+
 
 class TestPrimeFieldEndToEnd:
     def test_transport_and_windows_over_f5(self):
@@ -399,13 +501,7 @@ def _graded_case(name, objects):
     if name in ("A", "B", "C"):
         return reduce_object(objects[name]), 5
     if name == "fractions":
-        # w's leading coefficient is 2, so QQ normal forms carry halves;
-        # the entries carry thirds.
-        ring = PolyRing(("x", "y", "z"), QQ)
-        tower = build_tower(ring, [ring.parse("2*x*y + z^2")], [1])
-        phi = mat(tower, [["2/3*x", "-1/3*z"], ["z", "y"]])
-        psi = mat(tower, [["3*y", "z"], ["-3*z", "2*x"]])
-        return reduce_object(verify_mf(phi, psi)), 4
+        return reduce_object(fractions_mf()), 4
     # w = x*(2*x + 3*y): at QUOT, x^2 = -3/2*x*y, so (2*x + 3*y)*x == 0
     # and the products' normal forms cancel term by term.
     ring = PolyRing(("x", "y"), QQ)
@@ -426,13 +522,11 @@ def test_graded_map_matches_reference_loop(name, objects):
     c, top = _graded_case(name, objects)
     tower = c.tower
     maps = [c.phi, c.psi, c.phi.transpose(), c.psi.transpose()]
-    # One table for every map and degree, as a window call shares it.
-    table = periodic._QuotNormalForms(tower)
     nonzero = 0
     for d in range(top, -2, -1):
         for m in maps:
             e = periodic._uniform_entry_degree(m)
-            images, den, src_dim, tgt_dim = periodic._graded_map(tower, m, d, e, table)
+            images, den, src_dim, tgt_dim = periodic._graded_map(tower, m, d, e)
             ref = RefField(tower.ring.field)
             got = [{k: c for k, v in image.items() if (c := ref.of(v, den))} for image in images]
             assert (got, src_dim, tgt_dim) == reference_periodic.graded_map(tower, m, d, e)

@@ -423,3 +423,14 @@ def test_identity_is_normalized_on_the_unit_ideal(level):
     assert one == zero
     assert one.is_zero()
     assert one + zero == zero
+
+
+def test_standard_monomials_and_quot_coords():
+    ring = PolyRing(("x", "y"), QQ)
+    t = build_tower(ring, [ring.parse("2*x^2 + 3*x*y")], [1])
+    assert t.standard_monomials(-1) == []
+    assert t.standard_monomials(2) == [(1, 1), (0, 2)]
+    # x^2 == -3/2*x*y at QUOT, and a standard monomial is its own normal form.
+    assert t.quot_coords((2, 0)) == ([(0, -3)], 2)
+    assert t.quot_coords((0, 2)) == ([(1, 1)], 1)
+    assert t.quot_coords((2, 0)) is t.quot_coords((2, 0))
