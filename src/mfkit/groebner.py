@@ -1,8 +1,7 @@
 """Buchberger engine over a polynomial ring.
 
-Provides reduced Groebner bases (deterministic: normal pair selection
-with index tie-break), normal forms for equality in quotient rings,
-extended division with cofactor tracking, exact division by a
+Provides reduced Groebner bases, normal forms for equality in quotient
+rings, extended division with cofactor tracking, exact division by a
 non-zerodivisor modulo an ideal, and the Krull dimension of a
 homogeneous quotient.
 
@@ -11,6 +10,15 @@ basis element, its expression as a combination of the input generators.
 That is what makes exact division by a ring element possible: divide
 against the combined basis of (ideal generators + the element) and read
 off the element's cofactor.
+
+Pair handling in Buchberger: each element that joins the basis runs the
+Gebauer-Moeller update (criteria B_k, M and F, with the product
+criterion; Gebauer and Moeller, "On an installation of Buchberger's
+algorithm", J. Symbolic Comput. 6, 1988), which drops the pairs that
+those criteria prove redundant. The remaining pairs are
+taken smallest lcm first in the order, with an (i, j) tie-break, and on
+homogeneous input by the lcm's total degree first. Selection is
+deterministic, and the reduced basis is unique whatever the sequence.
 """
 
 from __future__ import annotations
@@ -217,13 +225,45 @@ def _subtract_combination(rep, cofs, basis_reps):
     ]
 
 
+def _update(k, lms, live, pairs, pair_key):
+    """Gebauer-Moeller update for basis element k, whose leading monomial
+    is lms[k]; `live` maps each pending pair (i, j) to its lcm, and
+    `pairs` is the heap of (pair_key(lcm), (i, j)).
+
+    B_k drops a pending pair (i, j) when lms[k] divides its lcm l and
+    neither lcm(i, k) nor lcm(j, k) equals l. Of the new pairs (t, k), M
+    drops one whose lcm some other new lcm strictly divides, and F keeps
+    one pair per lcm, the one with the smallest t. A group of new pairs
+    with one lcm is dropped whole when any of them has coprime leading
+    monomials (the product criterion).
+    """
+    lmk = lms[k]
+    for (i, j), l in list(live.items()):
+        if mono_divides(lmk, l) and mono_lcm(lms[i], lmk) != l and mono_lcm(lms[j], lmk) != l:
+            del live[i, j]
+    groups: dict = {}
+    for t in range(k):
+        groups.setdefault(mono_lcm(lms[t], lmk), []).append(t)
+    for l, ts in groups.items():
+        if any(m != l and mono_divides(m, l) for m in groups):
+            continue
+        if any(l == mono_mul(lms[t], lmk) for t in ts):
+            continue
+        live[ts[0], k] = l
+        heappush(pairs, (pair_key(l), (ts[0], k)))
+
+
 def buchberger_with_reps(generators, order: MonomialOrder):
     """Reduced Groebner basis with representation tracking.
 
     Returns (basis polys, reps) where reps[i] is a tuple of cofactors,
     one per input generator, with basis[i] == sum_j reps[i][j] * gen[j]
-    exactly. Deterministic: normal selection strategy (smallest pair lcm
-    in the order) with (i, j) tie-break, coprime-criterion skip.
+    exactly. Deterministic: pairs are taken smallest lcm first, in the
+    order, with an (i, j) tie-break; when every generator is homogeneous
+    the lcm's total degree is compared first (the same sequence under
+    grevlex, whose keys start with the total degree). Each element k
+    that joins the basis runs the Gebauer-Moeller update (`_update`),
+    which drops the pairs that its criteria prove redundant.
     """
     gens = [g for g in generators]
     if not gens:
@@ -243,25 +283,27 @@ def buchberger_with_reps(generators, order: MonomialOrder):
         row[j] = ring.from_ints({one: num}, den)
         reps.append(row)
 
+    # Degree first on homogeneous input. Grevlex keys start with the
+    # total degree, so there this is the order's own sequence.
+    homogeneous = all(g.is_homogeneous() for g in gens)
+
+    def pair_key(lcm):
+        return (sum(lcm), order.key(lcm)) if homogeneous else order.key(lcm)
+
     # Pending pairs as a min-heap of (key of the lcm of the leading
-    # monomials, (i, j)): `polys` only grows inside the loop, so an
-    # entry's key never goes stale and each pop is the smallest pair.
+    # monomials, (i, j)); `live` maps each pair that still counts to its
+    # lcm. `polys` only grows, so a key never goes stale; a pair that the
+    # update drops keeps its heap entry and is skipped when popped.
+    lms = [p.leading_monomial(order) for p in polys]
     pairs: list = []
-
-    def add_pairs(k):
-        lmk = polys[k].leading_monomial(order)
-        for t in range(k):
-            lcm = mono_lcm(polys[t].leading_monomial(order), lmk)
-            heappush(pairs, (order.key(lcm), (t, k)))
-
-    for k in range(1, len(polys)):
-        add_pairs(k)
+    live: dict = {}
+    for k in range(len(polys)):
+        _update(k, lms, live, pairs, pair_key)
     while pairs:
-        i, j = heappop(pairs)[1]
-        lmi = polys[i].leading_monomial(order)
-        lmj = polys[j].leading_monomial(order)
-        if mono_lcm(lmi, lmj) == mono_mul(lmi, lmj):
-            continue  # coprime leading monomials: spoly reduces to zero
+        ij = heappop(pairs)[1]
+        if live.pop(ij, None) is None:
+            continue
+        i, j = ij
         s, ui, uj = _spair(polys[i], polys[j], order)
         if s.is_zero():
             continue
@@ -273,15 +315,16 @@ def buchberger_with_reps(generators, order: MonomialOrder):
         monic, num, den = r.monic(order)
         polys.append(monic)
         reps.append([a.scale(num, den) for a in rep_r])
-        add_pairs(len(polys) - 1)
+        lms.append(monic.leading_monomial(order))
+        _update(len(polys) - 1, lms, live, pairs, pair_key)
 
     # Minimalize: drop elements whose leading monomial is divisible by
     # another element's leading monomial.
-    order_idx = sorted(range(len(polys)), key=lambda i: order.key(polys[i].leading_monomial(order)))
+    order_idx = sorted(range(len(polys)), key=lambda i: order.key(lms[i]))
     kept: list[int] = []
     kept_lms: list = []
     for i in order_idx:
-        lm = polys[i].leading_monomial(order)
+        lm = lms[i]
         if any(mono_divides(l, lm) for l in kept_lms):
             continue
         kept.append(i)
@@ -289,27 +332,22 @@ def buchberger_with_reps(generators, order: MonomialOrder):
     polys = [polys[i] for i in kept]
     reps = [reps[i] for i in kept]
 
-    # Interreduce tails until stable.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(polys)):
-            others = polys[:i] + polys[i + 1 :]
-            other_reps = reps[:i] + reps[i + 1 :]
-            if not others:
-                continue
-            rem, cofs = divide_full(polys[i], others, order)
-            if rem == polys[i]:
-                continue
-            changed = True
-            new_rep = _subtract_combination(reps[i], cofs, other_reps)
-            polys[i], num, den = rem.monic(order)
-            reps[i] = [a.scale(num, den) for a in new_rep]
+    # Interreduce the tails, one pass. Leading monomials no longer change,
+    # and whether a polynomial is reduced depends only on the others'
+    # leading monomials, so a tail reduced here stays reduced.
+    for i in range(len(polys)):
+        others = polys[:i] + polys[i + 1 :]
+        if not others:
+            continue
+        rem, cofs = divide_full(polys[i], others, order)
+        if rem == polys[i]:
+            continue
+        new_rep = _subtract_combination(reps[i], cofs, reps[:i] + reps[i + 1 :])
+        polys[i], num, den = rem.monic(order)
+        reps[i] = [a.scale(num, den) for a in new_rep]
 
-    final = sorted(
-        range(len(polys)), key=lambda i: order.key(polys[i].leading_monomial(order)), reverse=True
-    )
-    return [polys[i] for i in final], [tuple(reps[i]) for i in final]
+    # kept is ascending in the order, so reversing it sorts descending.
+    return polys[::-1], [tuple(r) for r in reversed(reps)]
 
 
 def buchberger_basis(ideal: Ideal) -> GroebnerBasis:

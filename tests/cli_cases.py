@@ -57,6 +57,9 @@ FIELD_CASES = [
     ("lift_fractional_fp32003", ["lift", "fractional.mfw", "LF", "--field", "fp:32003"], 0),
     ("acyclic_fractional_fp32003",
      ["acyclic-window", "fractional.mfw", "F", "--min", "0", "--max", "3", "--field", "fp:32003"], 0),
+    # Buchberger under lex on a generated 3-quadric file; its golden is
+    # proved to be the reduced basis by test_groebner.py.
+    ("gb_quadrics_lex_fp32003", ["gb", "quadrics_lex.mfw", "--field", "fp:32003"], 0),
 ]
 
 

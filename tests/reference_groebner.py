@@ -17,6 +17,7 @@ with no Groebner machinery, on small instances.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 from mfkit.groebner import monomials_of_degree
@@ -47,8 +48,10 @@ def divide_full(p: Polynomial, divisors, order):
     work = coeffs(p)
     rem: dict = {}
     cofs = [ring.zero() for _ in divisors]
+    # Each monomial's key is computed once, so the scan stays cheap.
+    key = cache(lambda t: order_key(order, t))
     while work:
-        m = max(work, key=lambda t: order_key(order, t))
+        m = max(work, key=key)
         c = work.pop(m)
         for i, lm in enumerate(lms):
             if mono_divides(lm, m):

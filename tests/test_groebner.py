@@ -1,12 +1,16 @@
 """Buchberger engine: bases, normal forms, cofactors, exact division."""
 
+import contextlib
+import io
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfkit.groebner as groebner
+from mfkit.cli import main as cli_main
 from mfkit.errors import FieldMismatch, NotDivisible, VariableMismatch, VerificationFailure
 from mfkit.fields import QQ, PrimeField
 from mfkit.groebner import (
@@ -20,11 +24,12 @@ from mfkit.groebner import (
     normal_form,
     reduce_with_cofactors,
 )
-from mfkit.poly import MonomialOrder, PolyRing, format_canonical
+from mfkit.poly import MonomialOrder, PolyRing, format_canonical, mono_div, mono_divides, mono_lcm
 
 from . import reference_groebner
 from .reference_groebner import membership_oracle
 from .genutil import rand_homogeneous_poly, rand_poly
+from .conftest import CORPUS_DIR, GOLDEN_DIR
 from .reference_poly import assert_canonical
 
 RXY = PolyRing(("x", "y"), QQ)
@@ -395,3 +400,159 @@ def test_negative_degrees_have_no_monomials(nvars):
     for degree in (-1, -2):
         assert groebner.monomials_of_degree(nvars, degree) == []
     assert groebner.monomials_of_degree(nvars, 0) == [(0,) * nvars]
+
+
+# Pair criteria and selection. `buchberger_with_reps` drops the pairs
+# that the Gebauer-Moeller criteria prove redundant and, on homogeneous
+# input, takes pairs degree by degree; the reference processes every
+# pair in the order's normal selection. The reduced basis is unique, so
+# the two must agree on it; the cofactor rows may differ and are
+# certified instead.
+
+def rand_ideal(ring, rng, homogeneous):
+    if homogeneous:
+        return [rand_homogeneous_poly(ring, rng, rng.randint(1, 3), coeff_bound=rng.choice([1, 3]))
+                for _ in range(rng.randint(2, 3))]
+    make_poly = rng.choice([rand_poly, rand_rational_poly])
+    return [make_poly(ring, rng, max_degree=3, terms=rng.randint(2, 4)) for _ in range(rng.randint(2, 4))]
+
+
+@pytest.mark.parametrize("homogeneous", [True, False], ids=["homogeneous", "inhomogeneous"])
+@pytest.mark.parametrize("field", DIFF_FIELDS, ids=lambda f: repr(f))
+@pytest.mark.parametrize("order", DIFF_ORDERS, ids=lambda o: f"{o.kind}{o.precedence}")
+def test_pruned_buchberger_matches_reference_basis(field, order, homogeneous):
+    ring = PolyRing(("x", "y", "z"), field)
+    rng = random.Random(29)
+    for _ in range(8):
+        gens = rand_ideal(ring, rng, homogeneous)
+        polys, reps = buchberger_with_reps(gens, order)
+        assert polys == reference_groebner.buchberger_with_reps(gens, order)[0]
+        if polys:
+            groebner._certify_reps(polys, reps, gens)
+
+
+GREVLEX3 = MonomialOrder.grevlex(3)
+
+
+def _lms(*texts):
+    return [RXYZ.parse(t).leading_monomial(GREVLEX3) for t in texts]
+
+
+def _run_update(lms, pending=()):
+    """Run the update for the last of `lms`, with `pending` pairs live;
+    returns the live pairs and the pairs pushed onto the heap."""
+    live = {ij: mono_lcm(lms[ij[0]], lms[ij[1]]) for ij in pending}
+    pairs: list = []
+    groebner._update(len(lms) - 1, lms, live, pairs, GREVLEX3.key)
+    return live, sorted(ij for _, ij in pairs)
+
+
+class TestGebauerMoellerUpdate:
+    def test_b_k_drops_a_pair_that_k_covers(self):
+        live, _ = _run_update(_lms("x^2", "y^2", "x*y"), pending=[(0, 1)])
+        assert (0, 1) not in live
+
+    def test_b_k_keeps_a_pair_with_the_lcm_of_a_new_pair(self):
+        # y divides lcm(x^2, x*y) = x^2*y, but so does lcm(x^2, y).
+        live, _ = _run_update(_lms("x^2", "x*y", "y"), pending=[(0, 1)])
+        assert live[0, 1] == (2, 1, 0)
+        live, _ = _run_update(_lms("x*y", "x^2", "y"), pending=[(0, 1)])
+        assert live[0, 1] == (2, 1, 0)
+
+    def test_b_k_keeps_a_pair_that_k_does_not_divide(self):
+        live, _ = _run_update(_lms("x^2", "x*y", "z"), pending=[(0, 1)])
+        assert (0, 1) in live
+
+    def test_m_drops_a_pair_whose_lcm_another_strictly_divides(self):
+        # lcm(x*z^2, x*y) = x*y*z^2 is a strict multiple of lcm(y*z, x*y).
+        _, new = _run_update(_lms("x*z^2", "y*z", "x*y"))
+        assert new == [(1, 2)]
+
+    def test_f_keeps_one_pair_per_lcm(self):
+        # Both new pairs have the lcm x^2*y; the one with the smaller t stays.
+        _, new = _run_update(_lms("x^2*y", "x^2", "x*y"))
+        assert new == [(0, 2)]
+
+    def test_product_criterion_drops_the_whole_group(self):
+        # A coprime pair alone is dropped.
+        _, new = _run_update(_lms("x^2", "y^2"))
+        assert new == []
+        # lcm(z, x) == lcm(x*z, x) == x*z, and z, x are coprime: the group
+        # goes, whichever of its pairs has the smaller t.
+        _, new = _run_update(_lms("z", "x*z", "x"))
+        assert new == []
+        _, new = _run_update(_lms("x*z", "z", "x"))
+        assert new == []
+
+
+def _spoly(f, g, order):
+    lf, lg = f.leading_monomial(order), g.leading_monomial(order)
+    l = mono_lcm(lf, lg)
+    return f.mul_term(mono_div(l, lf)) - g.mul_term(mono_div(l, lg))
+
+
+def test_quadrics_lex_golden_is_the_reduced_basis():
+    # The golden of `gb quadrics_lex.mfw --field fp:32003` was first
+    # produced by the pruned Buchberger, so it is proved here from its
+    # printed text: for each ideal, the printed polynomials lie in it (by
+    # certified cofactor rows), generate it (every generator reduces to
+    # 0), form a Groebner basis (every S-polynomial reduces to 0 under the
+    # reference division) and are reduced (monic, and no term divisible
+    # by another element's leading monomial).
+    ring = PolyRing(tuple("abcde"), PrimeField(32003))
+    order = MonomialOrder.lex(5)
+    text = (CORPUS_DIR / "quadrics_lex.mfw").read_text(encoding="utf-8")
+    gens_line = next(line for line in text.splitlines() if line.startswith("gens = "))
+    gens = [ring.parse(t) for t in gens_line[len("gens = "):].split(", ")]
+    lines = (GOLDEN_DIR / "gb_quadrics_lex_fp32003.txt").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "mid ideal reduced basis:" and lines[-1] == "status=ok command=gb exit=0"
+    split = lines.index("quot ideal reduced basis:")
+    # w_coords = 1, 0, 0: w is the first generator and the mid ideal is
+    # generated by the other two.
+    cases = [(gens[1:], lines[1:split]), (gens, lines[split + 1 : -1])]
+    for ideal_gens, printed in cases:
+        basis = [ring.parse(t) for t in printed]
+        assert [format_canonical(b, order) for b in basis] == printed
+        polys, reps = buchberger_with_reps(ideal_gens, order)
+        assert polys == basis
+        groebner._certify_reps(basis, reps, ideal_gens)
+        for g in ideal_gens:
+            assert reference_groebner.divide_full(g, basis, order)[0].is_zero()
+        for i, j in combinations(range(len(basis)), 2):
+            s = _spoly(basis[i], basis[j], order)
+            assert reference_groebner.divide_full(s, basis, order)[0].is_zero()
+        lms = [reference_groebner.leading_monomial(b, order) for b in basis]
+        for i, b in enumerate(basis):
+            assert b.nums[lms[i]] == 1 and b.den == 1
+            for m in b.nums:
+                assert not any(mono_divides(lm, m) for k, lm in enumerate(lms) if k != i)
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (["--order", "grevlex"], 22),
+    (["--field", "fp:32003"], 152),
+], ids=["grevlex-qq", "lex-fp32003"])
+def test_buchberger_division_count_on_the_quadrics(monkeypatch, argv, calls):
+    # `gb` on the benchmark's first seed-1 3-quadric file (its own order is
+    # grevlex) and on the lex case, counting the divide_full calls made
+    # inside Buchberger: S-polynomials and the interreduction pass. The
+    # counts pin the pairs that the criteria leave to divide.
+    counts = {"depth": 0, "divisions": 0}
+    divide, buchberger = groebner.divide_full, groebner.buchberger_with_reps
+
+    def counted_divide(*args):
+        counts["divisions"] += counts["depth"] > 0
+        return divide(*args)
+
+    def counted_buchberger(*args):
+        counts["depth"] += 1
+        try:
+            return buchberger(*args)
+        finally:
+            counts["depth"] -= 1
+
+    monkeypatch.setattr(groebner, "divide_full", counted_divide)
+    monkeypatch.setattr(groebner, "buchberger_with_reps", counted_buchberger)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["gb", str(CORPUS_DIR / "quadrics_lex.mfw"), *argv]) == 0
+    assert counts["divisions"] == calls
