@@ -67,14 +67,6 @@ class GroebnerBasis:
         return len(self.polys)
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
-    """Result of extended division: input = remainder + sum(cof*basis)."""
-
-    remainder: Polynomial
-    cofactors: tuple[Polynomial, ...]
-
-
 def _check_ring(p: Polynomial, divisors):
     for d in divisors:
         p._check_compatible(d)
@@ -196,13 +188,6 @@ def normal_form(p: Polynomial, basis: GroebnerBasis) -> Polynomial:
         return p
     rem, _ = divide_full(p, basis.polys, basis.order)
     return rem
-
-
-def reduce_with_cofactors(p: Polynomial, basis: GroebnerBasis) -> ReductionTrace:
-    if not basis.polys:
-        return ReductionTrace(p, ())
-    rem, cofs = divide_full(p, basis.polys, basis.order)
-    return ReductionTrace(rem, tuple(cofs))
 
 
 def _spair(fi, fj, order):

@@ -13,7 +13,10 @@ chain maps and homotopies: `periodic.reduce_object` sends a MID
 factorization to a factorization of 0 at QUOT.
 
 Every constructor verifies the defining identities entrywise in normal
-form and reports the first failing entry.
+form and reports the first failing entry. The morphism squares and the
+homotopy identities are each one `tower.matrix_sum_of_products`
+combination tested for zero; the factorization axioms compare psi@phi
+and phi@psi with w times the identity and report both values.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .errors import (
     VerificationFailure,
 )
 from .poly import Polynomial, format_canonical
-from .tower import Level, RingMatrix, RingTower, det
+from .tower import Level, RingMatrix, RingTower, det, matrix_sum_of_products
 
 
 def _w_identity(tower: RingTower, level: Level, n: int) -> RingMatrix:
@@ -50,6 +53,16 @@ def _first_diff(found: RingMatrix, expected: RingMatrix):
             if found.entries[i][j] != expected.entries[i][j]:
                 return i, j, expected.entries[i][j], found.entries[i][j]
     return None
+
+
+def _require_zero(m: RingMatrix, error, identity: str, location: str):
+    """Raise `error` at the first nonzero entry of m, a combination
+    a - b; entries are canonical and normal form is linear, so that is
+    the first entry where a and b differ."""
+    for i, row in enumerate(m.entries):
+        for j, p in enumerate(row):
+            if not p.is_zero():
+                raise error(f"{identity} at entry ({i},{j})", location=f"{location}@({i},{j})")
 
 
 class MatrixFactorization:
@@ -148,18 +161,11 @@ class MfMorphism:
         self._verify()
 
     def _verify(self):
-        diff = _first_diff(self.g @ self.source.phi, self.target.phi @ self.f)
-        if diff is not None:
-            i, j, exp, found = diff
-            raise CommutationViolation(
-                f"g@phi1 != phi2@f at entry ({i},{j})", location=f"g@phi1@({i},{j})"
-            )
-        diff = _first_diff(self.f @ self.source.psi, self.target.psi @ self.g)
-        if diff is not None:
-            i, j, exp, found = diff
-            raise CommutationViolation(
-                f"f@psi1 != psi2@g at entry ({i},{j})", location=f"f@psi1@({i},{j})"
-            )
+        src, tgt = self.source, self.target
+        _require_zero(matrix_sum_of_products([(self.g, src.phi), (-tgt.phi, self.f)]),
+                      CommutationViolation, "g@phi1 != phi2@f", "g@phi1")
+        _require_zero(matrix_sum_of_products([(self.f, src.psi), (-tgt.psi, self.g)]),
+                      CommutationViolation, "f@psi1 != psi2@g", "f@psi1")
 
     @property
     def tower(self) -> RingTower:
@@ -252,24 +258,13 @@ class MfHomotopy:
 
     def _verify(self):
         src, tgt = self.theta.source, self.theta.target
-        lhs_f = self.theta.f - self.theta_prime.f
-        rhs_f = self.s @ src.phi + tgt.psi @ self.t
-        diff = _first_diff(lhs_f, rhs_f)
-        if diff is not None:
-            i, j, _, _ = diff
-            raise HomotopyViolation(
-                f"f - f' != s@phi1 + psi2@t at entry ({i},{j})",
-                location=f"f-identity@({i},{j})",
-            )
-        lhs_g = self.theta.g - self.theta_prime.g
-        rhs_g = self.t @ src.psi + tgt.phi @ self.s
-        diff = _first_diff(lhs_g, rhs_g)
-        if diff is not None:
-            i, j, _, _ = diff
-            raise HomotopyViolation(
-                f"g - g' != t@psi1 + phi2@s at entry ({i},{j})",
-                location=f"g-identity@({i},{j})",
-            )
+        s, t = -self.s, -self.t
+        _require_zero(matrix_sum_of_products([(s, src.phi), (tgt.psi, t)],
+                                             self.theta.f - self.theta_prime.f),
+                      HomotopyViolation, "f - f' != s@phi1 + psi2@t", "f-identity")
+        _require_zero(matrix_sum_of_products([(t, src.psi), (tgt.phi, s)],
+                                             self.theta.g - self.theta_prime.g),
+                      HomotopyViolation, "g - g' != t@psi1 + phi2@s", "g-identity")
 
     def __repr__(self) -> str:
         return f"MfHomotopy(s={self.s.format_rows()}, t={self.t.format_rows()})"

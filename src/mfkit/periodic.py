@@ -20,6 +20,10 @@ Two constructive algorithms cross the quotient in the other direction:
   factorizations, again via exact division, and returns the reduced
   defect matrices as the zeroth part of a homotopy witness.
 
+Each defect, correction and internal identity of the two algorithms is
+one combination lead + sum of a@b, computed by
+`tower.matrix_sum_of_products` with one normal form per entry.
+
 Degree-window oracles verify acyclicity and nullhomotopy statements on
 finite windows by exact linear algebra over the coefficient field for
 graded data; a window verdict is evidence for the infinite statement,
@@ -28,13 +32,12 @@ the tower's table of monomial normal forms (`RingTower.quot_coords`),
 which every window on that tower shares. The nullhomotopy window states
 its homotopy equations, one matrix equation per position, through one
 builder of graded linear systems (`_GradedSystem`), solves them at once
-and re-verifies each with matrix arithmetic.
+and re-verifies each as one such combination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from math import lcm
 from operator import add
 
@@ -58,8 +61,7 @@ from .mfcat import (
     verify_morphism,
     zero_morphism,
 )
-from .poly import sum_of_products
-from .tower import Level, RingMatrix, RingTower
+from .tower import Level, RingMatrix, RingTower, matrix_sum_of_products
 
 DEFAULT_BUDGET = 32
 
@@ -126,29 +128,6 @@ def _check_mid_shapes(tower: RingTower, *specs):
             raise TowerMismatch("matrices from different towers")
 
 
-def _defect(tower: RingTower, lead: RingMatrix | None, products) -> RingMatrix:
-    """lead + sum of a@b over the (a, b) in `products`, at MID level;
-    `lead` may be None.
-
-    Each entry is one `sum_of_products` call over every term of the
-    combination, followed by one MID normal form; normal form is linear,
-    so this equals the sum of the normalized products.
-    """
-    ring, one = tower.ring, tower.ring.one()
-    rows, cols = products[0][0].nrows, products[0][1].ncols
-    columns = [[[row[j] for row in b.entries] for j in range(cols)] for _, b in products]
-    entries = []
-    for i in range(rows):
-        line = []
-        for j in range(cols):
-            pairs = [(lead.entries[i][j], one)] if lead is not None else []
-            for (a, _), bcols in zip(products, columns):
-                pairs.extend(zip(a.entries[i], bcols[j]))
-            line.append(tower.normal_form(sum_of_products(ring, pairs), Level.MID))
-        entries.append(line)
-    return RingMatrix(tower, Level.MID, entries, rows, cols, normalize=False)
-
-
 class HomotopyTransportInput:
     """Lifted diagonals (s1, t, s2) of a nullhomotopy of the reduction.
 
@@ -177,11 +156,11 @@ class HomotopyTransportInput:
         why = (" does not vanish over the quotient,"
                " the given diagonals do not reduce to a nullhomotopy")
         self.p_corr = _divide_matrix(
-            tower, _defect(tower, theta.f, [(-s2, src.phi), (-tgt.psi, t)]),
+            tower, matrix_sum_of_products([(-s2, src.phi), (-tgt.psi, t)], theta.f),
             "f - s2@phi1 - psi2@t" + why,
         )
         self.q_corr = _divide_matrix(
-            tower, _defect(tower, theta.g, [(-t, src.psi), (-tgt.phi, s1)]),
+            tower, matrix_sum_of_products([(-t, src.psi), (-tgt.phi, s1)], theta.g),
             "g - t@psi1 - phi2@s1" + why,
         )
 
@@ -198,11 +177,11 @@ def transport_nullhomotopy(inp: HomotopyTransportInput) -> MfHomotopy:
     """
     theta = inp.theta
     src, tgt = theta.source, theta.target
-    lhs = inp.p_corr @ src.psi
-    rhs = inp.s1 - inp.s2 + tgt.psi @ inp.q_corr
-    if lhs != rhs:
+    residual = matrix_sum_of_products(
+        [(inp.p_corr, src.psi), (-tgt.psi, inp.q_corr)], inp.s2 - inp.s1)
+    if not residual.is_zero():
         raise VerificationFailure("internal identity p@psi1 == s1 - s2 + psi2@q failed")
-    t_prime = inp.t + tgt.phi @ inp.p_corr
+    t_prime = matrix_sum_of_products([(tgt.phi, inp.p_corr)], inp.t)
     return verify_homotopy(theta, zero_morphism(src, tgt), inp.s2, t_prime)
 
 
@@ -239,11 +218,11 @@ class ChainLiftInput:
         why = (" does not vanish over the quotient,"
                " the lifted window is not a chain-map section")
         self.phi_gap = _divide_matrix(
-            tower, _defect(tower, None, [(target.phi, f0), (-g0, source.phi)]),
+            tower, matrix_sum_of_products([(target.phi, f0), (-g0, source.phi)]),
             "phi2@f0 - g0@phi1" + why,
         )
         self.psi_gap = _divide_matrix(
-            tower, _defect(tower, None, [(target.psi, g1), (-f0, source.psi)]),
+            tower, matrix_sum_of_products([(target.psi, g1), (-f0, source.psi)]),
             "psi2@g1 - f0@psi1" + why,
         )
 
@@ -277,20 +256,21 @@ def lift_chain_map(inp: ChainLiftInput) -> tuple[MfMorphism, LiftWitness]:
     """
     src, tgt = inp.source, inp.target
     phi_gap, psi_gap = inp.phi_gap, inp.psi_gap
-    lhs = tgt.psi @ phi_gap @ src.psi
-    rhs = inp.f0 @ src.psi - tgt.psi @ inp.g0
-    if lhs != rhs:
+    f_lead = inp.f0 - tgt.psi @ phi_gap
+    if not matrix_sum_of_products([(f_lead, src.psi), (-tgt.psi, inp.g0)]).is_zero():
         raise VerificationFailure(
             "internal identity psi2@phi_gap@psi1 == f0@psi1 - psi2@g0 failed"
         )
-    f = inp.f0 - tgt.psi @ phi_gap + psi_gap @ src.phi
-    g = inp.g0 + tgt.phi @ psi_gap
+    f = matrix_sum_of_products([(psi_gap, src.phi)], f_lead)
+    g = matrix_sum_of_products([(tgt.phi, psi_gap)], inp.g0)
     theta = verify_morphism(src, tgt, f, g)
     phi_gap_bar = phi_gap.reduce_to(Level.QUOT)
     psi_gap_bar = psi_gap.reduce_to(Level.QUOT)
-    lhs_bar = (f - inp.f0).reduce_to(Level.QUOT)
-    rhs_bar = -(tgt.psi.reduce_to(Level.QUOT) @ phi_gap_bar) + psi_gap_bar @ src.phi.reduce_to(Level.QUOT)
-    if lhs_bar != rhs_bar:
+    residual_bar = matrix_sum_of_products(
+        [(tgt.psi.reduce_to(Level.QUOT), phi_gap_bar), (-psi_gap_bar, src.phi.reduce_to(Level.QUOT))],
+        (f - inp.f0).reduce_to(Level.QUOT),
+    )
+    if not residual_bar.is_zero():
         raise VerificationFailure(
             "witness identity f_bar - f0_bar == -psi2_bar@phi_gap_bar"
             " + psi_gap_bar@phi1_bar failed"
@@ -399,8 +379,8 @@ class _GradedSystem:
     sum of X@B, one per entry of c and standard monomial of the
     equation's degree, read off the graded maps of A and of B transposed.
     `solve` sets free variables to zero, so the solution does not depend
-    on the order of the equations, and re-verifies every equation with
-    matrix arithmetic before it returns.
+    on the order of the equations, and re-verifies every equation, as
+    one `matrix_sum_of_products` combination, before it returns.
     """
 
     __slots__ = ("tower", "nvars", "_unknowns", "_rows", "_equations")
@@ -496,8 +476,8 @@ class _GradedSystem:
             # Combinations of standard monomials are in QUOT normal form.
             xs.append(RingMatrix(tower, Level.QUOT, entries, nrows, ncols, normalize=False))
         for c, left, right in self._equations:
-            products = [a @ xs[x] for a, x in left] + [xs[x] @ b for x, b in right]
-            if c != reduce(add, products):
+            products = [(a, xs[x]) for a, x in left] + [(xs[x], b) for x, b in right]
+            if not matrix_sum_of_products(products, -c).is_zero():
                 raise VerificationFailure("graded system solution failed re-verification")
         return xs
 

@@ -471,14 +471,7 @@ class RingMatrix:
         return RingMatrix(self.tower, self.level, entries, self.nrows, self.ncols, normalize=False)
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
-        self._check(other, for_product=True)
-        ring, normal_form, level = self.tower.ring, self.tower.normal_form, self.level
-        cols = [[row[j] for row in other.entries] for j in range(other.ncols)]
-        entries = [
-            [normal_form(sum_of_products(ring, zip(row, col)), level) for col in cols]
-            for row in self.entries
-        ]
-        return RingMatrix(self.tower, self.level, entries, self.nrows, other.ncols, normalize=False)
+        return matrix_sum_of_products(((self, other),))
 
     def scale(self, c) -> "RingMatrix":
         """Multiply entrywise by a polynomial."""
@@ -530,6 +523,46 @@ class RingMatrix:
     def __repr__(self) -> str:
         body = "; ".join(self.format_rows()) if self.nrows else "(empty)"
         return f"RingMatrix[{self.level.name} {self.nrows}x{self.ncols}]({body})"
+
+
+def matrix_sum_of_products(products, lead: RingMatrix | None = None) -> RingMatrix:
+    """lead + sum of a@b over the (a, b) in `products`; `lead` may be None.
+
+    Each entry is one `sum_of_products` call over every term, the lead's
+    entry paired with 1, and one normal form at the operands' level; the
+    lead is in normal form and normal form is linear, so this is the sum
+    of the normalized products. Each pair must multiply, and the terms
+    and the lead must share tower, level and result shape.
+    """
+    for a, b in products:
+        a._check(b, for_product=True)
+    first, last = products[0]
+    tower, level, shape = first.tower, first.level, (first.nrows, last.ncols)
+    others = [(a, (a.nrows, b.ncols)) for a, b in products[1:]]
+    if lead is not None:
+        others.append((lead, (lead.nrows, lead.ncols)))
+    for m, m_shape in others:
+        if m.tower is not tower:
+            raise TowerMismatch("matrices from different towers")
+        if m.level != level:
+            raise LevelMismatch(f"levels differ: {level.name} vs {m.level.name}")
+        if m_shape != shape:
+            raise DimensionMismatch("shape mismatch: {}x{} vs {}x{}".format(*shape, *m_shape))
+    # A sum of products is one product of the operands set side by side:
+    # [a_1 | a_2 | ...] @ [b_1; b_2; ...].
+    rows = first.entries if len(products) == 1 else [
+        [p for a, _ in products for p in a.entries[i]] for i in range(shape[0])
+    ]
+    cols = [[row[j] for _, b in products for row in b.entries] for j in range(shape[1])]
+    ring, normal_form = tower.ring, tower.normal_form
+    if lead is None:
+        entries = [[normal_form(sum_of_products(ring, zip(row, col)), level) for col in cols]
+                   for row in rows]
+    else:
+        one = ring.one()
+        entries = [[normal_form(sum_of_products(ring, [(c, one), *zip(row, col)]), level)
+                    for c, col in zip(lead_row, cols)] for row, lead_row in zip(rows, lead.entries)]
+    return RingMatrix(tower, level, entries, *shape, normalize=False)
 
 
 def det(m: RingMatrix) -> Polynomial:

@@ -60,6 +60,10 @@ FIELD_CASES = [
     # Buchberger under lex on a generated 3-quadric file; its golden is
     # proved to be the reduced basis by test_groebner.py.
     ("gb_quadrics_lex_fp32003", ["gb", "quadrics_lex.mfw", "--field", "fp:32003"], 0),
+    # The first failing entry of a morphism square and of a homotopy
+    # identity, pinned by location.
+    ("cone_bad", ["cone", "bad_identities.mfw", "bad"], 1),
+    ("verify_homotopy_badh", ["verify-homotopy", "bad_identities.mfw", "badh"], 1),
 ]
 
 

@@ -14,6 +14,8 @@ from mfkit.errors import (
 )
 from mfkit.mfcat import (
     MatrixFactorization,
+    MfHomotopy,
+    MfMorphism,
     coker_presentation,
     compose_morphisms,
     direct_sum,
@@ -26,7 +28,7 @@ from mfkit.mfcat import (
     verify_morphism,
     zero_morphism,
 )
-from mfkit.tower import Level, RingMatrix, det
+from mfkit.tower import Level, RingMatrix, RingTower, det
 
 from .genutil import rand_derived_object, rand_nullhomotopic_morphism
 
@@ -87,6 +89,19 @@ class TestLevels:
         with pytest.raises(LevelMismatch):
             MatrixFactorization(mat(t, [["u"]], levels[0]), mat(t, [["v"]], levels[1]))
 
+    def test_quot_components_over_mid_endpoints_rejected(self, objects):
+        b = objects["B"]
+        one = identity_morphism(b)
+        one_bar = RingMatrix.identity(b.tower, Level.QUOT, 2)
+        zero_bar = RingMatrix.zeros(b.tower, Level.QUOT, 2, 2)
+        for f, g in ((one_bar, one.g), (one.f, one_bar)):
+            with pytest.raises(LevelMismatch):
+                MfMorphism(b, b, f, g)
+        zero = RingMatrix.zeros(b.tower, Level.MID, 2, 2)
+        for s, t in ((zero_bar, zero), (zero, zero_bar)):
+            with pytest.raises(LevelMismatch):
+                MfHomotopy(one, one, s, t)
+
     def test_coker_of_quot_factorization_rejected(self, towers):
         t = towers["uv"]
         mf = MatrixFactorization(mat(t, [["u"]], Level.QUOT), mat(t, [["v"]], Level.QUOT))
@@ -119,6 +134,22 @@ class TestMorphisms:
         comp = compose_morphisms(th2, th1)
         assert comp.f == th2.f @ th1.f
         assert comp.g == th2.g @ th1.g
+
+    def test_each_square_is_one_normal_form_per_entry(self, objects, monkeypatch):
+        # Both squares of a 2x2 morphism: 8 normal forms, not one per
+        # entry of each of the four products.
+        b = objects["B"]
+        one = identity_morphism(b)
+        calls = []
+        normal_form = RingTower.normal_form
+
+        def counting(self, p, level):
+            calls.append(level)
+            return normal_form(self, p, level)
+
+        monkeypatch.setattr(RingTower, "normal_form", counting)
+        MfMorphism(b, b, one.f, one.g)
+        assert len(calls) == 8
 
     def test_composition_endpoint_check(self, objects):
         with pytest.raises((EndpointMismatch, TowerMismatch)):

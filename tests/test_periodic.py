@@ -641,6 +641,27 @@ def test_lifting_defects_take_no_matrix_products(monkeypatch, field_name):
     assert [transport.p_corr, transport.q_corr, lift.phi_gap, lift.psi_gap] == expected
 
 
+def test_lift_chain_map_normal_form_count(monkeypatch, objects):
+    # Each identity, correction and square of the 2x2 lift on B is one
+    # normal form per entry: 48 calls, where one normal form per product
+    # entry takes 72.
+    from mfkit.tower import RingTower
+
+    b = objects["B"]
+    _, (g1, f0, g0) = _lifting_inputs(b, random.Random(51))
+    lift = ChainLiftInput(b, b, g1, f0, g0)
+    calls = []
+    normal_form = RingTower.normal_form
+
+    def counting(self, p, level):
+        calls.append(level)
+        return normal_form(self, p, level)
+
+    monkeypatch.setattr(RingTower, "normal_form", counting)
+    lift_chain_map(lift)
+    assert len(calls) == 48
+
+
 def test_lifting_algorithms_reuse_the_inputs_quotients(monkeypatch, objects):
     from mfkit.groebner import DivisionOracle
 

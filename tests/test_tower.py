@@ -7,11 +7,25 @@ import random
 import pytest
 
 import mfkit.groebner as groebner
-from mfkit.errors import DimensionMismatch, LevelMismatch, NotDivisible, VerificationFailure, ZeroVector
+from mfkit.errors import (
+    DimensionMismatch,
+    LevelMismatch,
+    NotDivisible,
+    TowerMismatch,
+    VerificationFailure,
+    ZeroVector,
+)
 from mfkit.fields import QQ, PrimeField
 from mfkit.groebner import Ideal, buchberger_basis
 from mfkit.poly import MonomialOrder, PolyRing, format_canonical
-from mfkit.tower import Level, RingMatrix, build_tower, det, validate_ci_presentation
+from mfkit.tower import (
+    Level,
+    RingMatrix,
+    build_tower,
+    det,
+    matrix_sum_of_products,
+    validate_ci_presentation,
+)
 
 from . import reference_tower
 from .genutil import rand_homogeneous_poly, rand_matrix, rand_poly
@@ -370,6 +384,52 @@ def test_matmul_matches_reference_loop(name, level):
     for a in pool:
         for b in pool:
             assert a @ b == reference_tower.matmul(a, b)
+
+
+@pytest.mark.parametrize("level", [Level.MID, Level.QUOT], ids=lambda lv: lv.name)
+@pytest.mark.parametrize("name", KERNEL_TOWERS)
+def test_matrix_sum_of_products_matches_reference_loop(name, level):
+    # lead + sum of a@b against the sum of reference products, over
+    # 1-3 terms with mixed inner sizes, empty shapes included.
+    tower = kernel_tower(name)
+    rng = random.Random(71)
+    shapes = [(0, 2), (2, 0), (0, 0), (1, 1), (2, 3), (3, 2), (2, 2), (3, 3)]
+    for k, (n, m) in enumerate(shapes * 2):
+        products = []
+        for _ in range(k % 3 + 1):
+            inner = rng.randint(0, 3)
+            products.append((_rational_matrix(tower, rng, n, inner, level),
+                             _rational_matrix(tower, rng, inner, m, level)))
+        expected = functools.reduce(
+            operator.add, [reference_tower.matmul(a, b) for a, b in products]
+        )
+        assert matrix_sum_of_products(products) == expected
+        lead = _rational_matrix(tower, rng, n, m, level)
+        assert matrix_sum_of_products(products, lead) == lead + expected
+
+
+def test_matrix_sum_of_products_rejects_mismatched_terms():
+    tower, other = kernel_tower("qq"), kernel_tower("fp32003")
+    rng = random.Random(73)
+
+    def m(nrows, ncols, level=Level.MID, t=tower):
+        return _rational_matrix(t, rng, nrows, ncols, level)
+
+    a, b = m(2, 2), m(2, 3)
+    cases = [
+        ([(a, m(3, 2))], None, DimensionMismatch),  # the pair does not multiply
+        ([(a, m(2, 2, Level.QUOT))], None, LevelMismatch),
+        ([(a, m(2, 2, t=other))], None, TowerMismatch),
+        ([(a, b), (m(2, 2, t=other), m(2, 3, t=other))], None, TowerMismatch),
+        ([(a, b), (m(2, 2, Level.QUOT), m(2, 3, Level.QUOT))], None, LevelMismatch),
+        ([(a, b), (m(2, 1), m(1, 2))], None, DimensionMismatch),
+        ([(a, b)], m(2, 3, t=other), TowerMismatch),
+        ([(a, b)], m(2, 3, Level.QUOT), LevelMismatch),
+        ([(a, b)], m(3, 2), DimensionMismatch),
+    ]
+    for products, lead, error in cases:
+        with pytest.raises(error):
+            matrix_sum_of_products(products, lead)
 
 
 @pytest.mark.parametrize("level", [Level.MID, Level.QUOT], ids=lambda lv: lv.name)
