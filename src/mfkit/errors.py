@@ -81,7 +81,8 @@ class NotDivisible(PreconditionError):
 
 
 class BudgetExceeded(MfkitError):
-    """A degree-window computation would exceed the configured budget."""
+    """A degree-window computation would exceed the configured budget, or
+    a monomial would pass the packed exponent range (`poly.MAX_DEGREE`)."""
 
 
 class VerificationError(MfkitError):

@@ -29,15 +29,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .errors import NotDivisible, VariableMismatch, VerificationFailure
-from .poly import (
-    MonomialOrder,
-    Polynomial,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-    sum_of_products,
-)
+from .poly import MAX_DEGREE, MonomialOrder, Polynomial, past_range, sum_of_products
 
 
 @dataclass(frozen=True)
@@ -84,20 +76,51 @@ def _rebase(out: dict, dens: list, k: int, num: int, mu: int) -> int:
     return num * (common // mu)
 
 
+def _divisor(d: Polynomial, order: MonomialOrder):
+    """(negated key of the leading monomial, leading numerator, tail, top
+    degree) of the divisor d under `order`, cached on d for the last
+    order asked.
+
+    tail lists (monomial, negated key, numerator) for every term but the
+    leading one, and top is the largest total degree among them.
+    """
+    cached = d._tail
+    if cached is not None and (cached[0] is order or cached[0] == order):
+        return cached[1]
+    key, shift = order.key, d.ring.shift
+    lm = d.leading_monomial(order)
+    tail = tuple((m, -key(m), c) for m, c in d.nums.items() if m != lm)
+    top = max([m >> shift for m, _, _ in tail], default=0)
+    data = (-key(lm), d.nums[lm], tail, top)
+    d._tail = (order, data)
+    return data
+
+
 def divide_full(p: Polynomial, divisors, order: MonomialOrder):
     """Multivariate long division of p by an ordered list of divisors.
 
     Returns (remainder, cofactors). The remainder contains no term
     divisible by any divisor's leading monomial; divisor selection is by
     list index, so the result is deterministic. Raises FieldMismatch or
-    VariableMismatch when a divisor lives in another ring than p.
+    VariableMismatch when a divisor lives in another ring than p, and
+    BudgetExceeded when a reduction step would produce a monomial past
+    the packed range (possible under lex, where smaller monomials may
+    have larger degree; checked once per step against the divisor's
+    largest tail degree).
 
-    Terms are processed from the largest monomial down. The pending
-    monomials sit in a min-heap keyed by the negated `order.key`, so each
-    monomial's key is computed once, when it first enters the heap. A
-    monomial whose coefficient cancels keeps its heap entry and is
-    skipped when popped; it cannot reappear later, because every term a
-    reduction step adds is smaller than the monomial just popped.
+    Terms are processed from the largest monomial down. The pending terms
+    are keyed by their negated `order.key`, an int, and those keys sit in
+    a min-heap. Keys are linear in the packed monomial, so only p's own
+    terms and each divisor's terms go through `order.key` (a divisor's
+    when it first reduces a term, once per divisor and order, cached on
+    the divisor next to its leading monomial). Reducing the term of key
+    k by a divisor with leading key l gives the quotient key k - l, and
+    each new term's key is a divisor term's key plus that, one int
+    addition. A new term's packed monomial is also one addition, made
+    only when its key is first queued. A key whose coefficient cancels
+    keeps its heap entry and is skipped when popped; it cannot reappear
+    later, because every term a reduction step adds is smaller than the
+    monomial just popped.
 
     The loop runs on the polynomials' own (nums, den) form, fraction-free:
     the pending terms are an int dict `work` over one running
@@ -120,52 +143,64 @@ def divide_full(p: Polynomial, divisors, order: MonomialOrder):
     field = ring.field
     cancel, reduce_int = field.cancel, field.reduce_int
     _check_ring(p, divisors)
+    guard, shift = ring.guard, ring.shift
     lms = [d.leading_monomial(order) for d in divisors]
-    work, mu = dict(p.nums), p.den
-    heap = [(tuple(-v for v in order.key(m)), m) for m in work]
+    data = [None] * len(divisors)
+    key = order.key
+    # Pending terms by negated key: numerators in `work`, and in `monos`
+    # the monomial of every key ever queued.
+    work, monos = {}, {}
+    for m, c in p.nums.items():
+        k = -key(m)
+        work[k] = c
+        monos[k] = m
+    mu = p.den
+    heap = list(work)
     heapify(heap)
-    queued = set(work)
     # The remainder and the cofactors, each an int dict and its
     # denominator. Popped monomials strictly decrease, so each output's
     # monomials are distinct and can be stored without adding.
     outs: list[dict] = [{} for _ in divisors] + [{}]
     out_dens = [mu] * len(outs)
     while heap:
-        m = heappop(heap)[1]
-        c = work.pop(m, None)
+        k = heappop(heap)
+        c = work.pop(k, None)
         if c is None:
             continue
+        m = monos[k]
         for i, lm in enumerate(lms):
-            if mono_divides(lm, m):
-                divisor = divisors[i]
-                f_terms = divisor.nums
-                s, t = cancel(c, f_terms[lm])
+            if not (m - lm) & guard:
+                if data[i] is None:
+                    data[i] = _divisor(divisors[i], order)
+                lk, lc, tail, top = data[i]
+                q = m - lm
+                if (q >> shift) + top > MAX_DEGREE:
+                    raise past_range((q >> shift) + top)
+                s, t = cancel(c, lc)
                 if s != 1:
-                    for k in work:
-                        work[k] *= s
+                    for w in work:
+                        work[w] *= s
                     mu *= s
-                q_mono = mono_div(m, lm)
-                num = t * divisor.den
+                num = t * divisors[i].den
                 if out_dens[i] != mu:
                     num = _rebase(outs[i], out_dens, i, num, mu)
-                outs[i][q_mono] = num
-                for dm, dc in f_terms.items():
-                    if dm == lm:
-                        continue
-                    tm = mono_mul(dm, q_mono)
-                    nc = reduce_int(work.get(tm, 0) - t * dc)
+                outs[i][q] = num
+                qk = k - lk
+                for dm, dk, dc in tail:
+                    tk = dk + qk
+                    nc = reduce_int(work.get(tk, 0) - t * dc)
                     if nc:
-                        work[tm] = nc
-                        if tm not in queued:
-                            queued.add(tm)
-                            heappush(heap, (tuple(-v for v in order.key(tm)), tm))
+                        work[tk] = nc
+                        if tk not in monos:
+                            monos[tk] = dm + q
+                            heappush(heap, tk)
                     else:
-                        work.pop(tm, None)
+                        work.pop(tk, None)
                 if s != 1:
                     g = gcd(mu, *work.values())
                     if g != 1:
-                        for k in work:
-                            work[k] //= g
+                        for w in work:
+                            work[w] //= g
                         mu //= g
                 break
         else:
@@ -195,10 +230,10 @@ def _spair(fi, fj, order):
     spoly = mult_i*fi + mult_j*fj, where mult_j is a negated monomial."""
     lmi = fi.leading_monomial(order)
     lmj = fj.leading_monomial(order)
-    l = mono_lcm(lmi, lmj)
     ring = fi.ring
-    ui = ring.monomial(mono_div(l, lmi))
-    uj = ring.monomial(mono_div(l, lmj), -1)
+    l = ring.lcm(lmi, lmj)
+    ui = Polynomial(ring, {l - lmi: 1})
+    uj = ring.from_ints({l - lmj: -1})
     return sum_of_products(ring, ((ui, fi), (uj, fj))), ui, uj
 
 
@@ -210,10 +245,11 @@ def _subtract_combination(rep, cofs, basis_reps):
     ]
 
 
-def _update(k, lms, live, pairs, pair_key):
+def _update(ring, k, lms, live, pairs, pair_key):
     """Gebauer-Moeller update for basis element k, whose leading monomial
     is lms[k]; `live` maps each pending pair (i, j) to its lcm, and
-    `pairs` is the heap of (pair_key(lcm), (i, j)).
+    `pairs` is the heap of (pair_key(lcm), (i, j)). Monomials are packed
+    in `ring`: m divides l iff not (l - m) & ring.guard.
 
     B_k drops a pending pair (i, j) when lms[k] divides its lcm l and
     neither lcm(i, k) nor lcm(j, k) equals l. Of the new pairs (t, k), M
@@ -223,16 +259,17 @@ def _update(k, lms, live, pairs, pair_key):
     monomials (the product criterion).
     """
     lmk = lms[k]
+    guard, lcm_of = ring.guard, ring.lcm
     for (i, j), l in list(live.items()):
-        if mono_divides(lmk, l) and mono_lcm(lms[i], lmk) != l and mono_lcm(lms[j], lmk) != l:
+        if not (l - lmk) & guard and lcm_of(lms[i], lmk) != l and lcm_of(lms[j], lmk) != l:
             del live[i, j]
     groups: dict = {}
     for t in range(k):
-        groups.setdefault(mono_lcm(lms[t], lmk), []).append(t)
+        groups.setdefault(lcm_of(lms[t], lmk), []).append(t)
     for l, ts in groups.items():
-        if any(m != l and mono_divides(m, l) for m in groups):
+        if any(m != l and not (l - m) & guard for m in groups):
             continue
-        if any(l == mono_mul(lms[t], lmk) for t in ts):
+        if any(l == lms[t] + lmk for t in ts):
             continue
         live[ts[0], k] = l
         heappush(pairs, (pair_key(l), (ts[0], k)))
@@ -254,7 +291,6 @@ def buchberger_with_reps(generators, order: MonomialOrder):
     if not gens:
         return [], []
     ring = gens[0].ring
-    one = (0,) * ring.nvars
 
     polys: list[Polynomial] = []
     reps: list[list[Polynomial]] = []
@@ -265,7 +301,7 @@ def buchberger_with_reps(generators, order: MonomialOrder):
         monic, num, den = g.monic(order)
         polys.append(monic)
         row = [ring.zero() for _ in gens]
-        row[j] = ring.from_ints({one: num}, den)
+        row[j] = ring.from_ints({0: num}, den)
         reps.append(row)
 
     # Degree first on homogeneous input. Grevlex keys start with the
@@ -273,7 +309,7 @@ def buchberger_with_reps(generators, order: MonomialOrder):
     homogeneous = all(g.is_homogeneous() for g in gens)
 
     def pair_key(lcm):
-        return (sum(lcm), order.key(lcm)) if homogeneous else order.key(lcm)
+        return (lcm >> ring.shift, order.key(lcm)) if homogeneous else order.key(lcm)
 
     # Pending pairs as a min-heap of (key of the lcm of the leading
     # monomials, (i, j)); `live` maps each pair that still counts to its
@@ -283,7 +319,7 @@ def buchberger_with_reps(generators, order: MonomialOrder):
     pairs: list = []
     live: dict = {}
     for k in range(len(polys)):
-        _update(k, lms, live, pairs, pair_key)
+        _update(ring, k, lms, live, pairs, pair_key)
     while pairs:
         ij = heappop(pairs)[1]
         if live.pop(ij, None) is None:
@@ -301,7 +337,7 @@ def buchberger_with_reps(generators, order: MonomialOrder):
         polys.append(monic)
         reps.append([a.scale(num, den) for a in rep_r])
         lms.append(monic.leading_monomial(order))
-        _update(len(polys) - 1, lms, live, pairs, pair_key)
+        _update(ring, len(polys) - 1, lms, live, pairs, pair_key)
 
     # Minimalize: drop elements whose leading monomial is divisible by
     # another element's leading monomial.
@@ -310,7 +346,7 @@ def buchberger_with_reps(generators, order: MonomialOrder):
     kept_lms: list = []
     for i in order_idx:
         lm = lms[i]
-        if any(mono_divides(l, lm) for l in kept_lms):
+        if any(not (lm - l) & ring.guard for l in kept_lms):
             continue
         kept.append(i)
         kept_lms.append(lm)
@@ -412,7 +448,7 @@ def krull_dimension(basis: GroebnerBasis, nvars: int) -> int:
     supports = []
     for b in basis.polys:
         lm = b.leading_monomial(basis.order)
-        supports.append({i for i, e in enumerate(lm) if e > 0})
+        supports.append({i for i, e in enumerate(b.ring.exps(lm)) if e > 0})
     return _independent_sets_max(supports, nvars)
 
 

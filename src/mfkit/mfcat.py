@@ -73,7 +73,7 @@ class MatrixFactorization:
     Construction checks both axioms and the forced rank equality.
     """
 
-    __slots__ = ("tower", "phi", "psi")
+    __slots__ = ("tower", "phi", "psi", "_bars")
 
     def __init__(self, phi: RingMatrix, psi: RingMatrix):
         if phi.tower is not psi.tower:
@@ -91,6 +91,7 @@ class MatrixFactorization:
         self.tower = tower
         self.phi = phi
         self.psi = psi
+        self._bars = None
         self._verify()
 
     @property
@@ -104,6 +105,12 @@ class MatrixFactorization:
     @property
     def level(self) -> Level:
         return self.phi.level
+
+    def bars(self) -> tuple[RingMatrix, RingMatrix]:
+        """(phi, psi) reduced to QUOT, computed on the first call and kept."""
+        if self._bars is None:
+            self._bars = (self.phi.reduce_to(Level.QUOT), self.psi.reduce_to(Level.QUOT))
+        return self._bars
 
     def _verify(self):
         tower = self.tower

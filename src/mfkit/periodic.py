@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm
-from operator import add
 
 from . import linalg
 from .errors import (
@@ -81,7 +80,7 @@ def reduce_object(a: MatrixFactorization) -> MatrixFactorization:
     """The 2-periodic complex of a factorization: both matrices reduced
     to QUOT, a factorization of 0 there. Even positions carry the F-slot
     (phi out of them), odd positions the G-slot (psi out of them)."""
-    return MatrixFactorization(a.phi.reduce_to(Level.QUOT), a.psi.reduce_to(Level.QUOT))
+    return MatrixFactorization(*a.bars())
 
 
 def reduce_morphism(theta: MfMorphism) -> MfMorphism:
@@ -252,7 +251,8 @@ def lift_chain_map(inp: ChainLiftInput) -> tuple[MfMorphism, LiftWitness]:
         g = g0 + phi2@psi_gap
     The result is verified as a morphism; the derived identity
     psi2@phi_gap@psi1 == f0@psi1 - psi2@g0 and the reduced witness
-    identity are asserted.
+    identity are asserted. The witness identity reads psi2_bar and
+    phi1_bar from the factorizations' `bars`, reduced once per object.
     """
     src, tgt = inp.source, inp.target
     phi_gap, psi_gap = inp.phi_gap, inp.psi_gap
@@ -266,8 +266,10 @@ def lift_chain_map(inp: ChainLiftInput) -> tuple[MfMorphism, LiftWitness]:
     theta = verify_morphism(src, tgt, f, g)
     phi_gap_bar = phi_gap.reduce_to(Level.QUOT)
     psi_gap_bar = psi_gap.reduce_to(Level.QUOT)
+    phi1_bar, _ = src.bars()
+    _, psi2_bar = tgt.bars()
     residual_bar = matrix_sum_of_products(
-        [(tgt.psi.reduce_to(Level.QUOT), phi_gap_bar), (-psi_gap_bar, src.phi.reduce_to(Level.QUOT))],
+        [(psi2_bar, phi_gap_bar), (-psi_gap_bar, phi1_bar)],
         (f - inp.f0).reduce_to(Level.QUOT),
     )
     if not residual_bar.is_zero():
@@ -347,7 +349,7 @@ def _graded_map(tower: RingTower, m: RingMatrix, src_degree: int, entry_degree: 
             image: dict = {}
             for base, nums, eden in column:
                 for mono, coeff in nums.items():
-                    prod = tuple(map(add, mono, sm))
+                    prod = mono + sm
                     coords, vden = cached(prod) or vector(prod)
                     d = eden * vden
                     if d != 1:
@@ -408,6 +410,7 @@ class _GradedSystem:
         one denominator, so every coefficient is an int.
         """
         tower = self.tower
+        shift = tower.ring.shift
         ntgt = len(tower.standard_monomials(degree))
         rows, cols = c.nrows, c.ncols
         # A term is (graded map of M, unknown, left?). For A@X, unknown
@@ -424,7 +427,7 @@ class _GradedSystem:
         for i, line in enumerate(c.entries):
             for j, e in enumerate(line):
                 for mono, coeff in e.nums.items():
-                    if sum(mono) != degree:
+                    if mono >> shift != degree:
                         raise NotHomogeneous("equation entry outside its graded piece")
                     coords, vden = tower.quot_coords(mono)
                     rhs.extend(((i * cols + j) * ntgt + k, coeff * v, e.den * vden)

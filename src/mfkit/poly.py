@@ -1,10 +1,32 @@
 """Sparse multivariate polynomials with exact coefficients.
 
-A monomial is a tuple of non-negative exponents aligned with a fixed
-variable list. A polynomial is one int dict `nums` from monomials to
-nonzero int numerators plus one positive int denominator `den`: its
-coefficient at m is nums[m]/den. The pair is kept canonical by the
-field's `normalize`:
+A monomial is one non-negative int, packed. With n variables, field i
+(bits i*WIDTH up to (i+1)*WIDTH) holds the exponent of variable i, with
+variable 0 in the least significant field, and field n, the top one,
+holds the total degree. The top bit of every field is a guard bit that
+stays clear, because every exponent and total degree is at most
+MAX_DEGREE = 2^(WIDTH-1) - 1 = 32767. On that layout:
+
+* the product of two monomials is the sum of their ints, and the
+  quotient is the difference;
+* a divides b iff (b - a) & ring.guard == 0, with ring.guard the
+  exponent fields' guard bits: the lowest field of b - a that would go
+  negative borrows from the field above and sets its own guard bit
+  instead;
+* the total degree is m >> ring.shift, and of two monomials the bigger
+  int has the bigger (or equal) total degree;
+* every order key is a linear function of the exponents
+  (`MonomialOrder.key`), so key(a*b) == key(a) + key(b).
+
+A monomial past MAX_DEGREE never wraps: `PolyRing.pack`, products,
+powers, lcms and division steps raise `BudgetExceeded` instead. The
+range check is one comparison per produced monomial or one `max` over a
+result's keys. Exponent tuples appear only at the edges:
+`PolyRing.monomial`, `PolyRing.pack`/`PolyRing.exps` and the printer.
+
+A polynomial is one int dict `nums` from packed monomials to nonzero int
+numerators plus one positive int denominator `den`: its coefficient at m
+is nums[m]/den. The pair is kept canonical by the field's `normalize`:
 
 * over QQ, den is the least common denominator of the reduced
   coefficients, that is gcd(den, every numerator) == 1;
@@ -35,11 +57,12 @@ literals; `a/b` denotes an exact field coefficient.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import add, sub
 
 from .errors import (
+    BudgetExceeded,
     DivisionByZeroInCoefficient,
     FieldMismatch,
     ParseError,
@@ -48,31 +71,22 @@ from .errors import (
 )
 from .fields import PrimeField, Rationals
 
-Exps = tuple[int, ...]
+WIDTH = 16
+"""Bits per field of a packed monomial, its guard bit included."""
+
+MAX_DEGREE = (1 << (WIDTH - 1)) - 1
+"""The largest exponent and total degree a packed monomial holds."""
+
+_FIELD = (1 << WIDTH) - 1
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
-def total_degree(exps: Exps) -> int:
-    return sum(exps)
-
-
-def mono_mul(a: Exps, b: Exps) -> Exps:
-    return tuple(map(add, a, b))
-
-
-def mono_divides(a: Exps, b: Exps) -> bool:
-    """True when the monomial a divides b."""
-    return all(map(le, a, b))
-
-
-def mono_div(a: Exps, b: Exps) -> Exps:
-    """Quotient exponent tuple a / b (caller guarantees divisibility)."""
-    return tuple(map(sub, a, b))
-
-
-def mono_lcm(a: Exps, b: Exps) -> Exps:
-    return tuple(map(max, a, b))
+def past_range(degree: int) -> BudgetExceeded:
+    """The error for a monomial of total degree past MAX_DEGREE."""
+    return BudgetExceeded(
+        f"monomial of total degree {degree} is past the packed range (at most {MAX_DEGREE})"
+    )
 
 
 @dataclass(frozen=True)
@@ -84,13 +98,27 @@ class MonomialOrder:
     """
 
     kind: str
-    precedence: Exps
+    precedence: tuple[int, ...]
+    # (bit offset, weight) per packed field, and the degree shift when
+    # the order is grevlex with identity precedence (else None).
+    _weights: tuple = dataclass_field(init=False, repr=False, compare=False)
+    _grevlex_shift: int | None = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("lex", "grevlex"):
             raise ValueError(f"unknown order kind: {self.kind!r}")
-        if sorted(self.precedence) != list(range(len(self.precedence))):
+        n = len(self.precedence)
+        if sorted(self.precedence) != list(range(n)):
             raise ValueError("precedence must be a permutation of variable indices")
+        base = 1 << WIDTH
+        if self.kind == "lex":
+            weights = [(v * WIDTH, base ** (n - 1 - j)) for j, v in enumerate(self.precedence)]
+        else:
+            weights = [(n * WIDTH, base**n)]
+            weights += [(v * WIDTH, -(base**j)) for j, v in enumerate(self.precedence)]
+        fast = self.kind == "grevlex" and self.precedence == tuple(range(n))
+        object.__setattr__(self, "_weights", tuple(weights))
+        object.__setattr__(self, "_grevlex_shift", n * WIDTH if fast else None)
 
     @classmethod
     def lex(cls, nvars: int, precedence=None) -> "MonomialOrder":
@@ -100,38 +128,47 @@ class MonomialOrder:
     def grevlex(cls, nvars: int, precedence=None) -> "MonomialOrder":
         return cls("grevlex", tuple(precedence or range(nvars)))
 
-    def key(self, exps: Exps) -> tuple[int, ...]:
-        """Sort key, a flat tuple of ints: bigger key means bigger monomial.
+    def key(self, m: int) -> int:
+        """Sort key of a packed monomial, an int: bigger key means bigger
+        monomial.
 
-        Lex keys are the exponents in precedence order. Grevlex keys are
-        the total degree followed by the negated exponents, least
-        significant variable first. Keys of distinct monomials differ,
-        and negating every entry reverses the order, which is how
-        `divide_full` turns them into min-heap keys.
+        With B = 2^WIDTH, n variables and precedence p_0, ..., p_{n-1}, a
+        lex key is sum_j e[p_j] * B^(n-1-j), and a grevlex key is
+        deg * B^n - sum_j e[p_j] * B^j. Every exponent is below B, so
+        these are positional numbers that compare as the orders do, and
+        keys of distinct monomials differ. Both are linear in the
+        exponents: key(a*b) == key(a) + key(b), which `divide_full` uses
+        to key each new term with one addition. For grevlex with the
+        identity precedence the key is 2*((m >> S) << S) - m, with S the
+        degree field's offset.
         """
-        if len(exps) != len(self.precedence):
-            raise VariableMismatch(
-                f"monomial has {len(exps)} exponents, order expects {len(self.precedence)}"
-            )
-        perm = [exps[i] for i in self.precedence]
-        if self.kind == "lex":
-            return tuple(perm)
-        return (sum(exps), *[-e for e in reversed(perm)])
+        s = self._grevlex_shift
+        if s is not None:
+            return 2 * (m >> s << s) - m
+        return sum([((m >> shift) & _FIELD) * w for shift, w in self._weights])
 
-    def compare(self, a: Exps, b: Exps) -> int:
-        """Three-way comparison: -1, 0 or 1 as a <, =, > b."""
-        if len(a) != len(b):
-            raise VariableMismatch("monomials have different variable counts")
+    def compare(self, a: int, b: int) -> int:
+        """Three-way comparison of packed monomials: -1, 0 or 1 as a <, =, > b."""
         ka, kb = self.key(a), self.key(b)
         return (ka > kb) - (ka < kb)
 
 
 @dataclass(frozen=True)
 class PolyRing:
-    """Ambient polynomial ring: a variable list over a coefficient field."""
+    """Ambient polynomial ring: a variable list over a coefficient field.
+
+    `shift` is the bit offset of a packed monomial's degree field,
+    `guard` the mask of its exponent fields' guard bits (the degree
+    field's is never the first to catch a borrow, so divisibility needs
+    only these), and `limit` the least int past the packed range: a
+    monomial m is in range iff m < limit.
+    """
 
     vars: tuple[str, ...]
     field: Rationals | PrimeField
+    shift: int = dataclass_field(init=False, repr=False, compare=False)
+    guard: int = dataclass_field(init=False, repr=False, compare=False)
+    limit: int = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.vars:
@@ -143,39 +180,89 @@ class PolyRing:
             if v in seen:
                 raise ValueError(f"duplicate variable name: {v!r}")
             seen.add(v)
+        n = len(self.vars)
+        object.__setattr__(self, "shift", n * WIDTH)
+        object.__setattr__(self, "guard", sum(1 << (i * WIDTH + WIDTH - 1) for i in range(n)))
+        object.__setattr__(self, "limit", (MAX_DEGREE + 1) << (n * WIDTH))
 
     @property
     def nvars(self) -> int:
         return len(self.vars)
 
+    def pack(self, exps) -> int:
+        """The packed monomial of an exponent sequence. VariableMismatch
+        for the wrong length, BudgetExceeded past MAX_DEGREE."""
+        exps = tuple(exps)
+        if len(exps) != self.nvars:
+            raise VariableMismatch(
+                f"monomial has {len(exps)} exponents, ring has {self.nvars} variables"
+            )
+        if min(exps) < 0:
+            raise ValueError(f"negative exponent in {exps}")
+        m = sum(exps)
+        if m > MAX_DEGREE:
+            raise past_range(m)
+        for e in reversed(exps):
+            m = m << WIDTH | e
+        return m
+
+    def exps(self, m: int) -> tuple[int, ...]:
+        """The exponent tuple of a packed monomial."""
+        return tuple([(m >> s) & _FIELD for s in range(0, self.shift, WIDTH)])
+
+    def lcm(self, a: int, b: int) -> int:
+        """The lcm of two packed monomials; BudgetExceeded when its total
+        degree is past MAX_DEGREE.
+
+        Adding the guard bits to a and subtracting b borrows within no
+        field, and leaves a field's guard bit set iff a's exponent there
+        is at least b's; that mask picks the larger exponent of each
+        field. The degree is the sum of the fields, which multiplying by
+        one 1 per field gathers in the top variable's field (every
+        partial sum is below 2^WIDTH, so nothing carries).
+        """
+        shift = self.shift
+        low = (1 << shift) - 1
+        g = self.guard
+        a &= low
+        b &= low
+        ge = ((a | g) - b) & g
+        pick = ge - (ge >> (WIDTH - 1))
+        e = (a & pick) | (b & ~pick)
+        degree = (e * (low // _FIELD) >> (shift - WIDTH)) & _FIELD
+        if degree > MAX_DEGREE:
+            raise past_range(degree)
+        return e | degree << shift
+
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
 
     def one(self) -> "Polynomial":
-        return self.const_int(1)
+        return Polynomial(self, {0: 1})
 
     def from_ints(self, nums: dict, den: int = 1) -> "Polynomial":
-        """The polynomial nums/den, for int numerators and a nonzero int
-        denominator, in canonical form."""
+        """The polynomial nums/den, for int numerators on packed monomials
+        and a nonzero int denominator, in canonical form."""
         return Polynomial(self, *self.field.normalize(nums, den))
 
     def const(self, c) -> "Polynomial":
         """The constant polynomial of a scalar: an int, or an exact
         rational with int numerator and denominator."""
-        return self.monomial((0,) * self.nvars, c)
+        return self.from_ints({0: c.numerator}, c.denominator)
 
     def const_int(self, n: int) -> "Polynomial":
         return self.const(self.field.from_int(n))
 
     def var(self, i: int) -> "Polynomial":
-        exps = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, {exps: 1})
+        return Polynomial(self, {1 << (i * WIDTH) | 1 << self.shift: 1})
 
-    def monomial(self, exps: Exps, coeff=1) -> "Polynomial":
-        """coeff * x^exps, for a scalar coeff as in `const`."""
+    def monomial(self, exps, coeff=1) -> "Polynomial":
+        """coeff * x^exps, for an exponent sequence and a scalar coeff as
+        in `const`."""
+        m = self.pack(exps)
         if coeff == 1:  # canonical in every field as it stands
-            return Polynomial(self, {tuple(exps): 1})
-        return self.from_ints({tuple(exps): coeff.numerator}, coeff.denominator)
+            return Polynomial(self, {m: 1})
+        return self.from_ints({m: coeff.numerator}, coeff.denominator)
 
     def parse(self, text: str) -> "Polynomial":
         return _Parser(self, text).run()
@@ -190,20 +277,23 @@ class PolyRing:
 class Polynomial:
     """Immutable sparse polynomial over a `PolyRing`: nums/den.
 
-    `nums` maps exponent tuples to nonzero int numerators and `den` is
-    one positive int denominator, in the canonical form described in
-    the module docstring. The constructor trusts its arguments to be
-    canonical; `PolyRing.from_ints` normalizes. Consumers must not
-    mutate `nums`.
+    `nums` maps packed monomials (see the module docstring: WIDTH-bit
+    fields with guard bits, the total degree on top, every monomial at
+    most MAX_DEGREE) to nonzero int numerators, and `den` is one
+    positive int denominator, in the canonical form described in the
+    module docstring. The constructor trusts its arguments to be
+    canonical and in range; `PolyRing.from_ints` normalizes. Consumers
+    must not mutate `nums`.
     """
 
-    __slots__ = ("ring", "nums", "den", "_lm")
+    __slots__ = ("ring", "nums", "den", "_lm", "_tail")
 
     def __init__(self, ring: PolyRing, nums: dict, den: int = 1):
         self.ring = ring
         self.nums = nums
         self.den = den
         self._lm = None  # (order, leading monomial) of the last query
+        self._tail = None  # (order, divisor data) of the last division by it
 
     def _check_compatible(self, other: "Polynomial"):
         if self.ring.vars != other.ring.vars:
@@ -262,18 +352,15 @@ class Polynomial:
         return Polynomial(self.ring, nums, self.den)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check_compatible(other)
-        res: dict = {}
-        get = res.get
-        for m1, c1 in self.nums.items():
-            for m2, c2 in other.nums.items():
-                m = tuple(map(add, m1, m2))
-                res[m] = get(m, 0) + c1 * c2
-        return Polynomial(self.ring, *self.ring.field.normalize(res, self.den * other.den))
+        return sum_of_products(self.ring, ((self, other),))
 
     def __pow__(self, n: int) -> "Polynomial":
+        """self^n by repeated squaring; BudgetExceeded before any product
+        when the result's degree would pass MAX_DEGREE."""
         if n < 0:
             raise ValueError("negative exponent")
+        if self.nums and self.degree() * n > MAX_DEGREE:
+            raise past_range(self.degree() * n)
         result = self.ring.one()
         base = self
         while n:
@@ -285,35 +372,45 @@ class Polynomial:
 
     def scale(self, num: int, den: int = 1) -> "Polynomial":
         """Multiply by the scalar num/den, for ints num and den != 0."""
-        return self.mul_term((0,) * self.ring.nvars, num, den)
+        nums = {m: c * num for m, c in self.nums.items()}
+        return Polynomial(self.ring, *self.ring.field.normalize(nums, self.den * den))
 
-    def mul_term(self, exps: Exps, num: int = 1, den: int = 1) -> "Polynomial":
-        """Multiply by the single term (num/den) * x^exps."""
-        nums = {mono_mul(m, exps): c * num for m, c in self.nums.items()}
+    def mul_term(self, mono: int, num: int = 1, den: int = 1) -> "Polynomial":
+        """Multiply by the single term (num/den) * x^mono, for a packed
+        monomial; BudgetExceeded past the packed range."""
+        if self.nums and max(self.nums) + mono >= self.ring.limit:
+            raise past_range((max(self.nums) + mono) >> self.ring.shift)
+        nums = {m + mono: c * num for m, c in self.nums.items()}
         return Polynomial(self.ring, *self.ring.field.normalize(nums, self.den * den))
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.nums:
             return -1
-        return max(total_degree(m) for m in self.nums)
+        return max(self.nums) >> self.ring.shift
 
     def is_homogeneous(self) -> bool:
-        degs = {total_degree(m) for m in self.nums}
-        return len(degs) <= 1
+        return self.homogeneous_degree() is not None or not self.nums
 
     def homogeneous_degree(self) -> int | None:
         """The common total degree of all terms, or None (zero or mixed)."""
-        degs = {total_degree(m) for m in self.nums}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        if not self.nums:
+            return None
+        shift = self.ring.shift
+        low, high = min(self.nums) >> shift, max(self.nums) >> shift
+        return low if low == high else None
 
-    def leading_monomial(self, order: MonomialOrder) -> Exps:
-        """The largest monomial under `order`, cached for the last order asked."""
+    def leading_monomial(self, order: MonomialOrder) -> int:
+        """The largest monomial under `order`, cached for the last order
+        asked. VariableMismatch when the order is for another number of
+        variables: a packed monomial does not carry its length."""
         cached = self._lm
-        if cached is not None and cached[0] == order:
+        if cached is not None and (cached[0] is order or cached[0] == order):
             return cached[1]
+        if len(order.precedence) != self.ring.nvars:
+            raise VariableMismatch(
+                f"order has {len(order.precedence)} variables, ring has {self.ring.nvars}"
+            )
         if not self.nums:
             raise ValueError("zero polynomial has no leading monomial")
         lm = max(self.nums, key=order.key)
@@ -338,9 +435,13 @@ def sum_of_products(ring: PolyRing, pairs) -> Polynomial:
     """sum_k a_k*b_k over the (a_k, b_k) in `pairs`, exactly, in `ring`.
 
     With L the lcm of the products of the factors' denominators d_a*d_b,
-    it accumulates one int dict of sum_k (L/(d_a*d_b)) * nums_a*nums_b
-    and normalizes it over L once at the end. When L == 1 (always over
-    GF(p)) that takes no gcd, only the reduction of each numerator.
+    it accumulates one int dict of sum_k (L/(d_a*d_b)) * nums_a*nums_b,
+    each monomial product one int addition, and normalizes it over L
+    once at the end. When L == 1 (always over GF(p)) that takes no gcd,
+    only the reduction of each numerator. BudgetExceeded when a product
+    monomial is past the packed range (one `max` over the result's keys:
+    a product of two in-range monomials is exact, so it cannot wrap).
+    `Polynomial.__mul__` is its one-pair case.
     """
     prods = []
     den = 1
@@ -357,17 +458,23 @@ def sum_of_products(ring: PolyRing, pairs) -> Polynomial:
     get = acc.get
     for fa, fb, d in prods:
         k = den // d
+        fb = fb.items()
         for ma, ca in fa.items():
-            ca *= k
-            for mb, cb in fb.items():
-                m = tuple(map(add, ma, mb))
+            if k != 1:
+                ca *= k
+            for mb, cb in fb:
+                m = ma + mb
                 acc[m] = get(m, 0) + ca * cb
+    if acc:
+        top = max(acc)
+        if top >= ring.limit:
+            raise past_range(top >> ring.shift)
     return Polynomial(ring, *ring.field.normalize(acc, den))
 
 
-def _format_monomial(ring: PolyRing, exps: Exps) -> str:
+def _format_monomial(ring: PolyRing, m: int) -> str:
     parts = []
-    for name, e in zip(ring.vars, exps):
+    for name, e in zip(ring.vars, ring.exps(m)):
         if e == 1:
             parts.append(name)
         elif e > 1:

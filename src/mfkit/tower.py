@@ -41,9 +41,7 @@ from .poly import (
     Polynomial,
     PolyRing,
     format_canonical,
-    mono_divides,
     sum_of_products,
-    total_degree,
 )
 
 
@@ -100,9 +98,7 @@ def _ci_report(ring: PolyRing, gens: list, deep_basis) -> CiReport:
     only the regularity check needs it, so an inhomogeneous presentation
     is judged without a Groebner basis.
     """
-    in_square = tuple(
-        (not g.is_zero()) and all(total_degree(m) >= 2 for m in g.nums) for g in gens
-    )
+    in_square = tuple((not g.is_zero()) and min(g.nums) >> ring.shift >= 2 for g in gens)
     if not all(g.is_homogeneous() for g in gens):
         return CiReport(in_square, False, None, None, None)
     expected = ring.nvars - len(gens)
@@ -202,19 +198,23 @@ class RingTower:
         return all(g.is_homogeneous() for g in self.seq_gens) and self.w.is_homogeneous()
 
     def standard_monomials(self, degree: int) -> list:
-        """Monomial basis of the QUOT-level graded piece of this degree;
-        empty for a negative degree."""
-        key = degree
-        if key not in self._std_monos:
+        """Monomial basis of the QUOT-level graded piece of this degree,
+        as packed monomials in `monomials_of_degree` order; empty for a
+        negative degree."""
+        monos = self._std_monos.get(degree)
+        if monos is None:
+            ring = self.ring
+            guard = ring.guard
             lms = [b.leading_monomial(self.order) for b in self.quot_basis.polys]
-            self._std_monos[key] = [
+            monos = [
                 m
-                for m in monomials_of_degree(self.ring.nvars, degree)
-                if not any(mono_divides(lm, m) for lm in lms)
+                for m in map(ring.pack, monomials_of_degree(ring.nvars, degree))
+                if all((m - lm) & guard for lm in lms)
             ]
-        return self._std_monos[key]
+            self._std_monos[degree] = monos
+        return monos
 
-    def quot_coords(self, mono: tuple) -> tuple[list, int]:
+    def quot_coords(self, mono: int) -> tuple[list, int]:
         """The QUOT normal form of a monomial, as int coordinates.
 
         Returns (coords, den) with coords a list of (k, c) over ints: the
@@ -228,12 +228,12 @@ class RingTower:
         vec = self._quot_coords.get(mono)
         if vec is not None:
             return vec
-        degree = sum(mono)
+        degree = mono >> self.ring.shift
         index = self._std_index.get(degree)
         if index is None:
             index = {m: k for k, m in enumerate(self.standard_monomials(degree))}
             self._std_index[degree] = index
-        nf = self.normal_form(self.ring.monomial(mono), Level.QUOT)
+        nf = self.normal_form(Polynomial(self.ring, {mono: 1}), Level.QUOT)
         coords = []
         for m, c in nf.nums.items():
             k = index.get(m)
@@ -291,7 +291,7 @@ def build_tower(ring: PolyRing, seq_gens, w_coords, order: MonomialOrder | None 
         raise ZeroVector("need at least one sequence generator")
     # Each coordinate as a constant polynomial, and as its scalar pair.
     consts = [ring.const(c) for c in w_coords]
-    coords = tuple((k.nums.get((0,) * ring.nvars, 0), k.den) for k in consts)
+    coords = tuple((k.nums.get(0, 0), k.den) for k in consts)
     if len(coords) != len(gens):
         raise DimensionMismatch(
             f"{len(coords)} coordinates for {len(gens)} generators"

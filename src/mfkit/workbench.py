@@ -42,13 +42,15 @@ Format (line oriented, '#' starts a comment line, blank lines ignored)::
 Section keys are exactly those documented; unknown keys, unresolved
 names, and malformed matrices are parse errors. `zero` is a reserved
 morphism name, so a `[morphism zero]` section is a parse error too.
+A polynomial with an exponent or total degree past the packed monomial
+range (`mfkit.poly.MAX_DEGREE`) is a BudgetExceeded naming its line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DivisionByZeroInCoefficient, ParseError
+from .errors import BudgetExceeded, DivisionByZeroInCoefficient, ParseError
 from .fields import field_from_name
 from .mfcat import MatrixFactorization, MfHomotopy, MfMorphism, zero_morphism
 from .periodic import ChainLiftInput, HomotopyTransportInput
@@ -250,7 +252,7 @@ class Workbench:
     def _parse_poly(ring: PolyRing, text: str, line: int):
         try:
             return ring.parse(text)
-        except ParseError as exc:
+        except (ParseError, BudgetExceeded) as exc:
             raise type(exc)(f"line {line}: {exc}") from None
 
     def _section(self, kind: str, name: str) -> RawSection:

@@ -64,6 +64,9 @@ FIELD_CASES = [
     # identity, pinned by location.
     ("cone_bad", ["cone", "bad_identities.mfw", "bad"], 1),
     ("verify_homotopy_badh", ["verify-homotopy", "bad_identities.mfw", "badh"], 1),
+    # A monomial past the packed range (total degree above 32767) is a
+    # BudgetExceeded at parse time, never a wrapped exponent.
+    ("validate_huge_power", ["validate", "huge_power.mfw"], 4),
 ]
 
 

@@ -6,6 +6,9 @@ every step, and `buchberger_with_reps` picks the next pair with a `min`
 scan over all pending pairs. Leading monomials are found by scanning the
 terms, so nothing here relies on the cache in `Polynomial`, and order
 keys come from `order_key` here, not from `MonomialOrder.key`.
+Monomials are exponent tuples, with the tuple arithmetic below, where
+mfkit packs each into one int; polynomials are read and built through
+`reference_poly.coeffs` and `PolyRing.monomial`.
 Coefficients are handled one at a time, as field elements of
 `reference_poly.RefField` (Fractions over QQ), not on mfkit's int
 numerators over a common denominator. Both return the same values, in
@@ -22,9 +25,27 @@ from itertools import combinations
 
 from mfkit.groebner import monomials_of_degree
 from mfkit.linalg import solve_linear
-from mfkit.poly import Polynomial, mono_div, mono_divides, mono_lcm, mono_mul
+from mfkit.poly import Polynomial
 
 from .reference_poly import RefField, coeffs, from_coeffs, scale
+
+
+def mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_div(a, b):
+    """a / b, for b dividing a."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_divides(a, b):
+    """True when a divides b."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def order_key(order, exps):
@@ -36,7 +57,8 @@ def order_key(order, exps):
 
 
 def leading_monomial(p: Polynomial, order):
-    return max(p.nums, key=lambda m: order_key(order, m))
+    """The leading exponent tuple of p."""
+    return max(map(p.ring.exps, p.nums), key=lambda m: order_key(order, m))
 
 
 def divide_full(p: Polynomial, divisors, order):
@@ -182,13 +204,14 @@ def membership_oracle(p: Polynomial, generators, max_cof_degree: int) -> bool:
         return False
     ring = p.ring
     monos = [m for d in range(max_cof_degree + 1) for m in monomials_of_degree(ring.nvars, d)]
+    exps = ring.exps
     columns = []
-    target_monos = set(p.nums)
+    target_monos = {exps(m) for m in p.nums}
     for g in gens:
         for m in monos:
-            prod = g.mul_term(m)
+            prod = g * ring.monomial(m)
             columns.append(prod)
-            target_monos.update(prod.nums)
+            target_monos.update(exps(t) for t in prod.nums)
     # One augmented row per monomial; column len(columns) holds p. Each
     # column is scaled by its polynomial's denominator, and the
     # right-hand side by p's: the unknowns change by nonzero factors,
@@ -196,7 +219,7 @@ def membership_oracle(p: Polynomial, generators, max_cof_degree: int) -> bool:
     rows = {m: {} for m in sorted(target_monos)}
     for k, col in enumerate(columns):
         for m, c in col.nums.items():
-            rows[m][k] = c
+            rows[exps(m)][k] = c
     for m, c in p.nums.items():
-        rows[m][len(columns)] = c
+        rows[exps(m)][len(columns)] = c
     return solve_linear(list(rows.values()), len(columns), ring.field) is not None

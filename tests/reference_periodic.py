@@ -7,7 +7,9 @@ standard monomial) product, read off on the target degree's standard
 monomials. Its images hold one field element per coordinate
 (`reference_poly.RefField`), where `_graded_map` returns int images over
 one denominator; it returns (images, source dimension, target
-dimension).
+dimension). It reads monomials as exponent tuples (`PolyRing.exps`) and
+multiplies by each standard monomial as a polynomial built with
+`PolyRing.monomial`, where `_graded_map` adds packed ints.
 
 `transport_nullhomotopy` and `lift_chain_map` check first that both
 lifting defects vanish over the quotient, raising NotDivisible with the
@@ -33,18 +35,19 @@ from .reference_poly import coeffs
 
 
 def graded_map(tower: RingTower, m: RingMatrix, src_degree: int, entry_degree: int):
+    ring = tower.ring
     src_monos = tower.standard_monomials(src_degree) if src_degree >= 0 else []
     tgt_degree = src_degree + entry_degree
     tgt_monos = tower.standard_monomials(tgt_degree) if tgt_degree >= 0 else []
     ntgt = len(tgt_monos)
-    tgt_index = {mono: k for k, mono in enumerate(tgt_monos)}
+    tgt_index = {ring.exps(mono): k for k, mono in enumerate(tgt_monos)}
     images = []
     for j in range(m.ncols):
         column = [(i, row[j]) for i, row in enumerate(m.entries) if not row[j].is_zero()]
         for sm in src_monos:
             image = {}
             for i, p in column:
-                prod = tower.normal_form(p.mul_term(sm), Level.QUOT)
+                prod = tower.normal_form(p * ring.monomial(ring.exps(sm)), Level.QUOT)
                 for mono, coeff in coeffs(prod).items():
                     k = tgt_index.get(mono)
                     if k is None:

@@ -58,13 +58,13 @@ class RefField:
 
 
 def coeffs(p: Polynomial) -> dict:
-    """{monomial: field element} of p."""
+    """{exponent tuple: field element} of p."""
     ref = RefField(p.ring.field)
-    return {m: ref.of(n, p.den) for m, n in p.nums.items()}
+    return {p.ring.exps(m): ref.of(n, p.den) for m, n in p.nums.items()}
 
 
 def from_coeffs(ring: PolyRing, terms: dict) -> Polynomial:
-    """The polynomial with the given {monomial: field element} terms."""
+    """The polynomial with the given {exponent tuple: field element} terms."""
     p = ring.zero()
     for m, c in terms.items():
         p = p + ring.monomial(m, c)

@@ -288,7 +288,7 @@ def test_criterion_08_groebner_engine(towers):
         ring = tower.ring
         monos = tower.standard_monomials(1)
         assert monos
-        witness = ring.monomial(monos[i % len(monos)])
+        witness = ring.monomial(ring.exps(monos[i % len(monos)]))
         p = tower.w * rand_poly(ring, rng, max_degree=2, terms=2) + witness
         with pytest.raises(NotDivisible):
             oracles[id(tower)].divide(p)

@@ -55,7 +55,7 @@ def build(ring, terms):
     one field element per term."""
     field = RefField(ring.field)
     den = lcm(*[d for _, d in terms.values()])
-    p = ring.from_ints({m: n * (den // d) for m, (n, d) in terms.items()}, den)
+    p = ring.from_ints({ring.pack(m): n * (den // d) for m, (n, d) in terms.items()}, den)
     expected = {m: c for m, (n, d) in terms.items() if (c := field.of(n, d))}
     assert_canonical(p)
     assert coeffs(p) == expected
@@ -87,7 +87,7 @@ def test_ring_operations_match_reference(case):
     check(-a, ref.add(field, {}, ra, sign=-1))
     check(a * b, ref.mul(field, ra, rb))
     check(a.scale(num, den), ref.mul(field, ra, {(0, 0, 0): field.of(num, den)}))
-    check(a.mul_term((1, 0, 2), num, den), ref.mul(field, ra, {(1, 0, 2): field.of(num, den)}))
+    check(a.mul_term(ring.pack((1, 0, 2)), num, den), ref.mul(field, ra, {(1, 0, 2): field.of(num, den)}))
     pairs = [(a, b), (b, c), (-c, a), (a, -b)]
     check(sum_of_products(ring, pairs),
           ref.sum_of_products(field, [(ra, rb), (rb, rc), (ref.add(field, {}, rc, sign=-1), ra),

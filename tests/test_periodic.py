@@ -644,10 +644,12 @@ def test_lifting_defects_take_no_matrix_products(monkeypatch, field_name):
 def test_lift_chain_map_normal_form_count(monkeypatch, objects):
     # Each identity, correction and square of the 2x2 lift on B is one
     # normal form per entry: 48 calls, where one normal form per product
-    # entry takes 72.
+    # entry takes 72. Of those, 8 reduce phi and psi to QUOT for the
+    # witness identity; the factorization keeps them, so a second lift
+    # takes 40. A fresh B, so that no earlier test has reduced it.
     from mfkit.tower import RingTower
 
-    b = objects["B"]
+    b = MatrixFactorization(objects["B"].phi, objects["B"].psi)
     _, (g1, f0, g0) = _lifting_inputs(b, random.Random(51))
     lift = ChainLiftInput(b, b, g1, f0, g0)
     calls = []
@@ -658,8 +660,11 @@ def test_lift_chain_map_normal_form_count(monkeypatch, objects):
         return normal_form(self, p, level)
 
     monkeypatch.setattr(RingTower, "normal_form", counting)
-    lift_chain_map(lift)
+    first = lift_chain_map(lift)
     assert len(calls) == 48
+    calls.clear()
+    assert lift_chain_map(lift) == first
+    assert len(calls) == 40
 
 
 def test_lifting_algorithms_reuse_the_inputs_quotients(monkeypatch, objects):
