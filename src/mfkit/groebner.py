@@ -19,17 +19,40 @@ those criteria prove redundant. The remaining pairs are
 taken smallest lcm first in the order, with an (i, j) tie-break, and on
 homogeneous input by the lcm's total degree first. Selection is
 deterministic, and the reduced basis is unique whatever the sequence.
+
+Hilbert series: `hilbert_numerator` reads the numerator Q(t) of
+HS(S/J) = Q(t)/(1-t)^n for a monomial ideal J, such as the leading-term
+ideal in(G) of a Groebner basis G, and `hilbert_function` evaluates
+HF(d) from it. The Krull dimension is n minus the multiplicity of the
+factor (1-t) in Q.
+
+Hilbert-driven pair skipping (Traverso 1996, "Hilbert functions and the
+Buchberger algorithm", J. Symbolic Comput. 22): Buchberger on
+homogeneous generators of an ideal I may be given a floor, a lower
+bound L(d) <= HF(S/I)(d) in every degree. G lies in I throughout, so
+in(G) is inside in(I), and HF(S/in(G))(d) >= HF(S/in(I))(d) =
+HF(S/I)(d) >= L(d), since S/I and S/in(I) have one Hilbert function
+(Macaulay). When a pair of degree d is taken and the current leading
+monomials leave exactly L(d) standard monomials in degree d, equality
+holds throughout, so in(G)_d == in(I)_d. A nonzero remainder of a
+degree-d S-polynomial would be a homogeneous element of I of degree d
+whose leading monomial lies in in(I)_d but is divisible by no leading
+monomial of G, which is impossible. So every pair of degree d reduces to zero from then on, and
+it is skipped. A skipped pair would have added nothing, so the basis,
+the cofactors and the rest of the pair sequence are those of the run
+without the floor. `DivisionOracle` derives its floor from the mid
+basis alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import combinations
-from math import gcd, lcm
+from itertools import accumulate
+from math import comb, gcd, lcm
 
 from .errors import NotDivisible, VariableMismatch, VerificationFailure
-from .poly import MAX_DEGREE, MonomialOrder, Polynomial, past_range, sum_of_products
+from .poly import MAX_DEGREE, WIDTH, MonomialOrder, Polynomial, past_range, sum_of_products
 
 
 @dataclass(frozen=True)
@@ -275,7 +298,96 @@ def _update(ring, k, lms, live, pairs, pair_key):
         heappush(pairs, (pair_key(l), (ts[0], k)))
 
 
-def buchberger_with_reps(generators, order: MonomialOrder):
+def _minimal_monomials(ring, monomials) -> list:
+    """The minimal generators of the ideal of the packed `monomials`,
+    ascending as ints (a divisor is never the bigger int)."""
+    guard = ring.guard
+    kept: list = []
+    for m in sorted(set(monomials)):
+        if all((m - k) & guard for k in kept):
+            kept.append(m)
+    return kept
+
+
+def _add_shifted(q: list, r: list, s: int) -> list:
+    """q(t) + t^s * r(t), on coefficient lists."""
+    out = q + [0] * (len(r) + s - len(q))
+    for k, c in enumerate(r):
+        out[k + s] += c
+    return out
+
+
+def _trim(q: list) -> list:
+    while q and not q[-1]:
+        q.pop()
+    return q
+
+
+def _numerator(ring, gens: list) -> list:
+    """Hilbert numerator of the proper monomial ideal with minimal
+    generators `gens`, trailing zeros allowed.
+
+    Pairwise coprime generators give prod (1 - t^deg m). Otherwise pivot
+    on p = x^a, with x the variable in the most generators and a the
+    median exponent of x among the generators that are not powers of x:
+    N(J) = N(J + (p)) + t^a * N(J : p) (Bayer and Stillman, "Computing
+    the Hilbert series", 1992). A power x^b among the generators has b
+    above every other exponent of x, by minimality, so p is not in J,
+    and both J + (p) and J : p are proper and strictly larger than J.
+    """
+    lcm_of, shift = ring.lcm, ring.shift
+    support = 0
+    for m in gens:
+        if lcm_of(support, m) != support + m:
+            break
+        support += m
+    else:
+        q = [1]
+        for m in gens:
+            q = _add_shifted(q, [-c for c in q], m >> shift)
+        return q
+    field = (1 << WIDTH) - 1
+    off = max(range(0, shift, WIDTH), key=lambda o: sum(1 for m in gens if (m >> o) & field))
+    exps = sorted(e for m in gens if (e := (m >> off) & field) and e != m >> shift)
+    a = exps[len(exps) // 2]
+    unit = (1 << off) + (1 << shift)
+    plus = [m for m in gens if (m >> off) & field < a] + [a * unit]
+    colon = _minimal_monomials(ring, [m - min((m >> off) & field, a) * unit for m in gens])
+    return _add_shifted(_numerator(ring, plus), _numerator(ring, colon), a)
+
+
+def hilbert_numerator(ring, monomials) -> list[int]:
+    """Numerator Q of the Hilbert series HS(S/J) = Q(t)/(1-t)^n of the
+    monomial ideal J of S = k[x_1..x_n] that the packed `monomials`
+    generate, by the Bayer-Stillman pivot recursion (`_numerator`).
+
+    Q[k] is the coefficient of t^k, with no trailing zeros: [1] for the
+    zero ideal and [] for the unit ideal. Given the leading monomials of
+    a Groebner basis of I, this is the numerator of HS(S/I) too.
+    """
+    gens = _minimal_monomials(ring, monomials)
+    if gens and gens[0] == 0:
+        return []
+    return _trim(_numerator(ring, gens))
+
+
+def _numerator_plus(ring, q: list, gens, m: int) -> list:
+    """The numerator of J + (m), given q, that of J = (gens):
+    Q(J + (m)) = Q(J) - t^deg(m) * Q(J : m), and J : m is generated by
+    lcm(g, m) / m over the generators g."""
+    colon = hilbert_numerator(ring, [ring.lcm(g, m) - m for g in gens])
+    return _trim(_add_shifted(q, [-c for c in colon], m >> ring.shift))
+
+
+def hilbert_function(numerator, nvars: int, d: int) -> int:
+    """HF(d) = sum_k q_k * C(d - k + n - 1, n - 1), the coefficient of
+    t^d in numerator(t)/(1-t)^n; 0 for d < 0."""
+    if d < 0:
+        return 0
+    return sum(q * comb(d - k + nvars - 1, nvars - 1) for k, q in enumerate(numerator[: d + 1]))
+
+
+def buchberger_with_reps(generators, order: MonomialOrder, floor=None):
     """Reduced Groebner basis with representation tracking.
 
     Returns (basis polys, reps) where reps[i] is a tuple of cofactors,
@@ -286,6 +398,14 @@ def buchberger_with_reps(generators, order: MonomialOrder):
     grevlex, whose keys start with the total degree). Each element k
     that joins the basis runs the Gebauer-Moeller update (`_update`),
     which drops the pairs that its criteria prove redundant.
+
+    `floor`, when given, maps a degree d to a lower bound on the Hilbert
+    function of S/(generators) at d. On homogeneous generators a pair of
+    degree d is then skipped once the current leading monomials leave
+    exactly floor(d) standard monomials in degree d; such a pair reduces
+    to zero (module docstring), so the result is the same. The numerator
+    of HS(S/in(G)) is updated as each element joins. On inhomogeneous
+    generators `floor` is ignored.
     """
     gens = [g for g in generators]
     if not gens:
@@ -320,10 +440,27 @@ def buchberger_with_reps(generators, order: MonomialOrder):
     live: dict = {}
     for k in range(len(polys)):
         _update(ring, k, lms, live, pairs, pair_key)
+    # Hilbert-driven skipping: `numerator` is that of S/in(G) for the
+    # current leading monomials, computed when the first pair is taken,
+    # and `complete` holds the degrees d with in(G)_d == in(I)_d, which
+    # stay so as G grows.
+    hilbert = floor is not None and homogeneous
+    numerator = None
+    complete: set = set()
     while pairs:
         ij = heappop(pairs)[1]
-        if live.pop(ij, None) is None:
+        l = live.pop(ij, None)
+        if l is None:
             continue
+        if hilbert:
+            d = l >> ring.shift
+            if d in complete:
+                continue
+            if numerator is None:
+                numerator = hilbert_numerator(ring, lms)
+            if hilbert_function(numerator, ring.nvars, d) == floor(d):
+                complete.add(d)
+                continue
         i, j = ij
         s, ui, uj = _spair(polys[i], polys[j], order)
         if s.is_zero():
@@ -338,6 +475,8 @@ def buchberger_with_reps(generators, order: MonomialOrder):
         reps.append([a.scale(num, den) for a in rep_r])
         lms.append(monic.leading_monomial(order))
         _update(ring, len(polys) - 1, lms, live, pairs, pair_key)
+        if numerator is not None:
+            numerator = _numerator_plus(ring, numerator, lms[:-1], lms[-1])
 
     # Minimalize: drop elements whose leading monomial is divisible by
     # another element's leading monomial.
@@ -387,6 +526,20 @@ class DivisionOracle:
     each combined basis element must equal, exactly, the combination of
     the generators (mid_basis polys, then w) that its cofactors give,
     or VerificationFailure is raised.
+
+    Buchberger gets the floor L(d) = max(0, HF_mid(d) - HF_mid(d - e)),
+    with e = deg w, read off the leading monomials of mid_basis alone; it
+    acts only when mid_basis and w are homogeneous. It is a lower bound
+    on the Hilbert function of S/(mid + w) whether or not w is regular:
+    the exact sequence
+        0 -> ((mid : w)/mid)(-e) -> (S/mid)(-e) --w--> S/mid -> S/(mid + w) -> 0
+    gives HF_deep(d) = HF_mid(d) - HF_mid(d - e) + dim ((mid : w)/mid)_(d-e).
+    The skipped pairs reduce to zero in every case (`buchberger_with_reps`),
+    so the basis and the cofactors are the same as without the floor.
+    When w is a non-zerodivisor modulo mid the last term is zero and the
+    floor is exact: a degree is skipped as soon as its leading monomials
+    are complete, so few of the pairs that are still divided reduce to
+    zero (none on the graded corpus towers).
     """
 
     def __init__(self, mid_basis: GroebnerBasis, w: Polynomial):
@@ -395,7 +548,17 @@ class DivisionOracle:
         self.order = mid_basis.order
         self.mid_basis = mid_basis
         gens = list(mid_basis.polys) + [w]
-        polys, reps = buchberger_with_reps(gens, self.order)
+        ring, bound = w.ring, []
+
+        def floor(d):
+            # Asked only on homogeneous generators, once a pair is taken;
+            # the numerator is read off mid_basis on the first call.
+            if not bound:
+                q = hilbert_numerator(ring, [g.leading_monomial(self.order) for g in mid_basis.polys])
+                bound.extend(_add_shifted(q, [-c for c in q], w.degree()))
+            return max(0, hilbert_function(bound, ring.nvars, d))
+
+        polys, reps = buchberger_with_reps(gens, self.order, floor)
         _certify_reps(polys, reps, gens)
         self.combined = GroebnerBasis(tuple(polys), self.order)
         self.w_cofactors = [rep[-1] for rep in reps]
@@ -427,29 +590,26 @@ def _certify_reps(polys, reps, gens):
             )
 
 
-def _independent_sets_max(lead_supports, nvars: int) -> int:
-    """Largest variable subset meeting no leading-monomial support."""
-    best = -1
-    for size in range(nvars, -1, -1):
-        for subset in combinations(range(nvars), size):
-            sub = set(subset)
-            if all(not s <= sub for s in lead_supports):
-                return size
-    return best
-
-
 def krull_dimension(basis: GroebnerBasis, nvars: int) -> int:
     """Krull dimension of ring/ideal from a Groebner basis of the ideal.
 
-    Read combinatorially from the leading monomials (largest variable
-    set containing no leading monomial's support). Returns nvars for
-    the empty basis (zero ideal) and -1 for the unit ideal.
+    With Q the Hilbert numerator of the leading monomials, HS has a pole
+    of order nvars - m at t = 1, where m is the multiplicity of the
+    factor (1 - t) in Q, and that order is the dimension. Returns nvars
+    for the empty basis (zero ideal) and -1 for the unit ideal (Q == 0).
     """
-    supports = []
-    for b in basis.polys:
-        lm = b.leading_monomial(basis.order)
-        supports.append({i for i, e in enumerate(b.ring.exps(lm)) if e > 0})
-    return _independent_sets_max(supports, nvars)
+    if not basis.polys:
+        return nvars
+    q = hilbert_numerator(basis.polys[0].ring, [b.leading_monomial(basis.order) for b in basis.polys])
+    if not q:
+        return -1
+    dim = nvars
+    while sum(q) == 0:
+        # q(1) == 0: divide by (1 - t), whose quotient has the partial
+        # sums of q as coefficients.
+        q = list(accumulate(q[:-1]))
+        dim -= 1
+    return dim
 
 
 def _degree_monomials(nvars: int, degree: int):

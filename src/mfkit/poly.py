@@ -451,7 +451,9 @@ def sum_of_products(ring: PolyRing, pairs) -> Polynomial:
                 ring.zero()._check_compatible(f)
         if a.nums and b.nums:
             d = a.den * b.den
-            prods.append((a.nums, b.nums, d))
+            # The factor with fewer terms goes in the outer loop.
+            fa, fb = (a.nums, b.nums) if len(a.nums) <= len(b.nums) else (b.nums, a.nums)
+            prods.append((fa, fb, d))
             if d != 1:
                 den = lcm(den, d)
     acc: dict = {}

@@ -570,27 +570,24 @@ def det(m: RingMatrix) -> Polynomial:
     along columns with memoized minors."""
     if m.nrows != m.ncols:
         raise DimensionMismatch("determinant of a non-square matrix")
-    n = m.nrows
-    tower = m.tower
-    ring = tower.ring
-    if n == 0:
-        return ring.one()
-    cache: dict[tuple[int, int], Polynomial] = {}
+    return _minor(m, 0, (1 << m.nrows) - 1, {})
 
-    def minor(row: int, cols_mask: int) -> Polynomial:
-        if row == n:
-            return ring.one()
-        key = (row, cols_mask)
-        if key in cache:
-            return cache[key]
-        available = [j for j in range(n) if cols_mask & (1 << j)]
-        pairs = [
-            (a if k % 2 == 0 else -a, minor(row + 1, cols_mask & ~(1 << j)))
-            for k, j in enumerate(available)
-            if not (a := m.entries[row][j]).is_zero()
-        ]
-        acc = tower.normal_form(sum_of_products(ring, pairs), m.level)
-        cache[key] = acc
-        return acc
 
-    return minor(0, (1 << n) - 1)
+def _minor(m: RingMatrix, row: int, cols_mask: int, cache: dict) -> Polynomial:
+    """The minor of m on rows row.. and the columns in cols_mask, memoized
+    in `cache` by (row, cols_mask). A module-level function, so that no
+    closure refers to itself and a call leaves no reference cycle."""
+    if row == m.nrows:
+        return m.tower.ring.one()
+    key = (row, cols_mask)
+    if key in cache:
+        return cache[key]
+    available = [j for j in range(m.ncols) if cols_mask & (1 << j)]
+    pairs = [
+        (a if k % 2 == 0 else -a, _minor(m, row + 1, cols_mask & ~(1 << j), cache))
+        for k, j in enumerate(available)
+        if not (a := m.entries[row][j]).is_zero()
+    ]
+    acc = m.tower.normal_form(sum_of_products(m.tower.ring, pairs), m.level)
+    cache[key] = acc
+    return acc

@@ -57,8 +57,10 @@ FIELD_CASES = [
     ("lift_fractional_fp32003", ["lift", "fractional.mfw", "LF", "--field", "fp:32003"], 0),
     ("acyclic_fractional_fp32003",
      ["acyclic-window", "fractional.mfw", "F", "--min", "0", "--max", "3", "--field", "fp:32003"], 0),
-    # Buchberger under lex on a generated 3-quadric file; its golden is
-    # proved to be the reduced basis by test_groebner.py.
+    # Buchberger under lex on a generated 3-quadric file, over its own QQ
+    # and over fp:32003; the fp:32003 golden is proved to be the reduced
+    # basis by test_groebner.py.
+    ("gb_quadrics_lex", ["gb", "quadrics_lex.mfw"], 0),
     ("gb_quadrics_lex_fp32003", ["gb", "quadrics_lex.mfw", "--field", "fp:32003"], 0),
     # The first failing entry of a morphism square and of a homotopy
     # identity, pinned by location.

@@ -46,6 +46,18 @@ def rand_homogeneous_poly(ring: PolyRing, rng: random.Random, degree: int,
     return p
 
 
+def ci_quadrics(ring: PolyRing, rng: random.Random, count: int = 3) -> list[Polynomial]:
+    """`count` nonzero random quadrics, each coefficient drawn from -3..3
+    in the order of `monomials_of_degree`: the draws that the benchmark's
+    cli workload makes for one generated 3-quadric file (w the first)."""
+    gens = []
+    while len(gens) < count:
+        p = rand_homogeneous_poly(ring, rng, 2)
+        if not p.is_zero():
+            gens.append(p)
+    return gens
+
+
 def rand_matrix(tower: RingTower, rng: random.Random, nrows: int, ncols: int,
                 max_degree: int = 2, level: Level = Level.MID) -> RingMatrix:
     return RingMatrix(

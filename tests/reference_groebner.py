@@ -16,6 +16,11 @@ the same shape, as their `mfkit.groebner` namesakes.
 
 `membership_oracle` decides ideal membership by linear algebra alone,
 with no Groebner machinery, on small instances.
+
+`standard_monomial_count` and `independent_sets_max` read a monomial
+ideal by enumeration, for the Hilbert numerator and the Krull dimension
+in `mfkit.groebner`: the first counts the monomials of one degree that
+no generator divides, the second tries every variable subset.
 """
 
 from __future__ import annotations
@@ -223,3 +228,25 @@ def membership_oracle(p: Polynomial, generators, max_cof_degree: int) -> bool:
     for m, c in p.nums.items():
         rows[exps(m)][len(columns)] = c
     return solve_linear(list(rows.values()), len(columns), ring.field) is not None
+
+
+def standard_monomial_count(generators, nvars: int, degree: int) -> int:
+    """The number of monomials of the given degree that no exponent tuple
+    in `generators` divides."""
+    return sum(
+        1 for m in monomials_of_degree(nvars, degree)
+        if not any(mono_divides(g, m) for g in generators)
+    )
+
+
+def independent_sets_max(lead_supports, nvars: int) -> int:
+    """Largest variable subset meeting no leading-monomial support: the
+    Krull dimension of S/J for the monomial ideal J whose generators have
+    these supports (sets of variable indices); -1 when no subset works,
+    which is the unit ideal (an empty support)."""
+    for size in range(nvars, -1, -1):
+        for subset in combinations(range(nvars), size):
+            sub = set(subset)
+            if all(not s <= sub for s in lead_supports):
+                return size
+    return -1

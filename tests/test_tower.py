@@ -1,6 +1,7 @@
 """Tower construction, validation and matrix algebra over quotients."""
 
 import functools
+import gc
 import operator
 import random
 
@@ -186,9 +187,9 @@ def test_build_tower_runs_buchberger_once_per_ideal(monkeypatch, c):
     calls = []
     real = groebner.buchberger_with_reps
 
-    def counting(generators, order):
+    def counting(generators, order, floor=None):
         calls.append(list(generators))
-        return real(generators, order)
+        return real(generators, order, floor)
 
     monkeypatch.setattr(groebner, "buchberger_with_reps", counting)
     gens = [ring.parse(t) for t in ("x^2 + y*z", "y^2", "z^2")[:c]]
@@ -205,8 +206,8 @@ def test_perturbed_cofactor_fails_certificate(monkeypatch, field, where):
     ring = RXYZ_BY_FIELD[field]
     real = groebner.buchberger_with_reps
 
-    def perturbed(generators, order):
-        polys, reps = real(generators, order)
+    def perturbed(generators, order, floor=None):
+        polys, reps = real(generators, order, floor)
         reps = [list(r) for r in reps]
         if where == "first-w":
             reps[0][-1] = reps[0][-1] + ring.parse("x")
@@ -324,6 +325,23 @@ class TestDeterminant:
             + one * (zero * zero - u * one)
         )
         assert det(m) == expected
+
+    def test_leaves_no_reference_cycles(self):
+        # The memo of minors lives only as long as the call: nothing that
+        # det creates is left for the cyclic collector.
+        t = build_tower(RUV, [RUV.parse("u*v")], [1])
+        m = rand_matrix(t, random.Random(3), 4, 4)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            value = det(m)
+            gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert garbage == 0
+        assert value == reference_tower.det(m)
 
 
 KERNEL_TOWERS = ["qq", "fp2", "fp32003", "cusp", "unit"]
