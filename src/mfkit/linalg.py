@@ -61,10 +61,19 @@ def _insert(pivots: dict[int, dict], row: dict, field) -> int | None:
     return None
 
 
-def matrix_rank(rows: list[dict], field) -> int:
+def matrix_rank(rows: list[dict], field, pivot_columns: set | None = None) -> int:
+    """The rank of the int `rows`.
+
+    When `pivot_columns` is given, the pivot columns of the echelon form
+    are added to it: the leading columns of a basis of the row space,
+    which depend on the row space alone. The unit vectors of the other
+    columns span a complement of the row space.
+    """
     pivots: dict[int, dict] = {}
     for row in rows:
         _insert(pivots, row, field)
+    if pivot_columns is not None:
+        pivot_columns.update(pivots)
     return len(pivots)
 
 

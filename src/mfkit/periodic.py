@@ -29,8 +29,16 @@ finite windows by exact linear algebra over the coefficient field for
 graded data; a window verdict is evidence for the infinite statement,
 not a proof. Multiplication by a matrix on graded pieces is read from
 the tower's table of monomial normal forms (`RingTower.quot_coords`),
-which every window on that tower shares. The nullhomotopy window states
-its homotopy equations, one matrix equation per position, through one
+which every window on that tower shares. The acyclicity window ranks
+each differential on a complement of a known part of its kernel: a
+QUOT-level factorization has phi@psi == 0 and psi@phi == 0, checked by
+its constructor, so the image U of psi landing in the source V of phi
+lies in ker(phi). The echelon that ranks psi hands back its pivot
+columns; the unit vectors of V outside them span a complement C, so V
+is the direct sum of U and C, phi(V) = phi(C), and the rank of phi
+needs only the images of C. Each rank is still exact, with no premise
+beyond the verified identity. The nullhomotopy window states its
+homotopy equations, one matrix equation per position, through one
 builder of graded linear systems (`_GradedSystem`), solves them at once
 and re-verifies each as one such combination.
 """
@@ -314,7 +322,8 @@ def _uniform_entry_degree(m: RingMatrix) -> int | None:
     return degs.pop()
 
 
-def _graded_map(tower: RingTower, m: RingMatrix, src_degree: int, entry_degree: int):
+def _graded_map(tower: RingTower, m: RingMatrix, src_degree: int, entry_degree: int,
+                skip=frozenset()):
     """Sparse image vectors of multiplication by m on graded pieces.
 
     The source is (piece of src_degree)^ncols, the target (piece of
@@ -326,9 +335,10 @@ def _graded_map(tower: RingTower, m: RingMatrix, src_degree: int, entry_degree: 
     `quot_coords` table. Every nonzero entry of m is homogeneous of
     entry_degree, so each product monomial lies in the target degree.
 
-    Returns (images, den, source dimension, target dimension): images[k]
-    is an int dict with the image of source element k equal to
-    images[k]/den, one den for the whole map. Each image is the raw int
+    Returns (images, den, source dimension, target dimension): images
+    holds, in index order, one int dict per source element whose index
+    is not in `skip`, the element's image being that dict over den, one
+    den for the whole map. Each image is the raw int
     sum of an entry's numerators times a vector's coordinates: it may
     hold zero entries and, over GF(p), ints outside [0, p), which
     `linalg` reduces as each row enters. den is 1 unless an entry or a
@@ -345,7 +355,9 @@ def _graded_map(tower: RingTower, m: RingMatrix, src_degree: int, entry_degree: 
     for j in range(m.ncols):
         column = [(i * ntgt, e.nums, e.den) for i, row in enumerate(m.entries)
                   if (e := row[j]).nums]
-        for sm in src_monos:
+        for index, sm in enumerate(src_monos, j * len(src_monos)):
+            if index in skip:
+                continue
             image: dict = {}
             for base, nums, eden in column:
                 for mono, coeff in nums.items():
@@ -382,10 +394,13 @@ class _GradedSystem:
     equation's degree, read off the graded maps of A and of B transposed.
     `solve` sets free variables to zero, so the solution does not depend
     on the order of the equations, and re-verifies every equation, as
-    one `matrix_sum_of_products` combination, before it returns.
+    one `matrix_sum_of_products` combination, before it returns. Each
+    graded map is built once per system, keyed by operand, side, unknown
+    degree and equation degree; the cache holds each operand, so no other
+    matrix can take its id.
     """
 
-    __slots__ = ("tower", "nvars", "_unknowns", "_rows", "_equations")
+    __slots__ = ("tower", "nvars", "_unknowns", "_rows", "_equations", "_maps")
 
     def __init__(self, tower: RingTower):
         self.tower = tower
@@ -393,6 +408,8 @@ class _GradedSystem:
         self._unknowns: list[tuple] = []     # (offset, nrows, ncols, degree)
         self._rows: list[tuple[dict, int]] = []  # (coefficients, right-hand side)
         self._equations: list[tuple] = []
+        # (id(operand), left?, unknown degree, degree) -> (operand, map)
+        self._maps: dict[tuple, tuple] = {}
 
     def unknown(self, nrows: int, ncols: int, degree: int) -> int:
         """Add an unknown nrows x ncols matrix with entries in the graded
@@ -418,11 +435,15 @@ class _GradedSystem:
         # unknown (i, r, k) enters entry (i, j) through column r of B^T.
         terms = []
         for m, x, is_left in [*((a, x, True) for a, x in left),
-                              *((b.transpose(), x, False) for x, b in right)]:
+                              *((b, x, False) for x, b in right)]:
             xdeg = self._unknowns[x][3]
-            if _uniform_entry_degree(m) not in (None, degree - xdeg):
-                raise NotHomogeneous("product left the graded piece of its equation")
-            terms.append((_graded_map(tower, m, xdeg, degree - xdeg), x, is_left))
+            key = (id(m), is_left, xdeg, degree)
+            if key not in self._maps:
+                if _uniform_entry_degree(m) not in (None, degree - xdeg):
+                    raise NotHomogeneous("product left the graded piece of its equation")
+                graded = _graded_map(tower, m if is_left else m.transpose(), xdeg, degree - xdeg)
+                self._maps[key] = (m, graded)
+            terms.append((self._maps[key][1], x, is_left))
         rhs = []
         for i, line in enumerate(c.entries):
             for j, e in enumerate(line):
@@ -547,6 +568,24 @@ def _entry_degrees(c: MatrixFactorization) -> tuple[int | None, int | None]:
 
 
 def _window_rows(c: MatrixFactorization, d_min: int, d_max: int, budget: int) -> list[HomologyRow]:
+    """The homology rows of the reduced complex `c` on degrees d_min..d_max.
+
+    Position F in degree d has kernel ker(phi_d) and image
+    im(psi_{d - e_psi}), with e the entry degrees and phi_d the graded
+    map of phi on source degree d; position G swaps phi and psi. Each
+    rank is taken once, in increasing source degree, and not on the
+    whole source: `c` is a QUOT-level factorization, so its constructor
+    has checked phi@psi == 0, and U = im(psi_{d - e_psi}) lies in
+    ker(phi_d). The echelon of psi_{d - e_psi} hands back its pivot
+    columns P. The unit vectors outside P span a complement C of U in
+    the source of phi_d, so phi_d's image is phi_d(U) + phi_d(C) =
+    phi_d(C), and rank phi_d is the rank of the images of the source
+    elements outside P. The same holds with phi and psi swapped. Only
+    the source degrees d_min - e..d_max are computed. Where no image is
+    known, below d_min or when the other differential is zero, every
+    source element enters. Each pivot set is dropped once the other
+    differential has read it.
+    """
     tower = c.tower
     field = tower.ring.field
     e_phi, e_psi = _entry_degrees(c)
@@ -557,31 +596,37 @@ def _window_rows(c: MatrixFactorization, d_min: int, d_max: int, budget: int) ->
             f" budget is {budget}"
         )
 
-    differentials = {"phi": (c.phi, e_phi), "psi": (c.psi, e_psi)}
-    # Each differential's rank on a source degree enters the table twice,
-    # once as a kernel and once as an image.
+    differentials = {"phi": (c.phi, e_phi, "psi"), "psi": (c.psi, e_psi, "phi")}
+    # Each differential is needed on d_min..d_max as a kernel and on
+    # d_min - e..d_max - e as an image. At one source degree, a
+    # differential of entry degree 0 goes first: the other reads its image.
+    jobs = sorted((s, e != 0, name) for name, (_, e, _) in differentials.items()
+                  if e is not None for s in range(max(d_min - e, 0), d_max + 1))
+    pending = {(name, s) for s, _, name in jobs}
     ranks: dict[tuple[str, int], int] = {}
-
-    def rank_of(name: str, src_degree: int) -> int:
-        m, entry_degree = differentials[name]
-        if entry_degree is None or src_degree < 0:
-            return 0
-        key = (name, src_degree)
-        if key not in ranks:
-            images, _, src_dim, tgt_dim = _graded_map(tower, m, src_degree, entry_degree)
-            ranks[key] = linalg.matrix_rank(images, field) if src_dim and tgt_dim else 0
-        return ranks[key]
+    # (name, s) -> pivot columns of the other differential's image in the
+    # source of name on degree s, held until name reads them there.
+    known: dict[tuple[str, int], set] = {}
+    for s, _, name in jobs:
+        pending.remove((name, s))
+        m, e, other = differentials[name]
+        skip = known.pop((name, s), frozenset())
+        columns = set() if (other, s + e) in pending else None
+        images, _, src_dim, tgt_dim = _graded_map(tower, m, s, e, skip)
+        ranks[name, s] = linalg.matrix_rank(images, field, columns) if src_dim and tgt_dim else 0
+        if columns is not None:
+            known[other, s + e] = columns
 
     out = []
     for d in range(d_min, d_max + 1):
         piece = len(tower.standard_monomials(d))
         # F-position: out by phi, in by psi.
-        ker = piece * c.rank_f - rank_of("phi", d)
-        im = rank_of("psi", d - (e_psi or 0))
+        ker = piece * c.rank_f - ranks.get(("phi", d), 0)
+        im = ranks.get(("psi", d - (e_psi or 0)), 0)
         out.append(HomologyRow(d, "F", ker, im))
         # G-position: out by psi, in by phi.
-        ker = piece * c.rank_g - rank_of("psi", d)
-        im = rank_of("phi", d - (e_phi or 0))
+        ker = piece * c.rank_g - ranks.get(("psi", d), 0)
+        im = ranks.get(("phi", d - (e_phi or 0)), 0)
         out.append(HomologyRow(d, "G", ker, im))
     return out
 

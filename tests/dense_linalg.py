@@ -2,8 +2,9 @@
 engine in `mfkit.linalg` is tested against.
 
 `matrix_rank` and `solve_linear` take the same sparse int rows as the
-functions of `mfkit.linalg` and return the same values, so this module
-can stand in for it. They turn each int into a field element of
+functions of `mfkit.linalg` and return the same values, and
+`matrix_rank` hands back the same pivot columns, so this module can
+stand in for it. They turn each int into a field element of
 `reference_poly.RefField` (a Fraction over QQ), expand the rows to dense
 lists and run Gauss-Jordan elimination with deterministic pivoting
 (first nonzero entry in column order), one field operation per entry.
@@ -56,12 +57,14 @@ def dense(rows: list[dict], ncols: int, field: RefField) -> list[list]:
     return [[field.of(row.get(c, 0)) for c in range(ncols)] for row in rows]
 
 
-def matrix_rank(rows: list[dict], field) -> int:
+def matrix_rank(rows: list[dict], field, pivot_columns: set | None = None) -> int:
     ncols = 1 + max((c for row in rows for c in row), default=-1)
     if not rows or not ncols:
         return 0
     ref = RefField(field)
-    rank, _ = row_echelon(dense(rows, ncols, ref), ref)
+    rank, pivots = row_echelon(dense(rows, ncols, ref), ref)
+    if pivot_columns is not None:
+        pivot_columns.update(pivots)
     return rank
 
 

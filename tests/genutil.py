@@ -6,6 +6,7 @@ loops are reproducible.
 
 from __future__ import annotations
 
+import gc
 import random
 
 from mfkit.fields import QQ
@@ -192,3 +193,17 @@ def window_delta(mf: MatrixFactorization, rng: random.Random) -> MfMorphism:
     c = reduce_object(mf)
     eta = MfMorphism(c, c, inp.f0.reduce_to(Level.QUOT), inp.g0.reduce_to(Level.QUOT))
     return reduce_morphism(theta) - eta
+
+
+def cyclic_garbage(call):
+    """(call(), the number of objects it left in reference cycles), counted
+    with gc.DEBUG_SAVEALL after a collection before the call."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        result = call()
+        gc.collect()
+        return result, len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()

@@ -11,6 +11,11 @@ dimension). It reads monomials as exponent tuples (`PolyRing.exps`) and
 multiplies by each standard monomial as a polynomial built with
 `PolyRing.monomial`, where `_graded_map` adds packed ints.
 
+`window_rows` is the loop that `_window_rows` ran before it ranked each
+differential on a complement of the other differential's image: every
+source element of every graded map enters its rank, including those
+that the known image already puts in the kernel.
+
 `transport_nullhomotopy` and `lift_chain_map` check first that both
 lifting defects vanish over the quotient, raising NotDivisible with the
 input classes' messages, then build the defects again and divide them by
@@ -19,6 +24,7 @@ w, as the lifting algorithms did before their inputs kept the quotients.
 
 from __future__ import annotations
 
+from mfkit import linalg
 from mfkit.errors import NotDivisible, VerificationFailure
 from mfkit.mfcat import (
     MatrixFactorization,
@@ -28,7 +34,7 @@ from mfkit.mfcat import (
     verify_morphism,
     zero_morphism,
 )
-from mfkit.periodic import LiftWitness
+from mfkit.periodic import HomologyRow, LiftWitness, _entry_degrees, _graded_map
 from mfkit.tower import Level, RingMatrix, RingTower
 
 from .reference_poly import coeffs
@@ -57,6 +63,29 @@ def graded_map(tower: RingTower, m: RingMatrix, src_degree: int, entry_degree: i
                     image[i * ntgt + k] = coeff
             images.append(image)
     return images, len(src_monos) * m.ncols, ntgt * m.nrows
+
+
+def window_rows(c: MatrixFactorization, d_min: int, d_max: int) -> list[HomologyRow]:
+    tower = c.tower
+    field = tower.ring.field
+    e_phi, e_psi = _entry_degrees(c)
+    differentials = {"phi": (c.phi, e_phi), "psi": (c.psi, e_psi)}
+
+    def rank_of(name: str, src_degree: int) -> int:
+        m, entry_degree = differentials[name]
+        if entry_degree is None or src_degree < 0:
+            return 0
+        images, _, src_dim, tgt_dim = _graded_map(tower, m, src_degree, entry_degree)
+        return linalg.matrix_rank(images, field) if src_dim and tgt_dim else 0
+
+    out = []
+    for d in range(d_min, d_max + 1):
+        piece = len(tower.standard_monomials(d))
+        out.append(HomologyRow(d, "F", piece * c.rank_f - rank_of("phi", d),
+                               rank_of("psi", d - (e_psi or 0))))
+        out.append(HomologyRow(d, "G", piece * c.rank_g - rank_of("psi", d),
+                               rank_of("phi", d - (e_phi or 0))))
+    return out
 
 
 def _divide_matrix(tower: RingTower, m: RingMatrix) -> RingMatrix:

@@ -11,6 +11,7 @@ from mfkit.cli import main
 
 from .cli_cases import CASES, FIELD_CASES, argv_for
 from .conftest import CORPUS_DIR, GOLDEN_DIR
+from .genutil import cyclic_garbage
 
 
 def run_cli(argv) -> tuple[int, str]:
@@ -46,6 +47,17 @@ def test_shared_parser_keeps_no_options_between_calls():
         code, out = run_cli(argv_for(argv, CORPUS_DIR))
         assert code == expected
         assert out == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name,argv,expected", CASES, ids=[c[0] for c in CASES])
+def test_main_leaves_no_cyclic_garbage(name, argv, expected):
+    from mfkit.cli import build_parser
+
+    # The shared parser is built once per process, outside the count.
+    build_parser()
+    (code, _), garbage = cyclic_garbage(lambda: run_cli(argv_for(argv, CORPUS_DIR)))
+    assert garbage == 0
+    assert code == expected
 
 
 def test_exit_codes_all_covered():

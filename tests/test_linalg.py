@@ -47,6 +47,20 @@ def test_rank_matches_dense(int_rows, field):
     assert linalg.matrix_rank(rows, field) == dense_linalg.matrix_rank(rows, field)
 
 
+@given(int_matrices, st.sampled_from(FIELDS))
+def test_pivot_columns_match_dense(int_rows, field):
+    rows = sparse(int_rows, field)
+    ncols = len(int_rows[0]) if int_rows else 0
+    columns, dense_columns = set(), set()
+    rank = linalg.matrix_rank(rows, field, columns)
+    assert rank == dense_linalg.matrix_rank(rows, field, dense_columns) == len(columns)
+    assert columns == dense_columns
+    # The unit vectors of the other columns complete the rows to the
+    # whole space.
+    units = [{c: 1} for c in range(ncols) if c not in columns]
+    assert linalg.matrix_rank(rows + units, field) == ncols
+
+
 @given(int_matrices, st.data(), st.sampled_from(FIELDS))
 @settings(max_examples=200)
 def test_solution_matches_dense(int_rows, data, field):

@@ -36,6 +36,7 @@ from mfkit.tower import Level, RingMatrix
 from .genutil import (
     build_corpus_objects,
     build_corpus_towers,
+    cyclic_garbage,
     fractions_mf,
     koszul_mf,
     rand_homogeneous_matrix,
@@ -288,6 +289,17 @@ class TestAcyclicityWindow:
         assert report.all_zero
         assert len(report.rows) == len(report.dual_rows) == 8
 
+    def test_window_calls_leave_no_cyclic_garbage(self):
+        # The pivot sets handed between the two differentials live only
+        # as long as the call: nothing a window creates is left for the
+        # cyclic collector.
+        mf = koszul_mf(3)
+        c, delta = reduce_object(mf), window_delta(mf, random.Random(74))
+        (report, window), garbage = cyclic_garbage(
+            lambda: (graded_acyclicity_window(c, 0, 3), graded_nullhomotopy_window(delta, 0, 2)))
+        assert garbage == 0
+        assert report.all_zero and window.solvable
+
     def test_hand_computed_row(self, objects):
         # Oracle: over k[u,v]/(uv) in degree 1 the piece has basis u, v;
         # multiplication by u kills v and sends u to u^2, so the kernel
@@ -437,6 +449,29 @@ class TestGradedSystem:
         with pytest.raises(NotHomogeneous, match="equation entry"):
             system.equation(delta.f, 3, [(psi, x0)])
 
+    def test_each_graded_map_is_built_once(self, monkeypatch):
+        from mfkit import periodic
+        from mfkit.periodic import _GradedSystem
+
+        # Positions 0..6 give six equations of two terms each, over two
+        # operands per side and one unknown degree per operand.
+        delta = window_delta(koszul_mf(2), random.Random(73))
+        built, rows = [], []
+        graded_map, solve, equation = periodic._graded_map, _GradedSystem.solve, _GradedSystem.equation
+        monkeypatch.setattr(periodic, "_graded_map", lambda *a: built.append(a) or graded_map(*a))
+        monkeypatch.setattr(_GradedSystem, "solve",
+                            lambda self: rows.append(list(self._rows)) or solve(self))
+        window = graded_nullhomotopy_window(delta, 0, 6)
+        assert len(built) == 4
+        # With the cache emptied before each equation, every term builds
+        # its own map, and the rows and the solution are the same.
+        monkeypatch.setattr(_GradedSystem, "equation",
+                            lambda self, *a: self._maps.clear() or equation(self, *a))
+        uncached = graded_nullhomotopy_window(delta, 0, 6)
+        assert len(built) == 4 + 12
+        assert rows[0] == rows[1]
+        assert window.solvable and uncached.diagonals == window.diagonals
+
     def test_solution_is_reverified(self, monkeypatch):
         import types
 
@@ -533,6 +568,100 @@ def test_graded_map_matches_reference_loop(name, objects):
             assert all(type(v) is int for image in images for v in image.values())
             nonzero += sum(map(bool, got))
     assert nonzero
+
+
+def _window_case(name, objects):
+    """A reduced complex for the window differential test."""
+    from mfkit.fields import QQ, field_from_name
+    from mfkit.poly import PolyRing
+    from mfkit.tower import build_tower
+    from mfkit.workbench import load_workbench
+
+    from .conftest import CORPUS_DIR
+
+    if name.startswith("koszul"):
+        _, n, field_name = name.split("-", 2)
+        return reduce_object(koszul_mf(int(n), field_from_name(field_name)))
+    if name in ("A", "B", "C"):
+        return reduce_object(objects[name])
+    if name.startswith("F-"):
+        bench = load_workbench(str(CORPUS_DIR / "fractional.mfw"), name[2:])
+        return reduce_object(bench.get_mf("F"))
+    ruv = PolyRing(("u", "v"), QQ)
+    uv = build_tower(ruv, [ruv.parse("u*v")], [1])
+    if name == "contractible":
+        # phi of degree 0; psi = w reduces to zero.
+        return reduce_object(verify_mf(mat(uv, [["1"]]), mat(uv, [["u*v"]])))
+    if name == "unit-block":
+        # phi of degree 0 beside a nonzero psi of degree 2: at each source
+        # degree, psi reads the image of phi on the same degree.
+        return MatrixFactorization(mat(uv, [["1", "0"], ["0", "0"]], Level.QUOT),
+                                   mat(uv, [["0", "0"], ["0", "u^2"]], Level.QUOT))
+    # w is a zerodivisor modulo the mid ideal, so the complexes are not
+    # exact; phi@psi == w*1 still holds, so each image lies in a kernel.
+    rxyz = PolyRing(("x", "y", "z"), QQ)
+    if name == "zerodivisor-x2":
+        tower = build_tower(rxyz, [rxyz.parse("x^2"), rxyz.parse("x*y")], [1, 0],
+                            allow_unchecked=True)
+        return reduce_object(verify_mf(mat(tower, [["x"]]), mat(tower, [["x"]])))
+    tower = build_tower(rxyz, [rxyz.parse("x*z"), rxyz.parse("y*z")], [1, 0],
+                        allow_unchecked=True)
+    return reduce_object(verify_mf(mat(tower, [["x", "y"], ["0", "z"]]),
+                                   mat(tower, [["z", "-y"], ["0", "x"]])))
+
+
+WINDOW_CASES = [
+    *((f"koszul-{n}-{field}", window) for field in ("qq", "fp:32003", "fp:7")
+      for n, window in (("2", (0, 6)), ("2", (3, 6)), ("3", (0, 3)), ("3", (2, 3)))),
+    *((name, window) for name in ("A", "B", "C", "F-qq", "F-fp:32003", "contractible",
+                                  "unit-block", "zerodivisor-x2", "zerodivisor-xz")
+      for window in ((0, 5), (2, 5))),
+]
+
+
+@pytest.mark.parametrize("name,window", WINDOW_CASES, ids=[f"{n}-{a}..{b}" for n, (a, b) in WINDOW_CASES])
+def test_window_rows_match_full_row_reference(name, window, objects):
+    from . import reference_periodic
+
+    c = _window_case(name, objects)
+    report = graded_acyclicity_window(c, *window)
+    assert report.rows == reference_periodic.window_rows(c, *window)
+    assert report.dual_rows == reference_periodic.window_rows(dual_mf(c), *window)
+    if name.startswith("zerodivisor") and window[0] == 0:
+        assert not report.all_zero
+
+
+def test_graded_map_skips_the_given_sources(objects):
+    from mfkit import periodic
+
+    from .reference_poly import RefField
+
+    c = reduce_object(koszul_mf(2))
+    ref = RefField(c.tower.ring.field)
+    full, den, src_dim, tgt_dim = periodic._graded_map(c.tower, c.phi, 2, 1)
+    skip = set(range(0, src_dim, 3))
+    part, part_den, *dims = periodic._graded_map(c.tower, c.phi, 2, 1, skip)
+    assert dims == [src_dim, tgt_dim]
+    assert [{k: ref.of(v, part_den) for k, v in image.items()} for image in part] == [
+        {k: ref.of(v, den) for k, v in image.items()}
+        for index, image in enumerate(full) if index not in skip
+    ]
+
+
+@pytest.mark.parametrize("n,window,rows", [(3, (0, 3), 896), (2, (0, 6), 672)])
+def test_window_eliminates_only_rows_outside_the_known_image(n, window, rows, monkeypatch):
+    from mfkit import linalg
+
+    # Each rank is taken on a complement of the other differential's
+    # image. The complex is exact, so that image is the whole kernel and,
+    # above the lowest source degrees, a rank r eliminates r rows. With
+    # every source element entering, the windows eliminate 1232 and 1120.
+    inserted = []
+    insert = linalg._insert
+    monkeypatch.setattr(linalg, "_insert", lambda *a: inserted.append(1) or insert(*a))
+    report = graded_acyclicity_window(reduce_object(koszul_mf(n)), *window)
+    assert report.all_zero
+    assert len(inserted) == rows
 
 
 @functools.cache

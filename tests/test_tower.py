@@ -1,7 +1,6 @@
 """Tower construction, validation and matrix algebra over quotients."""
 
 import functools
-import gc
 import operator
 import random
 
@@ -29,7 +28,7 @@ from mfkit.tower import (
 )
 
 from . import reference_tower
-from .genutil import rand_homogeneous_poly, rand_matrix, rand_poly
+from .genutil import cyclic_garbage, rand_homogeneous_poly, rand_matrix, rand_poly
 
 RXY = PolyRing(("x", "y"), QQ)
 RUV = PolyRing(("u", "v"), QQ)
@@ -331,15 +330,7 @@ class TestDeterminant:
         # det creates is left for the cyclic collector.
         t = build_tower(RUV, [RUV.parse("u*v")], [1])
         m = rand_matrix(t, random.Random(3), 4, 4)
-        gc.collect()
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        try:
-            value = det(m)
-            gc.collect()
-            garbage = len(gc.garbage)
-        finally:
-            gc.set_debug(0)
-            gc.garbage.clear()
+        value, garbage = cyclic_garbage(lambda: det(m))
         assert garbage == 0
         assert value == reference_tower.det(m)
 
