@@ -5,11 +5,14 @@ rings, extended division with cofactor tracking, exact division by a
 non-zerodivisor modulo an ideal, and the Krull dimension of a
 homogeneous quotient.
 
-Representation tracking: `buchberger_with_reps` carries, for every
-basis element, its expression as a combination of the input generators.
-That is what makes exact division by a ring element possible: divide
-against the combined basis of (ideal generators + the element) and read
-off the element's cofactor.
+Cofactor tracking: exact division by a ring element w modulo an ideal
+(mid) divides against the combined basis of (mid + w) and needs, for
+each combined element b, only its cofactor c on w: b - c*w lies in
+(mid). `buchberger_with_reps` tracks that one column when given a basis
+of (mid), and reduces each new value of it modulo that basis, which
+changes c only by an element of (mid) and keeps it small. Given no
+basis, it does no cofactor arithmetic. The division oracle certifies
+the column by reducing each b - c*w to zero modulo (mid).
 
 Pair handling in Buchberger: each element that joins the basis runs the
 Gebauer-Moeller update (criteria B_k, M and F, with the product
@@ -39,8 +42,8 @@ degree-d S-polynomial would be a homogeneous element of I of degree d
 whose leading monomial lies in in(I)_d but is divisible by no leading
 monomial of G, which is impossible. So every pair of degree d reduces to zero from then on, and
 it is skipped. A skipped pair would have added nothing, so the basis,
-the cofactors and the rest of the pair sequence are those of the run
-without the floor. `DivisionOracle` derives its floor from the mid
+the tracked cofactors and the rest of the pair sequence are those of
+the run without the floor. `DivisionOracle` derives its floor from the mid
 basis alone.
 """
 
@@ -260,14 +263,6 @@ def _spair(fi, fj, order):
     return sum_of_products(ring, ((ui, fi), (uj, fj))), ui, uj
 
 
-def _subtract_combination(rep, cofs, basis_reps):
-    """rep - sum_i cofs[i] * basis_reps[i], computed entry by entry."""
-    return [
-        a - sum_of_products(a.ring, [(c, r[j]) for c, r in zip(cofs, basis_reps)])
-        for j, a in enumerate(rep)
-    ]
-
-
 def _update(ring, k, lms, live, pairs, pair_key):
     """Gebauer-Moeller update for basis element k, whose leading monomial
     is lms[k]; `live` maps each pending pair (i, j) to its lcm, and
@@ -387,17 +382,23 @@ def hilbert_function(numerator, nvars: int, d: int) -> int:
     return sum(q * comb(d - k + nvars - 1, nvars - 1) for k, q in enumerate(numerator[: d + 1]))
 
 
-def buchberger_with_reps(generators, order: MonomialOrder, floor=None):
-    """Reduced Groebner basis with representation tracking.
+def buchberger_with_reps(generators, order: MonomialOrder, floor=None, modulo=None):
+    """Reduced Groebner basis, optionally with the last generator's cofactors.
 
-    Returns (basis polys, reps) where reps[i] is a tuple of cofactors,
-    one per input generator, with basis[i] == sum_j reps[i][j] * gen[j]
-    exactly. Deterministic: pairs are taken smallest lcm first, in the
-    order, with an (i, j) tie-break; when every generator is homogeneous
-    the lcm's total degree is compared first (the same sequence under
-    grevlex, whose keys start with the total degree). Each element k
-    that joins the basis runs the Gebauer-Moeller update (`_update`),
-    which drops the pairs that its criteria prove redundant.
+    Returns (basis polys, column). Without `modulo` the column is None
+    and no cofactor is computed. With `modulo`, a GroebnerBasis of an
+    ideal inside the one the other generators span, column[i] is the
+    cofactor c_i of the last generator w in basis[i], in normal form
+    modulo `modulo`: basis[i] - c_i*w lies in the ideal of the other
+    generators (module docstring). Each new value is reduced as it is
+    made.
+
+    Deterministic: pairs are taken smallest lcm first, in the order, with
+    an (i, j) tie-break; when every generator is homogeneous the lcm's
+    total degree is compared first (the same sequence under grevlex,
+    whose keys start with the total degree). Each element k that joins
+    the basis runs the Gebauer-Moeller update (`_update`), which drops
+    the pairs that its criteria prove redundant.
 
     `floor`, when given, maps a degree d to a lower bound on the Hilbert
     function of S/(generators) at d. On homogeneous generators a pair of
@@ -408,21 +409,28 @@ def buchberger_with_reps(generators, order: MonomialOrder, floor=None):
     generators `floor` is ignored.
     """
     gens = [g for g in generators]
+    track = modulo is not None
     if not gens:
-        return [], []
+        return [], [] if track else None
     ring = gens[0].ring
 
+    def column_entry(lead, cofs, others, num, den):
+        # (sum of the products in `lead` - sum_k cofs[k]*others[k]) * num/den,
+        # in normal form modulo `modulo`.
+        pairs = lead + [(-q, c) for q, c in zip(cofs, others) if q and c]
+        return normal_form(sum_of_products(ring, pairs).scale(num, den), modulo)
+
     polys: list[Polynomial] = []
-    reps: list[list[Polynomial]] = []
+    column: list[Polynomial] = []
 
     for j, g in enumerate(gens):
         if g.is_zero():
             continue
         monic, num, den = g.monic(order)
         polys.append(monic)
-        row = [ring.zero() for _ in gens]
-        row[j] = ring.from_ints({0: num}, den)
-        reps.append(row)
+        if track:
+            column.append(normal_form(ring.from_ints({0: num}, den), modulo)
+                          if j == len(gens) - 1 else ring.zero())
 
     # Degree first on homogeneous input. Grevlex keys start with the
     # total degree, so there this is the order's own sequence.
@@ -467,12 +475,11 @@ def buchberger_with_reps(generators, order: MonomialOrder, floor=None):
             continue
         r, cofs = divide_full(s, polys, order)
         if r.is_zero():
-            continue  # nothing new, so the representation is not needed
-        rep_s = [sum_of_products(ring, ((ui, a), (uj, b))) for a, b in zip(reps[i], reps[j])]
-        rep_r = _subtract_combination(rep_s, cofs, reps)
+            continue  # nothing new, so no cofactor is needed
         monic, num, den = r.monic(order)
+        if track:  # r = ui*f_i + uj*f_j - sum_k cofs[k]*f_k
+            column.append(column_entry([(ui, column[i]), (uj, column[j])], cofs, column, num, den))
         polys.append(monic)
-        reps.append([a.scale(num, den) for a in rep_r])
         lms.append(monic.leading_monomial(order))
         _update(ring, len(polys) - 1, lms, live, pairs, pair_key)
         if numerator is not None:
@@ -490,7 +497,8 @@ def buchberger_with_reps(generators, order: MonomialOrder, floor=None):
         kept.append(i)
         kept_lms.append(lm)
     polys = [polys[i] for i in kept]
-    reps = [reps[i] for i in kept]
+    if track:
+        column = [column[i] for i in kept]
 
     # Interreduce the tails, one pass. Leading monomials no longer change,
     # and whether a polynomial is reduced depends only on the others'
@@ -502,12 +510,12 @@ def buchberger_with_reps(generators, order: MonomialOrder, floor=None):
         rem, cofs = divide_full(polys[i], others, order)
         if rem == polys[i]:
             continue
-        new_rep = _subtract_combination(reps[i], cofs, reps[:i] + reps[i + 1 :])
         polys[i], num, den = rem.monic(order)
-        reps[i] = [a.scale(num, den) for a in new_rep]
+        if track:
+            column[i] = column_entry([(ring.one(), column[i])], cofs, column[:i] + column[i + 1 :], num, den)
 
     # kept is ascending in the order, so reversing it sorts descending.
-    return polys[::-1], [tuple(r) for r in reversed(reps)]
+    return polys[::-1], column[::-1] if track else None
 
 
 def buchberger_basis(ideal: Ideal) -> GroebnerBasis:
@@ -522,10 +530,11 @@ class DivisionOracle:
     Built once per (ideal, w); division then costs a single extended
     reduction against the combined basis of (ideal generators + w). The
     combined basis is the reduced Groebner basis of the ideal plus (w).
-    The constructor certifies the cofactors that division relies on:
-    each combined basis element must equal, exactly, the combination of
-    the generators (mid_basis polys, then w) that its cofactors give,
-    or VerificationFailure is raised.
+    Buchberger tracks only w's cofactor c_b of each combined element b,
+    reduced modulo mid_basis, and the constructor certifies it: b - c_b*w
+    must reduce to zero modulo mid_basis, else VerificationFailure is
+    raised. A zero remainder comes with explicit quotients q_i, so
+    b == c_b*w + sum_i q_i*m_i holds exactly over the mid_basis polys m_i.
 
     Buchberger gets the floor L(d) = max(0, HF_mid(d) - HF_mid(d - e)),
     with e = deg w, read off the leading monomials of mid_basis alone; it
@@ -558,10 +567,14 @@ class DivisionOracle:
                 bound.extend(_add_shifted(q, [-c for c in q], w.degree()))
             return max(0, hilbert_function(bound, ring.nvars, d))
 
-        polys, reps = buchberger_with_reps(gens, self.order, floor)
-        _certify_reps(polys, reps, gens)
+        polys, column = buchberger_with_reps(gens, self.order, floor, mid_basis)
+        for i, (b, c) in enumerate(zip(polys, column)):
+            if not normal_form(b - c * w, mid_basis).is_zero():
+                raise VerificationFailure(
+                    f"cofactors of combined basis element {i} do not reproduce it"
+                )
         self.combined = GroebnerBasis(tuple(polys), self.order)
-        self.w_cofactors = [rep[-1] for rep in reps]
+        self.w_cofactors = column
 
     def divide(self, p: Polynomial) -> Polynomial:
         """q with p == w*q modulo the ideal, in normal form; unique there."""
@@ -574,20 +587,6 @@ class DivisionOracle:
                 f"{p!r} is not divisible modulo the ideal (remainder {rem!r})"
             )
         return normal_form(sum_of_products(p.ring, zip(cofs, self.w_cofactors)), self.mid_basis)
-
-
-def _certify_reps(polys, reps, gens):
-    """Raise VerificationFailure unless polys[i] == sum_j reps[i][j] * gens[j].
-
-    Checked exactly by `sum_of_products`, on the same (nums, den) form
-    that division uses.
-    """
-    ring = gens[0].ring
-    for i, (b, rep) in enumerate(zip(polys, reps)):
-        if sum_of_products(ring, zip(rep, gens)) != b:
-            raise VerificationFailure(
-                f"cofactors of combined basis element {i} do not reproduce it"
-            )
 
 
 def krull_dimension(basis: GroebnerBasis, nvars: int) -> int:

@@ -14,6 +14,10 @@ Coefficients are handled one at a time, as field elements of
 numerators over a common denominator. Both return the same values, in
 the same shape, as their `mfkit.groebner` namesakes.
 
+`w_cofactor_holds` re-checks one entry of the cofactor column that
+`mfkit.groebner.buchberger_with_reps` tracks, with this division and
+polynomial arithmetic.
+
 `membership_oracle` decides ideal membership by linear algebra alone,
 with no Groebner machinery, on small instances.
 
@@ -194,6 +198,17 @@ def buchberger_with_reps(generators, order):
 
     final = sorted(range(len(polys)), key=lm_key, reverse=True)
     return [polys[i] for i in final], [tuple(reps[i]) for i in final]
+
+
+def w_cofactor_holds(b: Polynomial, c: Polynomial, w: Polynomial, mid, order) -> bool:
+    """True when b - c*w reduces to zero modulo the polynomials `mid`
+    under `divide_full` here, and the quotients q_i it returns give
+    b == c*w + sum_i q_i*mid_i exactly."""
+    rem, quotients = divide_full(b - c * w, mid, order)
+    total = c * w
+    for q, m in zip(quotients, mid):
+        total = total + q * m
+    return rem.is_zero() and total == b
 
 
 def membership_oracle(p: Polynomial, generators, max_cof_degree: int) -> bool:

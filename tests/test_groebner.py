@@ -65,16 +65,21 @@ class TestBuchberger:
         assert runs[0] == runs[1]
 
     def test_representation_identity(self):
+        # With a basis of the other generators' ideal, each basis element
+        # b comes with its cofactor c on the last generator w, in normal
+        # form there, and b - c*w lies in that ideal.
         rng = random.Random(11)
         for _ in range(25):
             gens = [rand_poly(RXY, rng, max_degree=3, terms=3) for _ in range(2)]
             gens = [g for g in gens if not g.is_zero()]
-            polys, reps = buchberger_with_reps(gens, GREVLEX2)
-            for b, rep in zip(polys, reps):
-                combo = RXY.zero()
-                for r, g in zip(rep, gens):
-                    combo = combo + r * g
-                assert combo == b
+            if not gens:
+                continue
+            mid = buchberger_basis(Ideal(tuple(gens[:-1]), GREVLEX2))
+            polys, column = buchberger_with_reps(gens, GREVLEX2, modulo=mid)
+            assert len(column) == len(polys)
+            for b, c in zip(polys, column):
+                assert reference_groebner.w_cofactor_holds(b, c, gens[-1], mid.polys, GREVLEX2)
+                assert normal_form(c, mid) == c
 
 
 class TestNormalForm:
@@ -315,9 +320,16 @@ def test_buchberger_matches_reference(field, order):
         rng = random.Random(17)
         for _ in range(6):
             gens = [make_poly(ring, rng, max_degree=3, terms=3) for _ in range(rng.randint(2, 3))]
-            assert buchberger_with_reps(gens, order) == reference_groebner.buchberger_with_reps(
-                gens, order
-            )
+            ref_polys, ref_reps = reference_groebner.buchberger_with_reps(gens, order)
+            assert buchberger_with_reps(gens, order) == (ref_polys, None)
+            # The tracked column agrees with the reference's last one
+            # modulo (mid : w): (c - c_ref)*w lies in (mid) for each entry.
+            w, mid = gens[-1], buchberger_basis(Ideal(tuple(gens[:-1]), order))
+            polys, column = buchberger_with_reps(gens, order, modulo=mid)
+            assert polys == ref_polys
+            for c, rep in zip(column, ref_reps):
+                assert normal_form(c, mid) == c
+                assert normal_form((c - rep[-1]) * w, mid).is_zero()
 
 
 RXYZ = PolyRing(("x", "y", "z"), QQ)
@@ -370,31 +382,43 @@ def test_field_hooks_of_the_division_loop():
 
 
 @pytest.mark.parametrize("field", DIFF_FIELDS, ids=lambda f: repr(f))
-def test_cofactor_certificate_matches_polynomial_arithmetic(field):
-    # The certificate runs on integer forms; here the combination is
-    # formed with Polynomial arithmetic, then moved off by one term.
+def test_cofactor_certificate_matches_polynomial_arithmetic(monkeypatch, field):
+    # The oracle certifies b - c*w in (mid) with one normal form on
+    # integer forms; here each certified pair is checked again with
+    # Polynomial arithmetic on the reference quotients. Then one combined
+    # element is moved off by a term outside (mid), and the certificate
+    # must reject it by index.
     ring = PolyRing(("x", "y", "z"), field)
+    order = MonomialOrder.grevlex(3)
     rng = random.Random(41)
+    real, shift = groebner.buchberger_with_reps, {}
+
+    def shifted(generators, order, floor=None, modulo=None):
+        polys, column = real(generators, order, floor, modulo)
+        if shift and modulo is not None:
+            polys = list(polys)
+            polys[shift["i"]] = polys[shift["i"]] + shift["term"]
+        return polys, column
+
+    monkeypatch.setattr(groebner, "buchberger_with_reps", shifted)
+    rejected = 0
     for _ in range(30):
         gens = [rand_rational_poly(ring, rng, max_degree=2) for _ in range(rng.randint(1, 3))]
         gens = [g for g in gens if not g.is_zero()] or [ring.var(0)]
-        reps = []
-        polys = []
-        for _ in range(rng.randint(1, 3)):
-            rep = [rand_rational_poly(ring, rng, max_degree=2, terms=rng.randint(0, 3)) for _ in gens]
-            total = ring.zero()
-            for r, g in zip(rep, gens):
-                total = total + r * g
-            reps.append(tuple(rep))
-            polys.append(total)
-        groebner._certify_reps(polys, reps, gens)
-        i = rng.randrange(len(polys))
-        off = rand_rational_poly(ring, rng, max_degree=3, terms=1)
-        if off.is_zero():
+        shift.clear()
+        w, mid = gens[-1], buchberger_basis(Ideal(tuple(gens[:-1]), order))
+        oracle = DivisionOracle(mid, w)
+        for b, c in zip(oracle.combined.polys, oracle.w_cofactors):
+            assert reference_groebner.w_cofactor_holds(b, c, w, mid.polys, order)
+        i = rng.randrange(len(oracle.combined))
+        term = rand_rational_poly(ring, rng, max_degree=3, terms=1)
+        if normal_form(term, mid).is_zero():
             continue
-        polys[i] = polys[i] + off
+        shift.update(i=i, term=term)
         with pytest.raises(VerificationFailure, match=f"element {i} do not reproduce"):
-            groebner._certify_reps(polys, reps, gens)
+            DivisionOracle(mid, w)
+        rejected += 1
+    assert rejected >= 15
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3])
@@ -409,8 +433,7 @@ def test_negative_degrees_have_no_monomials(nvars):
 # that the Gebauer-Moeller criteria prove redundant and, on homogeneous
 # input, takes pairs degree by degree; the reference processes every
 # pair in the order's normal selection. The reduced basis is unique, so
-# the two must agree on it; the cofactor rows may differ and are
-# certified instead.
+# the two must agree on it. Untracked, the run computes no cofactor.
 
 def rand_ideal(ring, rng, homogeneous):
     if homogeneous:
@@ -428,10 +451,9 @@ def test_pruned_buchberger_matches_reference_basis(field, order, homogeneous):
     rng = random.Random(29)
     for _ in range(8):
         gens = rand_ideal(ring, rng, homogeneous)
-        polys, reps = buchberger_with_reps(gens, order)
+        polys, column = buchberger_with_reps(gens, order)
         assert polys == reference_groebner.buchberger_with_reps(gens, order)[0]
-        if polys:
-            groebner._certify_reps(polys, reps, gens)
+        assert column is None
 
 
 GREVLEX3 = MonomialOrder.grevlex(3)
@@ -499,10 +521,10 @@ def test_quadrics_lex_golden_is_the_reduced_basis():
     # The golden of `gb quadrics_lex.mfw --field fp:32003` was first
     # produced by the pruned Buchberger, so it is proved here from its
     # printed text: for each ideal, the printed polynomials lie in it (by
-    # certified cofactor rows), generate it (every generator reduces to
-    # 0), form a Groebner basis (every S-polynomial reduces to 0 under the
-    # reference division) and are reduced (monic, and no term divisible
-    # by another element's leading monomial).
+    # a certified cofactor column), generate it (every generator reduces
+    # to 0), form a Groebner basis (every S-polynomial reduces to 0 under
+    # the reference division) and are reduced (monic, and no term
+    # divisible by another element's leading monomial).
     ring = PolyRing(tuple("abcde"), PrimeField(32003))
     order = MonomialOrder.lex(5)
     text = (CORPUS_DIR / "quadrics_lex.mfw").read_text(encoding="utf-8")
@@ -512,14 +534,23 @@ def test_quadrics_lex_golden_is_the_reduced_basis():
     assert lines[0] == "mid ideal reduced basis:" and lines[-1] == "status=ok command=gb exit=0"
     split = lines.index("quot ideal reduced basis:")
     # w_coords = 1, 0, 0: w is the first generator and the mid ideal is
-    # generated by the other two.
-    cases = [(gens[1:], lines[1:split]), (gens, lines[split + 1 : -1])]
-    for ideal_gens, printed in cases:
+    # generated by the other two. Membership is certified by the column
+    # of the last generator tracked modulo a basis of the others: the
+    # second generator alone for the mid ideal, then the printed mid
+    # basis, once proved, for the quot ideal.
+    cases = [
+        (gens[1:], lines[1:split], [gens[1]]),
+        (gens[1:] + gens[:1], lines[split + 1 : -1], None),
+    ]
+    for ideal_gens, printed, others in cases:
         basis = [ring.parse(t) for t in printed]
         assert [format_canonical(b, order) for b in basis] == printed
-        polys, reps = buchberger_with_reps(ideal_gens, order)
+        assert buchberger_with_reps(ideal_gens, order) == (basis, None)
+        modulo = GroebnerBasis(tuple(others or mid), order)
+        polys, column = buchberger_with_reps(list(modulo.polys) + ideal_gens[-1:], order, modulo=modulo)
         assert polys == basis
-        groebner._certify_reps(basis, reps, ideal_gens)
+        for b, c in zip(basis, column):
+            assert reference_groebner.w_cofactor_holds(b, c, ideal_gens[-1], modulo.polys, order)
         for g in ideal_gens:
             assert reference_groebner.divide_full(g, basis, order)[0].is_zero()
         for i, j in combinations(range(len(basis)), 2):
@@ -530,24 +561,28 @@ def test_quadrics_lex_golden_is_the_reduced_basis():
             assert b.nums[ring.pack(lms[i])] == 1 and b.den == 1
             for m in map(ring.exps, b.nums):
                 assert not any(mono_divides(lm, m) for k, lm in enumerate(lms) if k != i)
+        mid = basis
 
 
-@pytest.mark.parametrize("argv,calls", [
-    (["--order", "grevlex"], 16),
-    (["--field", "fp:32003"], 73),
-    ([], 73),
+@pytest.mark.parametrize("argv,calls,reductions", [
+    (["--order", "grevlex"], 16, 8),
+    (["--field", "fp:32003"], 73, 47),
+    ([], 73, 47),
 ], ids=["grevlex-qq", "lex-fp32003", "lex-qq"])
-def test_buchberger_division_count_on_the_quadrics(monkeypatch, argv, calls):
+def test_buchberger_division_count_on_the_quadrics(monkeypatch, argv, calls, reductions):
     # `gb` on the benchmark's first seed-1 3-quadric file (its own order is
     # grevlex) and on the lex case, counting the divide_full calls made
     # inside Buchberger: S-polynomials and the interreduction pass. The
     # counts pin the pairs that the criteria and the Hilbert-driven skip
-    # of the deep basis leave to divide.
-    counts = {"depth": 0, "divisions": 0}
-    divide, buchberger = groebner.divide_full, groebner.buchberger_with_reps
+    # of the deep basis leave to divide. The oracle's run also reduces
+    # each new entry of its cofactor column modulo the mid basis, through
+    # `normal_form`; those divisions are counted apart.
+    counts = {"depth": 0, "column": 0, "divisions": 0, "reductions": 0}
+    divide, buchberger, reduce = groebner.divide_full, groebner.buchberger_with_reps, groebner.normal_form
 
     def counted_divide(*args):
-        counts["divisions"] += counts["depth"] > 0
+        if counts["depth"]:
+            counts["reductions" if counts["column"] else "divisions"] += 1
         return divide(*args)
 
     def counted_buchberger(*args, **kwargs):
@@ -557,8 +592,65 @@ def test_buchberger_division_count_on_the_quadrics(monkeypatch, argv, calls):
         finally:
             counts["depth"] -= 1
 
+    def counted_normal_form(*args):
+        counts["column"] += 1
+        try:
+            return reduce(*args)
+        finally:
+            counts["column"] -= 1
+
     monkeypatch.setattr(groebner, "divide_full", counted_divide)
     monkeypatch.setattr(groebner, "buchberger_with_reps", counted_buchberger)
+    monkeypatch.setattr(groebner, "normal_form", counted_normal_form)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli_main(["gb", str(CORPUS_DIR / "quadrics_lex.mfw"), *argv]) == 0
     assert counts["divisions"] == calls
+    assert counts["reductions"] == reductions
+
+
+def cyclic(ring):
+    """The cyclic-n system in the n variables of `ring`: for k < n the sum
+    of the n cyclic products of k consecutive variables, then
+    x_0*...*x_(n-1) - 1."""
+    n = ring.nvars
+    xs = [ring.var(i) for i in range(n)]
+    gens = []
+    for k in range(1, n):
+        total = ring.zero()
+        for i in range(n):
+            term = ring.one()
+            for j in range(k):
+                term = term * xs[(i + j) % n]
+            total = total + term
+        gens.append(total)
+    product = ring.one()
+    for x in xs:
+        product = product * x
+    return gens + [product - ring.one()]
+
+
+def test_cyclic6_basis_and_oracle():
+    # A non-toy ideal: cyclic-6 under grevlex over fp:32003, 45 elements.
+    ring = PolyRing(tuple(f"x{i}" for i in range(6)), PrimeField(32003))
+    order = MonomialOrder.grevlex(6)
+    gens = cyclic(ring)
+    basis = buchberger_basis(Ideal(tuple(gens), order)).polys
+    assert len(basis) == 45
+    lms = [b.leading_monomial(order) for b in basis]
+    for i, b in enumerate(basis):
+        assert b.nums[lms[i]] == 1 and b.den == 1
+        assert not any(not (m - lm) & ring.guard for m in b.nums for k, lm in enumerate(lms) if k != i)
+    for g in gens:
+        assert divide_full(g, basis, order)[0].is_zero()
+    for i, j in combinations(range(len(basis)), 2):
+        assert divide_full(groebner._spair(basis[i], basis[j], order)[0], basis, order)[0].is_zero()
+    # The tower with mid = the first five generators and w = x0*...*x5 - 1.
+    mid, w = buchberger_basis(Ideal(tuple(gens[:5]), order)), gens[5]
+    oracle = DivisionOracle(mid, w)
+    assert oracle.combined.polys == basis
+    rng = random.Random(6)
+    for _ in range(3):
+        p = w * rand_poly(ring, rng, max_degree=3, terms=4)
+        for m in gens[:5]:
+            p = p + m * rand_poly(ring, rng, max_degree=2, terms=2)
+        assert normal_form(w * oracle.divide(p) - p, mid).is_zero()

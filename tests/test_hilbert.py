@@ -147,9 +147,9 @@ def test_oracle_matches_reference_and_the_run_without_floor(field, kind):
         t = random_graded_tower(ring, order, rng, zerodivisor, 3 if kind == "grevlex" else 2)
         gens = list(t.mid_basis.polys) + [t.w]
         oracle = DivisionOracle(t.mid_basis, t.w)
-        polys, reps = buchberger_with_reps(gens, order)
+        polys, column = buchberger_with_reps(gens, order, modulo=t.mid_basis)
         assert list(oracle.combined.polys) == polys
-        assert oracle.w_cofactors == [rep[-1] for rep in reps]
+        assert oracle.w_cofactors == column
         assert polys == reference_groebner.buchberger_with_reps(gens, order)[0]
         regular = t.validation.regular
         seen[regular] += 1
@@ -192,33 +192,48 @@ def test_seed_one_quadrics_start_with_the_lex_corpus_case():
     assert [first.ring.parse(s) for s in gens_line[len("gens = "):].split(", ")] == list(first.seq_gens)
 
 
+COLUMN_REDUCTIONS = {"corpus": 53, "seed1": 95}
+
+
 @pytest.mark.parametrize("source", ["corpus", "seed1"])
 def test_regular_w_splits_the_series_and_no_spair_reduces_to_zero(monkeypatch, source):
     # w is a non-zerodivisor modulo mid exactly when the exact sequence's
     # kernel vanishes, that is Q_deep == (1 - t^e) * Q_mid. On these
     # towers the floor is then exact, and every S-pair that the oracle
-    # still divides gives a new basis element.
+    # still divides gives a new basis element. The divisions that reduce
+    # the oracle's cofactor column modulo the mid basis (through
+    # `normal_form`) are counted apart.
     towers = graded_corpus_towers() if source == "corpus" else seed_one_quadric_towers()
     assert len(towers) >= (5 if source == "corpus" else 12)
     remainders = []
-    depth = [0]
-    divide, buchberger = groebner.divide_full, groebner.buchberger_with_reps
+    depth = {"buchberger": 0, "column": 0, "reductions": 0}
+    divide, buchberger, reduce = groebner.divide_full, groebner.buchberger_with_reps, groebner.normal_form
 
     def counted_divide(*args):
         out = divide(*args)
-        if depth[0]:
+        if depth["column"]:
+            depth["reductions"] += depth["buchberger"] > 0
+        elif depth["buchberger"]:
             remainders.append(out[0])
         return out
 
     def counted_buchberger(*args, **kwargs):
-        depth[0] += 1
+        depth["buchberger"] += 1
         try:
             return buchberger(*args, **kwargs)
         finally:
-            depth[0] -= 1
+            depth["buchberger"] -= 1
+
+    def counted_normal_form(*args):
+        depth["column"] += 1
+        try:
+            return reduce(*args)
+        finally:
+            depth["column"] -= 1
 
     monkeypatch.setattr(groebner, "divide_full", counted_divide)
     monkeypatch.setattr(groebner, "buchberger_with_reps", counted_buchberger)
+    monkeypatch.setattr(groebner, "normal_form", counted_normal_form)
     for t in towers:
         assert t.validation.regular is True
         ring, order = t.ring, t.order
@@ -228,6 +243,7 @@ def test_regular_w_splits_the_series_and_no_spair_reduces_to_zero(monkeypatch, s
         DivisionOracle(t.mid_basis, t.w)
     assert remainders
     assert not any(r.is_zero() for r in remainders)
+    assert depth["reductions"] == COLUMN_REDUCTIONS[source]
 
 
 def test_the_floor_decides_the_skip_and_only_on_homogeneous_input():
@@ -248,3 +264,68 @@ def test_the_floor_decides_the_skip_and_only_on_homogeneous_input():
     assert len(skipped) == 2 < len(full)
     with_floor, without = run(["x*y + z", "x^2 - y*z"])
     assert with_floor == without
+
+
+# -- the tracked cofactor column against the reference's full rows -----------
+
+def field_name(field):
+    return "qq" if field == QQ else f"fp:{field.p}"
+
+
+def column_towers(field, kind):
+    """(tower, w known regular) pairs: random graded towers, regular and
+    zerodivisor, a hypersurface (empty mid ideal) and `tower_cusp.mfw`,
+    whose sequence is inhomogeneous and whose w = x^2 is regular modulo
+    the irreducible y^2 - x^3."""
+    ring = PolyRing(("x", "y", "z"), field)
+    order = getattr(MonomialOrder, kind)(3)
+    rng = random.Random(23)
+    towers = []
+    for k in range(9):
+        t = random_graded_tower(ring, order, rng, k % 3 == 0, 3 if kind == "grevlex" else 2)
+        towers.append((t, t.validation.regular))
+    hypersurface = build_tower(ring, [rand_homogeneous_poly(ring, rng, 3) or ring.var(0)], [1], order)
+    assert not hypersurface.mid_basis.polys
+    towers.append((hypersurface, True))
+    cusp = load_workbench(str(CORPUS_DIR / "tower_cusp.mfw"), field_name(field), kind).tower
+    assert cusp.validation.regular is None
+    towers.append((cusp, True))
+    return towers
+
+
+@pytest.mark.parametrize("field", TOWER_FIELDS, ids=repr)
+@pytest.mark.parametrize("kind", ["grevlex", "lex"])
+def test_tracked_column_matches_the_reference_full_column(field, kind):
+    # The oracle tracks only w's cofactor c of each combined element b,
+    # reduced modulo mid; the reference carries a full row per element.
+    # Both give the same basis, b - c*w reduces to 0 modulo mid, and for
+    # a regular w, c is the reference's last entry reduced modulo mid, so
+    # division agrees with the reference's.
+    rng = random.Random(31)
+    regular_seen = zerodivisor_seen = 0
+    for t, regular in column_towers(field, kind):
+        mid, order = t.mid_basis, t.order
+        oracle = DivisionOracle(mid, t.w)
+        ref_polys, ref_reps = reference_groebner.buchberger_with_reps(list(mid.polys) + [t.w], order)
+        assert list(oracle.combined.polys) == ref_polys
+        for b, c, rep in zip(ref_polys, oracle.w_cofactors, ref_reps):
+            assert reference_groebner.w_cofactor_holds(b, c, t.w, mid.polys, order)
+            assert normal_form(c, mid) == c
+            if regular:
+                assert c == normal_form(rep[-1], mid)
+        if not regular:
+            zerodivisor_seen += 1
+            continue
+        regular_seen += 1
+        ring = t.ring
+        for _ in range(3):
+            p = t.w * rand_homogeneous_poly(ring, rng, rng.randint(0, 2))
+            for m in mid.polys:
+                p = p + m * rand_homogeneous_poly(ring, rng, 1)
+            rem, cofs = reference_groebner.divide_full(p, ref_polys, order)
+            assert rem.is_zero()
+            q = ring.zero()
+            for a, rep in zip(cofs, ref_reps):
+                q = q + a * rep[-1]
+            assert oracle.divide(p) == reference_groebner.divide_full(q, mid.polys, order)[0]
+    assert regular_seen >= 4 and zerodivisor_seen >= 1

@@ -186,9 +186,9 @@ def test_build_tower_runs_buchberger_once_per_ideal(monkeypatch, c):
     calls = []
     real = groebner.buchberger_with_reps
 
-    def counting(generators, order, floor=None):
+    def counting(generators, order, floor=None, modulo=None):
         calls.append(list(generators))
-        return real(generators, order, floor)
+        return real(generators, order, floor, modulo)
 
     monkeypatch.setattr(groebner, "buchberger_with_reps", counting)
     gens = [ring.parse(t) for t in ("x^2 + y*z", "y^2", "z^2")[:c]]
@@ -200,21 +200,25 @@ def test_build_tower_runs_buchberger_once_per_ideal(monkeypatch, c):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=repr)
-@pytest.mark.parametrize("where", ["first-w", "last-mid", "tiny"])
+@pytest.mark.parametrize("where", ["first-w", "last-element", "tiny"])
 def test_perturbed_cofactor_fails_certificate(monkeypatch, field, where):
+    # The oracle certifies b - c*w in (mid) for each combined element b
+    # and its w-cofactor c; moving either b or c breaks it.
     ring = RXYZ_BY_FIELD[field]
     real = groebner.buchberger_with_reps
 
-    def perturbed(generators, order, floor=None):
-        polys, reps = real(generators, order, floor)
-        reps = [list(r) for r in reps]
+    def perturbed(generators, order, floor=None, modulo=None):
+        polys, column = real(generators, order, floor, modulo)
+        if modulo is None:
+            return polys, column
+        polys, column = list(polys), list(column)
         if where == "first-w":
-            reps[0][-1] = reps[0][-1] + ring.parse("x")
-        elif where == "last-mid":
-            reps[-1][0] = reps[-1][0] - ring.one()
+            column[0] = column[0] + ring.parse("x")
+        elif where == "last-element":
+            polys[-1] = polys[-1] - ring.one()
         else:
-            reps[-1][-1] = reps[-1][-1] + ring.monomial((0, 0, 1), field.ratio(1, 2**40 + 15))
-        return polys, [tuple(r) for r in reps]
+            column[-1] = column[-1] + ring.monomial((0, 0, 1), field.ratio(1, 2**40 + 15))
+        return polys, column
 
     monkeypatch.setattr(groebner, "buchberger_with_reps", perturbed)
     gens = [ring.parse("x^2 + y*z"), ring.parse("y^2 - x*z")]
