@@ -16,6 +16,10 @@ and GF(p):
   the fraction-free loops (division, elimination, back substitution).
 * `reduce_int(n)` reduces an int coefficient: modulo p, or not at all
   over QQ.
+* `canonical_row(nums)` is the canonical numerators of nums over
+  denominator 1: nums itself when it is canonical already (no zero entry
+  and, over GF(p), every entry in [1, p)), which takes one scan of its
+  values and no copy, else `normalize(nums, 1)`'s.
 
 Scalars at the public surface are ints, or over QQ anything with int
 `numerator` and `denominator` (a `fractions.Fraction`). `from_int` and
@@ -72,6 +76,10 @@ class Rationals:
             den //= g
         return nums, den
 
+    def canonical_row(self, nums: dict) -> dict:
+        """nums when no entry is zero, else a copy without the zeros."""
+        return nums if all(nums.values()) else self.normalize(nums, 1)[0]
+
     def cancel(self, c: int, a: int) -> tuple[int, int]:
         """(s, t) with s*c == t*a and s > 0 as small as possible, so that
         t/s is c/a in lowest terms.
@@ -127,6 +135,13 @@ class PrimeField:
             inv = self._inverse(den)
             return {k: v for k, c in nums.items() if (v := c * inv % p)}, 1
         return {k: v for k, c in nums.items() if (v := c % p)}, 1
+
+    def canonical_row(self, nums: dict) -> dict:
+        """nums when every entry lies in [1, p), else its reduced copy."""
+        values = nums.values()
+        if not nums or (0 < min(values) and max(values) < self.p):
+            return nums
+        return self.normalize(nums, 1)[0]
 
     def cancel(self, c: int, a: int) -> tuple[int, int]:
         """(s, t) with s*c == t*a: here s = 1 and t = c/a."""

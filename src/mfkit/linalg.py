@@ -12,17 +12,20 @@ only on the row space, so rank and the solution with free variables set
 to zero do not depend on row order.
 
 The engine is fraction-free, like `groebner.divide_full`. A row enters
-as the field's `normalize` of it over denominator 1: its zero entries
-dropped and, over GF(p), every entry reduced into [0, p). To cancel the
-leading entry c of the working row against a pivot row with leading
+as a plain copy when it is canonical already: no zero entry and, over
+GF(p), every entry in [1, p), as the graded window maps and systems hand
+their rows over. Any other int row enters as the field's `normalize` of
+it over denominator 1, its zero entries dropped and, over GF(p), every
+entry reduced into [1, p); the caller's row is never modified. To cancel
+the leading entry c of the working row against a pivot row with leading
 entry a, the field's `cancel` gives (s, t) with s*c == t*a, and the
 working row becomes s*row - t*pivot, each entry passed through
-`reduce_int`. Over GF(p), s
-is always 1 and every entry stays in [0, p). Over QQ, after each s > 1
-the row's content is divided out, so its ints stay as small as its
-primitive form. Pivot rows keep their leading entry as it is;
-`solve_linear` divides by it during back substitution, where the
-solution is built over one common denominator. No zero entry is stored.
+`reduce_int`. Over GF(p), s is always 1 and every entry stays in [0, p).
+Over QQ, after each s > 1 the row's content is divided out, so its ints
+stay as small as its primitive form. Pivot rows keep their leading entry
+as it is; `solve_linear` divides by it during back substitution, where
+the solution is built over one common denominator. No zero entry is
+stored.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ def _insert(pivots: dict[int, dict], row: dict, field) -> int | None:
     Returns the new pivot column, or None when the row reduces to zero.
     """
     cancel, reduce_int = field.cancel, field.reduce_int
-    work = field.normalize(row, 1)[0]
+    work = dict(field.canonical_row(row))
     while work:
         col = min(work)
         pivot = pivots.get(col)

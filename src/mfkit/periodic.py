@@ -27,20 +27,24 @@ one combination lead + sum of a@b, computed by
 Degree-window oracles verify acyclicity and nullhomotopy statements on
 finite windows by exact linear algebra over the coefficient field for
 graded data; a window verdict is evidence for the infinite statement,
-not a proof. Multiplication by a matrix on graded pieces is read from
-the tower's table of monomial normal forms (`RingTower.quot_coords`),
-which every window on that tower shares. The acyclicity window ranks
-each differential on a complement of a known part of its kernel: a
+not a proof. Multiplication by a matrix on graded pieces is summed, term
+by term of the matrix entries, from the tower's rows of product normal
+forms (`RingTower.quot_row`, built from its table of monomial normal
+forms `RingTower.quot_coords`), which every window on that tower shares.
+The images, and the rows of the graded systems, are canonical int rows,
+with no zero entry and, over GF(p), every entry in [1, p), which
+`linalg` copies without normalizing them again. The acyclicity window
+ranks each differential on a complement of a known part of its kernel: a
 QUOT-level factorization has phi@psi == 0 and psi@phi == 0, checked by
 its constructor, so the image U of psi landing in the source V of phi
 lies in ker(phi). The echelon that ranks psi hands back its pivot
-columns; the unit vectors of V outside them span a complement C, so V
-is the direct sum of U and C, phi(V) = phi(C), and the rank of phi
-needs only the images of C. Each rank is still exact, with no premise
-beyond the verified identity. The nullhomotopy window states its
-homotopy equations, one matrix equation per position, through one
-builder of graded linear systems (`_GradedSystem`), solves them at once
-and re-verifies each as one such combination.
+columns; the unit vectors of V outside them span a complement C, so V is
+the direct sum of U and C, phi(V) = phi(C), and the rank of phi needs
+only the images of C. Each rank is still exact, with no premise beyond
+the verified identity. The nullhomotopy window states its homotopy
+equations, one matrix equation per position, through one builder of
+graded linear systems (`_GradedSystem`), solves them at once and
+re-verifies each as one such combination.
 """
 
 from __future__ import annotations
@@ -328,59 +332,65 @@ def _graded_map(tower: RingTower, m: RingMatrix, src_degree: int, entry_degree: 
 
     The source is (piece of src_degree)^ncols, the target (piece of
     src_degree + entry_degree)^nrows, both over the coefficient field.
-    Source basis element (j, s), index j*len(src) + s, is the standard
-    monomial s in slot j; it maps to column j of m times s, in normal
-    form at QUOT, a vector over target indices i*len(tgt) + t, summed
-    from the normal forms of the product monomials in the tower's
-    `quot_coords` table. Every nonzero entry of m is homogeneous of
-    entry_degree, so each product monomial lies in the target degree.
+    Source basis element (j, k), index j*len(src) + k, is the standard
+    monomial k in slot j; it maps to column j of m times it, in normal
+    form at QUOT, a vector over target indices i*len(tgt) + t. Every
+    nonzero entry of m is homogeneous of entry_degree, so each product
+    lies in the target degree. The images are summed term by term: a
+    term c*u of entry (i, j) adds c times `tower.quot_row(u, src_degree)`
+    [k] into slot i of image (j, k). Distinct entries of a column fill
+    distinct slots, so only the terms of one entry can meet on a key.
 
     Returns (images, den, source dimension, target dimension): images
     holds, in index order, one int dict per source element whose index
     is not in `skip`, the element's image being that dict over den, one
-    den for the whole map. Each image is the raw int
-    sum of an entry's numerators times a vector's coordinates: it may
-    hold zero entries and, over GF(p), ints outside [0, p), which
-    `linalg` reduces as each row enters. den is 1 unless an entry or a
-    vector has a denominator (never over GF(p), nor for integral data
-    over QQ); a term over a new denominator moves every image to the
-    lcm. The rank of the map is the rank of its int image rows.
+    den for the whole map, worked out before any image is summed. Each
+    image is a canonical row for `linalg`: no zero entry and, over
+    GF(p), every entry in [1, p). den is 1 unless an entry or a row has
+    a denominator (never over GF(p), nor for integral data over QQ).
+    The rank of the map is the rank of its int image rows.
     """
-    # A table hit is one dict lookup, with no call.
-    cached, vector = tower._quot_coords.get, tower.quot_coords
-    src_monos = tower.standard_monomials(src_degree)
+    field = tower.ring.field
+    p = field.characteristic
+    nsrc = len(tower.standard_monomials(src_degree))
     ntgt = len(tower.standard_monomials(src_degree + entry_degree))
+    # Per column, per nonzero entry: (slot offset, entry den, [(c, row, row den)]).
+    columns = [[(i * ntgt, e.den, [(c, *tower.quot_row(u, src_degree)) for u, c in e.nums.items()])
+                for i, line in enumerate(m.entries) if (e := line[j]).nums]
+               for j in range(m.ncols)]
+    den = lcm(*[eden * rden for column in columns for _, eden, terms in column
+                for _, _, rden in terms])
+    # An entry's first term writes into keys of its own slot that no other
+    # term has written, each value nonzero and, over GF(p), reduced: the
+    # row's coordinates are, and a product of units mod p is a unit. Only
+    # an entry's further terms add to a key, and may cancel or leave [1, p).
+    several = any(len(e.nums) > 1 for line in m.entries for e in line)
     images: list[dict] = []
-    den = 1
-    for j in range(m.ncols):
-        column = [(i * ntgt, e.nums, e.den) for i, row in enumerate(m.entries)
-                  if (e := row[j]).nums]
-        for index, sm in enumerate(src_monos, j * len(src_monos)):
-            if index in skip:
-                continue
-            image: dict = {}
-            for base, nums, eden in column:
-                for mono, coeff in nums.items():
-                    prod = mono + sm
-                    coords, vden = cached(prod) or vector(prod)
-                    d = eden * vden
-                    if d != 1:
-                        if den % d:
-                            # A new denominator: move every image so far
-                            # to the lcm.
-                            scale = lcm(den, d) // den
-                            den *= scale
-                            for done in (*images, image):
-                                for key in done:
-                                    done[key] *= scale
-                        coeff *= den // d
-                    elif den != 1:
-                        coeff *= den
-                    for k, c in coords:
-                        key = base + k
-                        image[key] = image.get(key, 0) + coeff * c
-            images.append(image)
-    return images, den, len(src_monos) * m.ncols, ntgt * m.nrows
+    for j, column in enumerate(columns):
+        start = j * nsrc
+        keep = [k for k in range(nsrc) if start + k not in skip] if skip else range(nsrc)
+        block = [{} for _ in keep]
+        for base, eden, terms in column:
+            for n, (coeff, row, rden) in enumerate(terms):
+                if den != 1:
+                    coeff *= den // (eden * rden)
+                if len(keep) < nsrc:
+                    row = [row[k] for k in keep]
+                if n:
+                    for image, coords in zip(block, row):
+                        for t, c in coords:
+                            key = base + t
+                            image[key] = image.get(key, 0) + coeff * c
+                elif p and coeff != 1:
+                    for image, coords in zip(block, row):
+                        for t, c in coords:
+                            image[base + t] = coeff * c % p
+                else:
+                    for image, coords in zip(block, row):
+                        for t, c in coords:
+                            image[base + t] = coeff * c
+        images.extend(map(field.canonical_row, block) if several else block)
+    return images, den, nsrc * m.ncols, ntgt * m.nrows
 
 
 class _GradedSystem:
@@ -424,7 +434,10 @@ class _GradedSystem:
 
         Every entry of c and every product must be homogeneous of
         `degree`; NotHomogeneous otherwise. The rows of one call share
-        one denominator, so every coefficient is an int.
+        one denominator, so every coefficient is an int. The rows are
+        canonical, as a graded map's images are: no zero coefficient
+        and, over GF(p), every coefficient in [1, p) and every
+        right-hand side in [0, p).
         """
         tower = self.tower
         shift = tower.ring.shift
@@ -470,13 +483,22 @@ class _GradedSystem:
             scale = den // mden
             for src_k, image in enumerate(images):
                 r, k = divmod(src_k, size)
+                # Equation (a, 0, t) and coefficient of each image entry.
+                targets = [(tgt_k // ntgt * row_a + tgt_k % ntgt, coeff * scale)
+                           for tgt_k, coeff in image.items()]
                 for f in range(free):
                     var = offset + r * var_r + f * var_f + k
-                    for tgt_k, coeff in image.items():
-                        a, t = divmod(tgt_k, ntgt)
-                        eq = eqs[a * row_a + f * row_f + t]
-                        eq[var] = eq.get(var, 0) + coeff * scale
-        self._rows.extend(zip(eqs, b))
+                    shift = f * row_f
+                    for row, coeff in targets:
+                        eq = eqs[row + shift]
+                        eq[var] = eq.get(var, 0) + coeff
+        field = tower.ring.field
+        if len({x for _, x, _ in terms}) < len(terms):
+            # A term writes each (equation, variable) once, from a
+            # canonical image entry; only two terms on one unknown can
+            # add up on a coefficient.
+            eqs = map(field.canonical_row, eqs)
+        self._rows.extend(zip(eqs, map(field.reduce_int, b)))
         self._equations.append((c, left, right))
 
     def solve(self) -> list[RingMatrix] | None:

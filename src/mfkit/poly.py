@@ -50,8 +50,9 @@ Expression grammar accepted by the parser (whitespace insignificant)::
     factor := '-' factor | atom ('^' nat)?
     atom   := nat ('/' posnat)? | var | '(' expr ')'
 
-Variables are ASCII identifiers; exponents are non-negative integer
-literals; `a/b` denotes an exact field coefficient.
+Variables are ASCII identifiers; `nat` is a literal of ASCII digits
+0-9 (no other Unicode digit, no underscore), so exponents are
+non-negative; `a/b` denotes an exact field coefficient.
 """
 
 from __future__ import annotations
@@ -546,17 +547,30 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def _expr(self) -> Polynomial:
-        p = self._term()
+        """The sum of the terms, added as ints over their common
+        denominator and normalized once, so a sum of T terms costs time
+        linear in T."""
+        terms = [(add, self._term())]
         while True:
             ch = self._peek()
             if ch == "+":
                 self.pos += 1
-                p = p + self._term()
+                terms.append((add, self._term()))
             elif ch == "-":
                 self.pos += 1
-                p = p - self._term()
+                terms.append((sub, self._term()))
             else:
-                return p
+                break
+        if len(terms) == 1:
+            return terms[0][1]
+        den = lcm(*[t.den for _, t in terms])
+        nums: dict = {}
+        get = nums.get
+        for op, t in terms:
+            k = den // t.den
+            for m, c in t.nums.items():
+                nums[m] = op(get(m, 0), c * k)
+        return self.ring.from_ints(nums, den)
 
     def _term(self) -> Polynomial:
         p = self._factor()
@@ -579,7 +593,7 @@ class _Parser:
     def _nat(self, what: str) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise ParseError(f"expected {what}", start)
@@ -595,7 +609,7 @@ class _Parser:
                 raise ParseError("expected ')'", self.pos)
             self.pos += 1
             return p
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             num = self._nat("integer")
             if self._peek() == "/":
                 self.pos += 1

@@ -157,6 +157,7 @@ class RingTower:
         "_std_monos",
         "_std_index",
         "_quot_coords",
+        "_quot_rows",
     )
 
     def __init__(self, ring, order, seq_gens, w_coords, basis_change, mid_gens, w,
@@ -175,6 +176,7 @@ class RingTower:
         self._std_monos = {}
         self._std_index = {}
         self._quot_coords = {}
+        self._quot_rows = {}
 
     def basis_for(self, level: Level) -> GroebnerBasis | None:
         if level == Level.BASE:
@@ -222,8 +224,8 @@ class RingTower:
         k of mono's degree, indexed as in `standard_monomials`. These are
         the normal form's own (nums, den), so den is 1 over GF(p) and for
         integral normal forms over QQ. Each monomial's normal form is
-        computed once per tower; the graded windows read every product of
-        a matrix entry and a standard monomial from this table.
+        computed once per tower; the rows of `quot_row`, from which the
+        graded windows read their products, are built from this table.
         """
         vec = self._quot_coords.get(mono)
         if vec is not None:
@@ -245,6 +247,29 @@ class RingTower:
         vec = (coords, nf.den)
         self._quot_coords[mono] = vec
         return vec
+
+    def quot_row(self, mono: int, degree: int) -> tuple[list, int]:
+        """The QUOT normal forms of mono times each standard monomial of
+        `degree`, as int coordinates over one denominator.
+
+        Returns (row, den): row[k] is a list of (t, c) over ints, and the
+        normal form of mono times standard monomial k of `degree` is the
+        sum of c/den times standard monomial t of the product's degree.
+        den is the lcm of the entries' `quot_coords` denominators, so it
+        is 1 over GF(p) and for integral normal forms over QQ. The row is
+        built once per (mono, degree) from `quot_coords`, which computes
+        each normal form, and kept in the tower; a graded window map reads
+        one row per term of its matrix entries.
+        """
+        key = (mono, degree)
+        row = self._quot_rows.get(key)
+        if row is None:
+            vectors = [self.quot_coords(mono + m) for m in self.standard_monomials(degree)]
+            den = lcm(*[d for _, d in vectors])
+            row = ([coords if d == den else [(t, c * (den // d)) for t, c in coords]
+                    for coords, d in vectors], den)
+            self._quot_rows[key] = row
+        return row
 
     def __repr__(self) -> str:
         gens = ", ".join(format_canonical(g, self.order) for g in self.seq_gens)

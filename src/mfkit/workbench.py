@@ -44,10 +44,15 @@ names, and malformed matrices are parse errors. `zero` is a reserved
 morphism name, so a `[morphism zero]` section is a parse error too.
 A polynomial with an exponent or total degree past the packed monomial
 range (`mfkit.poly.MAX_DEGREE`) is a BudgetExceeded naming its line.
+Each `w_coords` entry is an integer `n` or a fraction `n/d`: n an
+optional sign and ASCII digits 0-9, d ASCII digits; any other entry,
+as well as a non-ASCII digit in a polynomial, is a parse error naming
+its line.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, DivisionByZeroInCoefficient, ParseError
@@ -56,6 +61,10 @@ from .mfcat import MatrixFactorization, MfHomotopy, MfMorphism, zero_morphism
 from .periodic import ChainLiftInput, HomotopyTransportInput
 from .poly import MonomialOrder, PolyRing
 from .tower import Level, RingMatrix, RingTower, build_tower
+
+# A w_coords entry: an optional sign and ASCII digits, optionally over
+# ASCII digits. `int` alone would also take other Unicode digits and "_".
+_COORD_RE = re.compile(r"([+-]?[0-9]+)[ \t]*(?:/[ \t]*([0-9]+))?")
 
 _SECTION_KEYS = {
     "ring": {"field", "vars", "order", "gens", "w_coords"},
@@ -236,14 +245,15 @@ class Workbench:
         coords = []
         for c in coords_text.split(","):
             c = c.strip()
+            match = _COORD_RE.fullmatch(c)
+            if match is None:
+                raise ParseError(f"line {coords_line}: bad coordinate {c!r}")
+            num, den = match.groups()
             try:
-                if "/" in c:
-                    num, den = c.split("/")
-                    coords.append(fld.ratio(int(num), int(den)))
+                if den is None:
+                    coords.append(fld.from_int(int(num)))
                 else:
-                    coords.append(fld.from_int(int(c)))
-            except ValueError:
-                raise ParseError(f"line {coords_line}: bad coordinate {c!r}") from None
+                    coords.append(fld.ratio(int(num), int(den)))
             except DivisionByZeroInCoefficient as exc:
                 raise DivisionByZeroInCoefficient(f"line {coords_line}: {exc}") from None
         return build_tower(ring, gens, coords, order)

@@ -69,6 +69,9 @@ FIELD_CASES = [
     # A monomial past the packed range (total degree above 32767) is a
     # BudgetExceeded at parse time, never a wrapped exponent.
     ("validate_huge_power", ["validate", "huge_power.mfw"], 4),
+    # Literals are ASCII digits: a superscript exponent is a ParseError
+    # naming its line (exit 2), not an uncaught ValueError.
+    ("validate_bad_digits", ["validate", "bad_digits.mfw"], 2),
 ]
 
 

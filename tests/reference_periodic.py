@@ -2,14 +2,15 @@
 current code is tested against.
 
 `graded_map` is the loop that `_graded_map` ran before it summed images
-from a table of monomial normal forms: one QUOT normal form per (entry,
-standard monomial) product, read off on the target degree's standard
-monomials. Its images hold one field element per coordinate
-(`reference_poly.RefField`), where `_graded_map` returns int images over
-one denominator; it returns (images, source dimension, target
+from the tower's normal forms of monomials: one QUOT normal form per
+(entry, standard monomial) product, read off on the target degree's
+standard monomials. Its images hold one field element per coordinate
+(`reference_poly.RefField`), where `_graded_map` returns canonical int
+images over one denominator, summed term by term from the rows of
+`RingTower.quot_row`; it returns (images, source dimension, target
 dimension). It reads monomials as exponent tuples (`PolyRing.exps`) and
 multiplies by each standard monomial as a polynomial built with
-`PolyRing.monomial`, where `_graded_map` adds packed ints.
+`PolyRing.monomial`, where `quot_row` adds packed ints.
 
 `window_rows` is the loop that `_window_rows` ran before it ranked each
 differential on a complement of the other differential's image: every

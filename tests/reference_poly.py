@@ -7,7 +7,9 @@ one field operation per coefficient. `coeffs` reads a `Polynomial` as
 such a dict, `from_coeffs` builds one back through the public scalar
 constructor `PolyRing.monomial`, `int_row` turns a row of elements into
 the int row `mfkit.linalg` takes, and `assert_canonical` checks the
-invariant every mfkit result must satisfy.
+invariant every mfkit result must satisfy. `assert_canonical_row` checks
+the form in which the graded windows hand their int rows to
+`mfkit.linalg`.
 """
 
 from __future__ import annotations
@@ -119,3 +121,11 @@ def assert_canonical(p: Polynomial):
         assert p.den == 1
     else:
         assert gcd(p.den, *p.nums.values()) == 1
+
+
+def assert_canonical_row(row: dict, field):
+    """The int row is canonical for `field`: no zero entry and, over
+    GF(p), every entry in [1, p), so `linalg` copies it unnormalized."""
+    assert all(type(c) is int and c for c in row.values())
+    if isinstance(field, PrimeField):
+        assert all(0 < c < field.p for c in row.values())

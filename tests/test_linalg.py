@@ -161,6 +161,23 @@ def test_rational_rank_matches_dense(data, field, ncols):
             assert all(0 < v < field.p for v in row.values())
 
 
+@given(int_matrices, st.sampled_from(FIELDS))
+def test_insert_leaves_the_callers_rows_unmodified(int_rows, field):
+    # Each row twice: as raw ints, with zeros, negatives and, over GF(p),
+    # entries past p, which `_insert` normalizes; and canonical, which it
+    # copies as it is.
+    p = getattr(field, "p", 0)
+    raw = [{c: v + p * (c % 2) for c, v in enumerate(row)} for row in int_rows]
+    rows = [row for pair in zip(raw, sparse(int_rows, field)) for row in pair]
+    snapshot = [dict(row) for row in rows]
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        linalg._insert(pivots, row, field)
+    assert rows == snapshot
+    assert all(pivot is not row for pivot in pivots.values() for row in rows)
+    assert len(pivots) == dense_linalg.matrix_rank(sparse(int_rows, field), field)
+
+
 @given(st.data(), st.sampled_from(FIELDS), st.integers(0, 5))
 @settings(max_examples=200)
 def test_rational_solution_matches_dense(data, field, ncols):

@@ -1,6 +1,7 @@
 """Reduction functor, lifting algorithms and graded-window oracles."""
 
 import functools
+import math
 import random
 
 import pytest
@@ -472,6 +473,71 @@ class TestGradedSystem:
         assert rows[0] == rows[1]
         assert window.solvable and uncached.diagonals == window.diagonals
 
+    @pytest.mark.parametrize("name", ["koszul-2-qq", "koszul-2-fp:32003", "koszul-3-qq",
+                                      "koszul-3-fp:32003", "F-qq", "F-fp:32003", "scaled-fp:7"])
+    def test_rows_are_canonical(self, name, monkeypatch):
+        from mfkit.fields import field_from_name
+        from mfkit.periodic import _GradedSystem
+        from mfkit.workbench import load_workbench
+
+        from .conftest import CORPUS_DIR
+        from .reference_poly import assert_canonical_row
+
+        kind, rest = name.split("-", 1)
+        if kind == "koszul":
+            n, field_name = rest.split("-", 1)
+            mf = koszul_mf(int(n), field_from_name(field_name))
+        elif kind == "scaled":
+            mf = _scaled_fp7_mf()
+        else:
+            mf = load_workbench(str(CORPUS_DIR / "fractional.mfw"), rest).get_mf("F")
+        field = mf.tower.ring.field
+        systems = []
+        solve = _GradedSystem.solve
+        monkeypatch.setattr(_GradedSystem, "solve", lambda self: systems.append(self) or solve(self))
+        window = graded_nullhomotopy_window(window_delta(mf, random.Random(74)), 0, 3)
+        assert window.solvable and len(systems) == 1
+        rows = systems[0]._rows
+        assert rows and any(b for _, b in rows)
+        for eq, b in rows:
+            assert_canonical_row(eq, field)
+            assert type(b) is int and b == field.reduce_int(b)
+
+    @pytest.mark.parametrize("field_name", ["qq", "fp:7"])
+    def test_two_terms_on_one_unknown_cancel(self, field_name):
+        from mfkit.fields import field_from_name
+        from mfkit.periodic import _GradedSystem
+        from mfkit.poly import PolyRing
+        from mfkit.tower import build_tower
+
+        # x@X + X@(-x) == 0 for a 1x1 unknown X of degree 1: each
+        # coefficient is 1 + (-1), over GF(7) the ints 1 + 6, and no
+        # zero may be stored.
+        ring = PolyRing(("x", "y"), field_from_name(field_name))
+        tower = build_tower(ring, [ring.parse("x*y")], [1])
+        a = mat(tower, [["x"]], Level.QUOT)
+        b = mat(tower, [["-x"]], Level.QUOT)
+        zero = RingMatrix.zeros(tower, Level.QUOT, 1, 1)
+        system = _GradedSystem(tower)
+        x = system.unknown(1, 1, 1)
+        system.equation(zero, 2, [(a, x)], [(x, b)])
+        assert len(system._rows) == 2
+        assert all(eq == {} and rhs == 0 for eq, rhs in system._rows)
+        assert system.solve() == [zero]
+
+    def test_right_hand_sides_are_reduced(self):
+        from mfkit.periodic import _GradedSystem
+
+        # c = 2*x^2 is not in QUOT normal form: x^2 = 4*y^2, so the
+        # right-hand side of the y^2 equation is 2*4 = 8, stored as 1.
+        tower = _scaled_fp7_mf().tower
+        system = _GradedSystem(tower)
+        x = system.unknown(1, 1, 1)
+        system.equation(mat(tower, [["2*x^2"]]), 2, [(mat(tower, [["x"]], Level.QUOT), x)])
+        piece = tower.standard_monomials(2)  # x*y and y^2
+        y2 = piece.index(tower.ring.parse("y^2").leading_monomial(tower.order))
+        assert [rhs for _, rhs in system._rows] == [int(k == y2) for k in range(len(piece))]
+
     def test_solution_is_reverified(self, monkeypatch):
         import types
 
@@ -523,6 +589,21 @@ class TestPrimeFieldEndToEnd:
         assert graded_nullhomotopy_window(reduce_morphism(th), 0, 4).solvable
 
 
+def _scaled_fp7_mf():
+    """A rank-2 factorization of x^2 + 3*y^2 over GF(7) whose entries
+    carry coefficients other than 1: at QUOT, x^2 = 4*y^2, so 2*x times
+    the standard monomial x*y^k has the coefficient 2*4 = 8, past 7
+    until it is reduced."""
+    from mfkit.fields import PrimeField
+    from mfkit.poly import PolyRing
+    from mfkit.tower import build_tower
+
+    ring = PolyRing(("x", "y"), PrimeField(7))
+    tower = build_tower(ring, [ring.parse("x^2 + 3*y^2")], [1])
+    return verify_mf(mat(tower, [["2*x", "-y"], ["3*y", "4*x"]]),
+                     mat(tower, [["4*x", "y"], ["-3*y", "2*x"]]))
+
+
 def _graded_case(name, objects):
     """(complex, top source degree) for the graded-map differential test."""
     from mfkit.fields import QQ, PrimeField
@@ -537,22 +618,25 @@ def _graded_case(name, objects):
         return reduce_object(objects[name]), 5
     if name == "fractions":
         return reduce_object(fractions_mf()), 4
+    if name == "scaled-fp:7":
+        return reduce_object(_scaled_fp7_mf()), 5
     # w = x*(2*x + 3*y): at QUOT, x^2 = -3/2*x*y, so (2*x + 3*y)*x == 0
-    # and the products' normal forms cancel term by term.
-    ring = PolyRing(("x", "y"), QQ)
+    # and the products' normal forms cancel term by term; over GF(7) the
+    # sums of the entry's two terms also leave [1, 7) before reduction.
+    ring = PolyRing(("x", "y"), PrimeField(7) if name == "cancelling-fp:7" else QQ)
     tower = build_tower(ring, [ring.parse("2*x^2 + 3*x*y")], [1])
     return reduce_object(verify_mf(mat(tower, [["x"]]), mat(tower, [["2*x + 3*y"]]))), 5
 
 
 @pytest.mark.parametrize("name", [
     "koszul-2-qq", "koszul-2-fp:32003", "koszul-3-qq", "koszul-3-fp:32003",
-    "A", "B", "C", "fractions", "cancelling",
+    "A", "B", "C", "fractions", "cancelling", "cancelling-fp:7", "scaled-fp:7",
 ])
 def test_graded_map_matches_reference_loop(name, objects):
     from mfkit import periodic
 
     from . import reference_periodic
-    from .reference_poly import RefField
+    from .reference_poly import RefField, assert_canonical_row
 
     c, top = _graded_case(name, objects)
     tower = c.tower
@@ -565,9 +649,31 @@ def test_graded_map_matches_reference_loop(name, objects):
             ref = RefField(tower.ring.field)
             got = [{k: c for k, v in image.items() if (c := ref.of(v, den))} for image in images]
             assert (got, src_dim, tgt_dim) == reference_periodic.graded_map(tower, m, d, e)
-            assert all(type(v) is int for image in images for v in image.values())
+            for image in images:
+                assert_canonical_row(image, tower.ring.field)
             nonzero += sum(map(bool, got))
     assert nonzero
+
+
+@pytest.mark.parametrize("name", ["koszul-2-qq", "koszul-3-qq", "koszul-3-fp:32003", "cancelling",
+                                  "cancelling-fp:7", "scaled-fp:7", "fractions"])
+def test_row_table_entries_are_the_normal_forms_of_their_products(name, objects):
+    from fractions import Fraction
+
+    c, top = _graded_case(name, objects)
+    tower = c.tower
+    graded_acyclicity_window(c, 0, top)
+    assert tower._quot_rows
+    for (mono, degree), (row, den) in tower._quot_rows.items():
+        monos = tower.standard_monomials(degree)
+        assert len(row) == len(monos)
+        dens = []
+        for coords, m in zip(row, monos):
+            expected, d = tower.quot_coords(mono + m)
+            assert [(t, Fraction(v, den)) for t, v in coords] == [
+                (t, Fraction(v, d)) for t, v in expected]
+            dens.append(d)
+        assert den == math.lcm(*dens)
 
 
 def _window_case(name, objects):

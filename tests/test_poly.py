@@ -97,6 +97,57 @@ class TestParse:
         with pytest.raises(ParseError):
             RUV.parse("u + v)")
 
+    @pytest.mark.parametrize("text, position", [
+        ("u^\u00b2*v", 2),   # superscript two: str.isdigit() is True, int() fails
+        ("u^\u0663", 2),     # Arabic-Indic three: int() reads 3
+        ("u^\uff13", 2),     # fullwidth three: int() reads 3
+        ("\u0663*u", 0),     # a non-ASCII digit as a coefficient
+        ("1/\u0663", 2),     # and as a denominator
+    ])
+    def test_literals_are_ascii_digits(self, text, position):
+        with pytest.raises(ParseError) as err:
+            RUV.parse(text)
+        assert err.value.position == position
+
+    def test_sum_equals_the_term_by_term_sum(self):
+        rng = random.Random(5)
+        for field in (QQ, PrimeField(7)):
+            ring = PolyRing(("u", "v"), field)
+            for _ in range(40):
+                terms = [(rng.choice("+-"), f"{rng.randint(0, 9)}/{rng.randint(1, 6)}"
+                          f"*u^{rng.randint(0, 3)}*v^{rng.randint(0, 3)}")
+                         for _ in range(rng.randint(1, 8))]
+                text = " ".join(f"{sign} {term}" for sign, term in terms).removeprefix("+ ")
+                total = ring.zero()
+                for sign, term in terms:
+                    total = total + ring.parse(term) if sign == "+" else total - ring.parse(term)
+                got = ring.parse(text)
+                assert got == total
+                assert_canonical(got)
+                assert ring.parse(f"({text}) * u") == total * ring.parse("u")
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
+    def test_a_flat_sum_normalizes_entries_linear_in_its_terms(self, field, monkeypatch):
+        # Every term u_a*u_b enters the same few normalizations, and the
+        # sum is normalized once: the entries passed to `normalize` are
+        # an affine function of the number of terms T. Adding one term
+        # at a time would normalize the running sum each time, about
+        # T^2/2 entries in all.
+        ring = PolyRing(tuple(f"u{i}" for i in range(40)), field)
+        pairs = [(a, b) for a in range(40) for b in range(a, 40)]
+        entries = []
+        normalize = type(field).normalize
+        monkeypatch.setattr(type(field), "normalize",
+                            lambda self, nums, den: entries.append(len(nums)) or normalize(self, nums, den))
+
+        def count(t):
+            entries.clear()
+            ring.parse(" + ".join(f"u{a}*u{b}" for a, b in pairs[:t]))
+            return sum(entries)
+
+        c100, c200, c400, c800 = map(count, (100, 200, 400, 800))
+        assert c800 - c400 == 2 * (c400 - c200) == 4 * (c200 - c100)
+
 
 class TestFormat:
     def test_zero(self):

@@ -79,6 +79,29 @@ class TestSections:
         with pytest.raises(DivisionByZeroInCoefficient, match="^line 7: "):
             Workbench(text.replace("w_coords = 1", f"w_coords = {coords}"))
 
+    @pytest.mark.parametrize("coords", [
+        "1_0",          # int() reads 10
+        "\u0663",       # Arabic-Indic three: int() reads 3
+        "\uff13",       # fullwidth three
+        "\u00b2",       # superscript two: int() raises ValueError
+        "1/\u0663", "+-1", "1/-2", "1/", "/2", "1 0",
+    ])
+    def test_coordinates_are_ascii_integers_or_fractions(self, coords):
+        with pytest.raises(ParseError, match="^line 7: bad coordinate"):
+            Workbench(MINIMAL.replace("w_coords = 1", f"w_coords = {coords}"))
+
+    @pytest.mark.parametrize("coords, value", [("+1", 1), ("-1", -1), ("2/4", 1 / 2), (" 3 / 4 ", 3 / 4)])
+    def test_signed_and_fractional_coordinates(self, coords, value):
+        from fractions import Fraction
+
+        bench = Workbench(MINIMAL.replace("w_coords = 1", f"w_coords = {coords}"))
+        assert Fraction(*bench.tower.w_coords[0]) == value
+
+    @pytest.mark.parametrize("exponent", ["\u00b2", "\u0663", "\uff13"])
+    def test_non_ascii_exponent_names_its_line(self, exponent):
+        with pytest.raises(ParseError, match="^line 6: expected exponent"):
+            Workbench(MINIMAL.replace("gens = u*v", f"gens = u^{exponent}*v"))
+
     def test_unknown_order_names_its_line(self):
         with pytest.raises(ParseError, match="^line 5: unknown order 'deglex'"):
             Workbench(MINIMAL.replace("order = grevlex", "order = deglex"))
