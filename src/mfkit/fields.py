@@ -29,6 +29,7 @@ Scalars at the public surface are ints, or over QQ anything with int
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -164,13 +165,11 @@ QQ = Rationals()
 
 
 def field_from_name(name: str):
-    """Parse a field spec: "qq" or "fp:<prime>"."""
+    """Parse a field spec: "qq" or "fp:<prime>", the prime in ASCII digits."""
     if name == "qq":
         return QQ
     if name.startswith("fp:"):
-        try:
-            p = int(name[3:])
-        except ValueError:
-            raise ValueError(f"bad prime field spec: {name!r}") from None
-        return PrimeField(p)
+        if not re.fullmatch(r"fp:[0-9]+", name):
+            raise ValueError(f"bad prime field spec: {name!r}")
+        return PrimeField(int(name[3:]))
     raise ValueError(f"unknown field: {name!r} (expected 'qq' or 'fp:<p>')")

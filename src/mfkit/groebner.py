@@ -18,10 +18,17 @@ Pair handling in Buchberger: each element that joins the basis runs the
 Gebauer-Moeller update (criteria B_k, M and F, with the product
 criterion; Gebauer and Moeller, "On an installation of Buchberger's
 algorithm", J. Symbolic Comput. 6, 1988), which drops the pairs that
-those criteria prove redundant. The remaining pairs are
-taken smallest lcm first in the order, with an (i, j) tie-break, and on
-homogeneous input by the lcm's total degree first. Selection is
-deterministic, and the reduced basis is unique whatever the sequence.
+those criteria prove redundant. The remaining pairs are taken by the
+sugar strategy (Giovini, Mora, Niesi, Robbiano and Traverso, "One sugar
+cube, please, or selection strategies in the Buchberger algorithm",
+ISSAC 1991). Each element carries a sugar degree: an input generator's
+is its total degree, and a new element takes the sugar of its pair. A
+pair (i, k) with lcm l has sugar max(sugar_t + deg l - deg lm_t) over
+t in (i, k), the degree its S-polynomial would have if the input were
+homogenized. Pairs are taken smallest sugar first, then smallest lcm in
+the order, with an (i, j) tie-break. On homogeneous input the sugar is
+deg l, so pairs go degree by degree. Selection is deterministic, and the
+reduced basis is unique whatever the sequence.
 
 Hilbert series: `hilbert_numerator` reads the numerator Q(t) of
 HS(S/J) = Q(t)/(1-t)^n for a monomial ideal J, such as the leading-term
@@ -266,7 +273,7 @@ def _spair(fi, fj, order):
 def _update(ring, k, lms, live, pairs, pair_key):
     """Gebauer-Moeller update for basis element k, whose leading monomial
     is lms[k]; `live` maps each pending pair (i, j) to its lcm, and
-    `pairs` is the heap of (pair_key(lcm), (i, j)). Monomials are packed
+    `pairs` is the heap of (pair_key(lcm, i, j), (i, j)). Monomials are packed
     in `ring`: m divides l iff not (l - m) & ring.guard.
 
     B_k drops a pending pair (i, j) when lms[k] divides its lcm l and
@@ -290,7 +297,7 @@ def _update(ring, k, lms, live, pairs, pair_key):
         if any(l == lms[t] + lmk for t in ts):
             continue
         live[ts[0], k] = l
-        heappush(pairs, (pair_key(l), (ts[0], k)))
+        heappush(pairs, (pair_key(l, ts[0], k), (ts[0], k)))
 
 
 def _minimal_monomials(ring, monomials) -> list:
@@ -393,12 +400,12 @@ def buchberger_with_reps(generators, order: MonomialOrder, floor=None, modulo=No
     generators (module docstring). Each new value is reduced as it is
     made.
 
-    Deterministic: pairs are taken smallest lcm first, in the order, with
-    an (i, j) tie-break; when every generator is homogeneous the lcm's
-    total degree is compared first (the same sequence under grevlex,
-    whose keys start with the total degree). Each element k that joins
-    the basis runs the Gebauer-Moeller update (`_update`), which drops
-    the pairs that its criteria prove redundant.
+    Deterministic: pairs are taken by sugar (module docstring; Giovini
+    et al. 1991), smallest sugar first, then smallest lcm in the order,
+    with an (i, j) tie-break. On homogeneous input the sugar of a pair is
+    its lcm's total degree. Each element k that joins the basis runs the
+    Gebauer-Moeller update (`_update`), which drops the pairs that its
+    criteria prove redundant.
 
     `floor`, when given, maps a degree d to a lower bound on the Hilbert
     function of S/(generators) at d. On homogeneous generators a pair of
@@ -422,28 +429,29 @@ def buchberger_with_reps(generators, order: MonomialOrder, floor=None, modulo=No
 
     polys: list[Polynomial] = []
     column: list[Polynomial] = []
+    sugar: list[int] = []
 
     for j, g in enumerate(gens):
         if g.is_zero():
             continue
         monic, num, den = g.monic(order)
         polys.append(monic)
+        sugar.append(g.degree())
         if track:
             column.append(normal_form(ring.from_ints({0: num}, den), modulo)
                           if j == len(gens) - 1 else ring.zero())
 
-    # Degree first on homogeneous input. Grevlex keys start with the
-    # total degree, so there this is the order's own sequence.
-    homogeneous = all(g.is_homogeneous() for g in gens)
-
-    def pair_key(lcm):
-        return (lcm >> ring.shift, order.key(lcm)) if homogeneous else order.key(lcm)
-
-    # Pending pairs as a min-heap of (key of the lcm of the leading
-    # monomials, (i, j)); `live` maps each pair that still counts to its
-    # lcm. `polys` only grows, so a key never goes stale; a pair that the
-    # update drops keeps its heap entry and is skipped when popped.
     lms = [p.leading_monomial(order) for p in polys]
+    shift = ring.shift
+
+    def pair_key(lcm, i, k):
+        d = lcm >> shift
+        return max(sugar[i] + d - (lms[i] >> shift), sugar[k] + d - (lms[k] >> shift)), order.key(lcm)
+
+    # Pending pairs as a min-heap of ((sugar, key of the lcm of the
+    # leading monomials), (i, j)); `live` maps each pair that still counts
+    # to its lcm. `polys` only grows, so a key never goes stale; a pair
+    # that the update drops keeps its heap entry and is skipped when popped.
     pairs: list = []
     live: dict = {}
     for k in range(len(polys)):
@@ -452,11 +460,11 @@ def buchberger_with_reps(generators, order: MonomialOrder, floor=None, modulo=No
     # current leading monomials, computed when the first pair is taken,
     # and `complete` holds the degrees d with in(G)_d == in(I)_d, which
     # stay so as G grows.
-    hilbert = floor is not None and homogeneous
+    hilbert = floor is not None and all(g.is_homogeneous() for g in gens)
     numerator = None
     complete: set = set()
     while pairs:
-        ij = heappop(pairs)[1]
+        (pair_sugar, _), ij = heappop(pairs)
         l = live.pop(ij, None)
         if l is None:
             continue
@@ -481,6 +489,7 @@ def buchberger_with_reps(generators, order: MonomialOrder, floor=None, modulo=No
             column.append(column_entry([(ui, column[i]), (uj, column[j])], cofs, column, num, den))
         polys.append(monic)
         lms.append(monic.leading_monomial(order))
+        sugar.append(pair_sugar)
         _update(ring, len(polys) - 1, lms, live, pairs, pair_key)
         if numerator is not None:
             numerator = _numerator_plus(ring, numerator, lms[:-1], lms[-1])

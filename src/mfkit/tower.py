@@ -588,31 +588,3 @@ def matrix_sum_of_products(products, lead: RingMatrix | None = None) -> RingMatr
         entries = [[normal_form(sum_of_products(ring, [(c, one), *zip(row, col)]), level)
                     for c, col in zip(lead_row, cols)] for row, lead_row in zip(rows, lead.entries)]
     return RingMatrix(tower, level, entries, *shape, normalize=False)
-
-
-def det(m: RingMatrix) -> Polynomial:
-    """Determinant at the matrix's level (normal form), by expansion
-    along columns with memoized minors."""
-    if m.nrows != m.ncols:
-        raise DimensionMismatch("determinant of a non-square matrix")
-    return _minor(m, 0, (1 << m.nrows) - 1, {})
-
-
-def _minor(m: RingMatrix, row: int, cols_mask: int, cache: dict) -> Polynomial:
-    """The minor of m on rows row.. and the columns in cols_mask, memoized
-    in `cache` by (row, cols_mask). A module-level function, so that no
-    closure refers to itself and a call leaves no reference cycle."""
-    if row == m.nrows:
-        return m.tower.ring.one()
-    key = (row, cols_mask)
-    if key in cache:
-        return cache[key]
-    available = [j for j in range(m.ncols) if cols_mask & (1 << j)]
-    pairs = [
-        (a if k % 2 == 0 else -a, _minor(m, row + 1, cols_mask & ~(1 << j), cache))
-        for k, j in enumerate(available)
-        if not (a := m.entries[row][j]).is_zero()
-    ]
-    acc = m.tower.normal_form(sum_of_products(m.tower.ring, pairs), m.level)
-    cache[key] = acc
-    return acc

@@ -72,6 +72,9 @@ FIELD_CASES = [
     # Literals are ASCII digits: a superscript exponent is a ParseError
     # naming its line (exit 2), not an uncaught ValueError.
     ("validate_bad_digits", ["validate", "bad_digits.mfw"], 2),
+    # So is the prime of a field spec: fullwidth digits in `field =` are a
+    # ParseError naming the field line.
+    ("validate_bad_field", ["validate", "bad_field.mfw"], 2),
 ]
 
 

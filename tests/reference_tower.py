@@ -1,11 +1,13 @@
-"""Plain-arithmetic matrix products and determinants over a tower level,
-kept as the references that `mfkit.tower` is tested against.
+"""Plain-arithmetic matrix products and determinants over a tower level.
 
 `matmul` is the accumulate loop that `RingMatrix.__matmul__` used before
 it went through `sum_of_products`: one `Polynomial` product and one sum
-per term, then one normal form per entry. `det` is the textbook cofactor
-expansion along the first row, with no memo and one normal form at the
-end. Both use only `Polynomial` `*`, `+` and `-`.
+per term, then one normal form per entry; `mfkit.tower` is tested
+against it. `det` is the textbook cofactor expansion along the first
+row, with no memo and one normal form at the end. mfkit computes no
+determinant: the tests use `det` to check that det(phi)*det(psi) is
+w^rank, which the cokernel certificate derives from psi@phi == w*1.
+Both use only `Polynomial` `*`, `+` and `-`.
 """
 
 from __future__ import annotations

@@ -45,7 +45,7 @@ from mfkit.periodic import (
     transport_nullhomotopy,
 )
 from mfkit.poly import MonomialOrder, PolyRing
-from mfkit.tower import Level, RingMatrix, build_tower, det, validate_ci_presentation
+from mfkit.tower import Level, RingMatrix, build_tower, validate_ci_presentation
 from mfkit.workbench import load_workbench
 
 from .cli_cases import CASES, argv_for
@@ -58,6 +58,7 @@ from .genutil import (
     rand_poly,
 )
 from .reference_groebner import membership_oracle
+from .reference_tower import det
 
 VALID_FILES = ("uv_hypersurface", "sum_of_squares", "tower_squares", "tower_cusp")
 INVALID_FILES = {

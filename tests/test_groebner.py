@@ -385,12 +385,14 @@ def test_field_hooks_of_the_division_loop():
 def test_cofactor_certificate_matches_polynomial_arithmetic(monkeypatch, field):
     # The oracle certifies b - c*w in (mid) with one normal form on
     # integer forms; here each certified pair is checked again with
-    # Polynomial arithmetic on the reference quotients. Then one combined
-    # element is moved off by a term outside (mid), and the certificate
-    # must reject it by index.
+    # Polynomial arithmetic on the reference quotients. Division is
+    # checked on p = w*q + sum m_i*r_i over the mid generators m_i: on
+    # these inhomogeneous towers a pair's sugar is not its lcm's degree.
+    # Then one combined element is moved off by a term outside (mid), and
+    # the certificate must reject it by index.
     ring = PolyRing(("x", "y", "z"), field)
     order = MonomialOrder.grevlex(3)
-    rng = random.Random(41)
+    rng, divide_rng = random.Random(41), random.Random(43)
     real, shift = groebner.buchberger_with_reps, {}
 
     def shifted(generators, order, floor=None, modulo=None):
@@ -410,6 +412,11 @@ def test_cofactor_certificate_matches_polynomial_arithmetic(monkeypatch, field):
         oracle = DivisionOracle(mid, w)
         for b, c in zip(oracle.combined.polys, oracle.w_cofactors):
             assert reference_groebner.w_cofactor_holds(b, c, w, mid.polys, order)
+        for _ in range(2):
+            p = w * rand_rational_poly(ring, divide_rng, max_degree=2)
+            for m in gens[:-1]:
+                p = p + m * rand_rational_poly(ring, divide_rng, max_degree=2)
+            assert normal_form(w * oracle.divide(p) - p, mid).is_zero()
         i = rng.randrange(len(oracle.combined))
         term = rand_rational_poly(ring, rng, max_degree=3, terms=1)
         if normal_form(term, mid).is_zero():
@@ -430,10 +437,10 @@ def test_negative_degrees_have_no_monomials(nvars):
 
 
 # Pair criteria and selection. `buchberger_with_reps` drops the pairs
-# that the Gebauer-Moeller criteria prove redundant and, on homogeneous
-# input, takes pairs degree by degree; the reference processes every
-# pair in the order's normal selection. The reduced basis is unique, so
-# the two must agree on it. Untracked, the run computes no cofactor.
+# that the Gebauer-Moeller criteria prove redundant and takes the rest by
+# sugar; the reference processes every pair in the order's normal
+# selection. The reduced basis is unique, so the two must agree on it.
+# Untracked, the run computes no cofactor.
 
 def rand_ideal(ring, rng, homogeneous):
     if homogeneous:
@@ -468,7 +475,7 @@ def _run_update(lms, pending=()):
     returns the live pairs and the pairs pushed onto the heap."""
     live = {ij: RXYZ.lcm(lms[ij[0]], lms[ij[1]]) for ij in pending}
     pairs: list = []
-    groebner._update(RXYZ, len(lms) - 1, lms, live, pairs, GREVLEX3.key)
+    groebner._update(RXYZ, len(lms) - 1, lms, live, pairs, lambda l, i, k: GREVLEX3.key(l))
     return live, sorted(ij for _, ij in pairs)
 
 
@@ -629,16 +636,18 @@ def cyclic(ring):
     return gens + [product - ring.one()]
 
 
-def test_cyclic6_basis_and_oracle():
-    # A non-toy ideal: cyclic-6 under grevlex over fp:32003, 45 elements.
-    ring = PolyRing(tuple(f"x{i}" for i in range(6)), PrimeField(32003))
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=repr)
+def test_cyclic6_basis_and_oracle(field):
+    # A non-toy ideal: cyclic-6 under grevlex, 45 elements. Its input is
+    # inhomogeneous, so the sugar of a pair is not its lcm's degree.
+    ring = PolyRing(tuple(f"x{i}" for i in range(6)), field)
     order = MonomialOrder.grevlex(6)
     gens = cyclic(ring)
     basis = buchberger_basis(Ideal(tuple(gens), order)).polys
     assert len(basis) == 45
     lms = [b.leading_monomial(order) for b in basis]
     for i, b in enumerate(basis):
-        assert b.nums[lms[i]] == 1 and b.den == 1
+        assert b.nums[lms[i]] == b.den  # monic over QQ and GF(p)
         assert not any(not (m - lm) & ring.guard for m in b.nums for k, lm in enumerate(lms) if k != i)
     for g in gens:
         assert divide_full(g, basis, order)[0].is_zero()

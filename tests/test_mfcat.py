@@ -28,9 +28,10 @@ from mfkit.mfcat import (
     verify_morphism,
     zero_morphism,
 )
-from mfkit.tower import Level, RingMatrix, RingTower, det
+from mfkit.tower import Level, RingMatrix, RingTower
 
 from .genutil import rand_derived_object, rand_nullhomotopic_morphism
+from .reference_tower import det
 
 
 def mat(tower, rows, level=Level.MID):

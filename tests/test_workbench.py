@@ -1,7 +1,12 @@
 """Workbench file parsing and object resolution."""
 
+import contextlib
+import io
+import re
+
 import pytest
 
+from mfkit.cli import main
 from mfkit.errors import DivisionByZeroInCoefficient, ParseError, UnknownVariable
 from mfkit.workbench import Workbench, _split_matrix_rows, load_workbench
 
@@ -118,6 +123,23 @@ class TestSections:
     def test_bad_field_in_file_names_its_line(self):
         with pytest.raises(ParseError, match="^line 3: modulus must be a prime"):
             Workbench(MINIMAL.replace("field = qq", "field = fp:4"))
+
+    @pytest.mark.parametrize("spec", [
+        "fp:\uff13\uff12\uff10\uff10\uff13",  # fullwidth 32003
+        "fp:3_2003",
+        "fp:+7",
+        "fp: 7",
+        "fp:\u0667",                            # Arabic-Indic seven
+    ])
+    def test_prime_field_spec_takes_ascii_digits_only(self, spec, corpus_dir):
+        # int() reads each of these prime parts, as 32003 or 7.
+        message = f"bad prime field spec: {spec!r}"
+        with pytest.raises(ParseError, match=f"^line 3: {re.escape(message)}"):
+            Workbench(MINIMAL.replace("field = qq", f"field = {spec}"))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["validate", str(corpus_dir / "uv_hypersurface.mfw"), "--field", spec])
+        assert (code, out.getvalue().splitlines()[0]) == (2, f"error: {message}")
 
     def test_field_override(self):
         wb = Workbench(MINIMAL, field_override="fp:5")
