@@ -116,7 +116,7 @@ def reduce_homotopy(h: MfHomotopy) -> MfHomotopy:
 def _divide_matrix(tower: RingTower, m: RingMatrix, failure: str) -> RingMatrix:
     """Entrywise exact division by w at MID level; NotDivisible(failure)
     unless every entry vanishes over the deep quotient."""
-    oracle = tower.division_oracle()
+    oracle = tower.oracle
     try:
         entries = [[oracle.divide(p) for p in row] for row in m.entries]
     except NotDivisible:

@@ -547,30 +547,14 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def _expr(self) -> Polynomial:
-        """The sum of the terms, added as ints over their common
-        denominator and normalized once, so a sum of T terms costs time
-        linear in T."""
-        terms = [(add, self._term())]
-        while True:
-            ch = self._peek()
-            if ch == "+":
-                self.pos += 1
-                terms.append((add, self._term()))
-            elif ch == "-":
-                self.pos += 1
-                terms.append((sub, self._term()))
-            else:
-                break
-        if len(terms) == 1:
-            return terms[0][1]
-        den = lcm(*[t.den for _, t in terms])
-        nums: dict = {}
-        get = nums.get
-        for op, t in terms:
-            k = den // t.den
-            for m, c in t.nums.items():
-                nums[m] = op(get(m, 0), c * k)
-        return self.ring.from_ints(nums, den)
+        """The sum of the terms, as one `sum_of_products` call pairing
+        each with 1 or -1, so a sum of T terms costs time linear in T."""
+        one = self.ring.one()
+        terms = [(self._term(), one)]
+        while (ch := self._peek()) in ("+", "-"):
+            self.pos += 1
+            terms.append((self._term(), one if ch == "+" else -one))
+        return terms[0][0] if len(terms) == 1 else sum_of_products(self.ring, terms)
 
     def _term(self) -> Polynomial:
         p = self._factor()

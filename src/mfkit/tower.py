@@ -5,7 +5,8 @@ an intermediate quotient by part of a regular sequence (level MID, where
 matrix factorizations live), and the full quotient by the whole sequence
 (level QUOT, where the reduced 2-periodic complexes live). Given the
 sequence generators and the coordinates of a distinguished element w in
-their span, the constructor completes the coordinate vector to a basis,
+their span, the constructor drops the generator at the last nonzero
+coordinate to get the generators of the intermediate ideal,
 materializes the two quotient ideals with Groebner bases, and exposes
 normal forms so that ring equality at every level is decidable.
 """
@@ -35,7 +36,6 @@ from .groebner import (
     monomials_of_degree,
     normal_form,
 )
-from .linalg import matrix_rank
 from .poly import (
     MonomialOrder,
     Polynomial,
@@ -130,16 +130,15 @@ class RingTower:
       w_coords     coordinates of w in the span of the sequence images,
                    each an int pair (numerator, denominator) in lowest
                    terms (denominator 1 over GF(p))
-      basis_change square invertible matrix over the field, with entries
-                   such pairs; first row is w_coords, the remaining rows
-                   are unit vectors that present the mid-ideal generators
-                   as combinations of seq_gens
-      mid_gens     those combinations (empty when the sequence has length 1)
+      mid_gens     seq_gens without the generator at the last nonzero
+                   coordinate (empty when the sequence has length 1)
       w            the distinguished element, a non-zerodivisor at level MID
       mid_basis    reduced Groebner basis of (mid_gens)
       quot_basis   reduced Groebner basis of (mid_gens + w), which is the
                    ideal (seq_gens); it is the division oracle's combined
                    basis
+      validation   the CiReport of seq_gens
+      oracle       the DivisionOracle for exact division by w at level MID
     """
 
     __slots__ = (
@@ -147,53 +146,40 @@ class RingTower:
         "order",
         "seq_gens",
         "w_coords",
-        "basis_change",
         "mid_gens",
         "w",
         "mid_basis",
         "quot_basis",
         "validation",
-        "_division",
+        "oracle",
         "_std_monos",
         "_std_index",
         "_quot_coords",
         "_quot_rows",
     )
 
-    def __init__(self, ring, order, seq_gens, w_coords, basis_change, mid_gens, w,
-                 mid_basis, quot_basis, validation, division):
+    def __init__(self, ring, order, seq_gens, w_coords, mid_gens, w,
+                 mid_basis, quot_basis, validation, oracle):
         self.ring = ring
         self.order = order
         self.seq_gens = seq_gens
         self.w_coords = w_coords
-        self.basis_change = basis_change
         self.mid_gens = mid_gens
         self.w = w
         self.mid_basis = mid_basis
         self.quot_basis = quot_basis
         self.validation = validation
-        self._division = division
+        self.oracle = oracle
         self._std_monos = {}
         self._std_index = {}
         self._quot_coords = {}
         self._quot_rows = {}
 
-    def basis_for(self, level: Level) -> GroebnerBasis | None:
-        if level == Level.BASE:
-            return None
-        if level == Level.MID:
-            return self.mid_basis
-        return self.quot_basis
-
     def normal_form(self, p: Polynomial, level: Level) -> Polynomial:
-        basis = self.basis_for(level)
-        if basis is None or not basis.polys:
+        if level == Level.BASE:
             return p
-        return normal_form(p, basis)
-
-    def division_oracle(self) -> DivisionOracle:
-        """The oracle for exact division by w at level MID."""
-        return self._division
+        basis = self.mid_basis if level == Level.MID else self.quot_basis
+        return normal_form(p, basis) if basis.polys else p
 
     def is_graded(self) -> bool:
         """True when the deep quotient ideal is homogeneous."""
@@ -276,39 +262,16 @@ class RingTower:
         return f"RingTower(vars={','.join(self.ring.vars)}; seq=[{gens}]; w={format_canonical(self.w, self.order)})"
 
 
-def _complete_to_basis(field, first_row: list[tuple[int, int]]) -> list[int]:
-    """The indices of the standard unit vectors that extend the nonzero
-    row of scalar pairs (num, den) to an invertible square matrix.
-
-    Deterministic: unit vectors are tried in index order, keeping each
-    one that increases the rank.
-    """
-    n = len(first_row)
-    den = lcm(*[d for _, d in first_row])
-    rows = [{j: num * (den // d) for j, (num, d) in enumerate(first_row) if num}]
-    units = []
-    for i in range(n):
-        if len(rows) == n:
-            break
-        unit = {i: 1}
-        if matrix_rank(rows + [unit], field) > len(rows):
-            rows.append(unit)
-            units.append(i)
-    if len(rows) < n:
-        raise ZeroVector("coordinate vector could not be completed to a basis")
-    return units
-
-
 def build_tower(ring: PolyRing, seq_gens, w_coords, order: MonomialOrder | None = None,
                 allow_unchecked: bool = False) -> RingTower:
     """Build and validate the ring tower.
 
     `seq_gens` is the regular sequence (length c >= 1), `w_coords` the
     nonzero coordinate vector of the distinguished element w in their
-    span. Rows 2..c of the completed basis give the mid-ideal
-    generators. Raises unless the presentation validates; pass
-    allow_unchecked=True to accept generators outside the square of the
-    maximal ideal or a failed regularity check.
+    span. The mid-ideal generators are seq_gens without the generator
+    at the last nonzero coordinate. Raises unless the presentation
+    validates; pass allow_unchecked=True to accept generators outside
+    the square of the maximal ideal or a failed regularity check.
     """
     order = order or ring.default_order()
     gens = list(seq_gens)
@@ -327,14 +290,12 @@ def build_tower(ring: PolyRing, seq_gens, w_coords, order: MonomialOrder | None 
         if g.ring != ring:
             raise FieldMismatch("sequence generator lives in a different ring")
 
-    units = _complete_to_basis(ring.field, coords)
-    basis_change = [coords] + [
-        tuple((1 if j == i else 0, 1) for j in range(len(gens))) for i in units
-    ]
     w = sum_of_products(ring, zip(consts, gens))
-    mid_gens = [gens[i] for i in units]
+    last = max(i for i, (num, _) in enumerate(coords) if num)
+    mid_gens = gens[:last] + gens[last + 1:]
 
-    # The basis change is invertible, so (seq_gens) == (mid_gens + w):
+    # w is gens[last] times a nonzero scalar plus a combination of
+    # mid_gens, so (seq_gens) == (mid_gens + w):
     # validation and quot_basis both use the oracle's combined basis.
     # Computed on first use, so inhomogeneous input that fails
     # validation is rejected without a Groebner basis.
@@ -349,7 +310,7 @@ def build_tower(ring: PolyRing, seq_gens, w_coords, order: MonomialOrder | None 
         oracle = DivisionOracle(mid_basis, w)  # w == 0: raises NotDivisible
 
     tower = RingTower(
-        ring, order, tuple(gens), coords, tuple(basis_change),
+        ring, order, tuple(gens), coords,
         tuple(mid_gens), w, mid_basis, quot_basis, validation, oracle,
     )
     _check_tower_invariants(tower)

@@ -8,11 +8,20 @@ row, with no memo and one normal form at the end. mfkit computes no
 determinant: the tests use `det` to check that det(phi)*det(psi) is
 w^rank, which the cokernel certificate derives from psi@phi == w*1.
 Both use only `Polynomial` `*`, `+` and `-`.
+
+`complete_to_basis` is the greedy rank-test completion of a coordinate
+vector to a basis, ranked with `dense_linalg`; `build_tower`'s closed
+form (drop the generator at the last nonzero coordinate) is tested
+against the mid generators it picks.
 """
 
 from __future__ import annotations
 
+from math import lcm
+
 from mfkit.tower import RingMatrix
+
+from .dense_linalg import matrix_rank
 
 
 def matmul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
@@ -55,3 +64,19 @@ def det(m: RingMatrix):
     if value is None:
         return m.tower.ring.one()
     return m.tower.normal_form(value, m.level)
+
+
+def complete_to_basis(field, first_row) -> list[int]:
+    """The indices of the standard unit vectors that extend the nonzero
+    row of scalar pairs (num, den) to an invertible square matrix, tried
+    in index order, each kept when it raises the rank."""
+    n = len(first_row)
+    den = lcm(*[d for _, d in first_row])
+    rows = [{j: num * (den // d) for j, (num, d) in enumerate(first_row) if num}]
+    units = []
+    for i in range(n):
+        if matrix_rank(rows + [{i: 1}], field) > len(rows):
+            rows.append({i: 1})
+            units.append(i)
+    assert len(rows) == n
+    return units

@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfkit.cli import main
 
@@ -120,3 +122,39 @@ def test_max_degree_only_on_acyclic_window():
         run_cli(["validate", str(CORPUS_DIR / "uv_hypersurface.mfw"), "--max-degree", "3"])
     assert exc.value.code == 2
 
+
+# Every case but the two lex 3-quadric bases, which take seconds each.
+FUZZ_CASES = [c for c in CASES + FIELD_CASES if c[1][1] != "quadrics_lex.mfw"]
+FUZZ_INSERTS = ("\u00b2", "\ufeff", "\x00", "\r\n", "[", "]", "(", ")", "fp:7")
+
+
+def _mutate(data, text: str) -> str:
+    """1-3 random deletions, insertions of FUZZ_INSERTS, or splices (a
+    stretch of the text copied over another)."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(("delete", "insert", "splice")))
+        i = data.draw(st.integers(0, len(text)))
+        j = data.draw(st.integers(i, min(len(text), i + 20)))
+        if kind == "delete":
+            text = text[:i] + text[j:]
+        elif kind == "insert":
+            text = text[:i] + data.draw(st.sampled_from(FUZZ_INSERTS)) + text[i:]
+        else:
+            k = data.draw(st.integers(0, len(text)))
+            text = text[:i] + text[k:k + 20] + text[j:]
+    return text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=st.sampled_from(FUZZ_CASES), data=st.data())
+def test_mutated_corpus_file_ends_in_its_exit_code(tmp_path_factory, case, data):
+    # Whatever the damage to the file, the command ends in an exit code
+    # 0-4 and a status line that names it, never in a traceback.
+    _, argv, _ = case
+    text = (CORPUS_DIR / argv[1]).read_text(encoding="utf-8")
+    path = tmp_path_factory.mktemp("fuzz") / argv[1]
+    path.write_text(_mutate(data, text), encoding="utf-8", newline="")
+    code, out = run_cli([argv[0], str(path), *argv[2:]])
+    assert code in range(5)
+    last = out.splitlines()[-1]
+    assert last.startswith("status=") and last.endswith(f"exit={code}")

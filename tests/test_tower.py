@@ -3,6 +3,7 @@
 import functools
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -86,13 +87,16 @@ class TestBuildTower:
             build_tower(RXY, [RXY.parse("x^2"), RXY.parse("y^2")], [0, 0])
 
     def test_basis_change_reconstructs_generators(self):
-        t = build_tower(RXY, [RXY.parse("x^2"), RXY.parse("y^2")], [1, 0])
-        seq = [t.w] + list(t.mid_gens)
-        for row, expected in zip(t.basis_change, seq):
+        # w is the combination w_coords of seq_gens, and the mid
+        # generators are seq_gens without the last nonzero coordinate's.
+        gens = [RXY.parse("x^2"), RXY.parse("y^2"), RXY.parse("x*y")]
+        for coords, last in (([1, 0, 0], 0), ([0, 2, 0], 1), ([1, -1, 0], 1), ([0, 0, 3], 2)):
+            t = build_tower(RXY, gens, coords, allow_unchecked=True)
+            assert t.mid_gens == tuple(g for i, g in enumerate(gens) if i != last)
             combo = RXY.zero()
-            for (num, den), g in zip(row, t.seq_gens):
+            for (num, den), g in zip(t.w_coords, t.seq_gens):
                 combo = combo + g.scale(num, den)
-            assert combo == expected
+            assert combo == t.w
 
     def test_mixed_coordinates(self):
         t = build_tower(RXY, [RXY.parse("x^2"), RXY.parse("y^2")], [1, 1])
@@ -109,6 +113,27 @@ class TestBuildTower:
         t = build_tower(RXY, [RXY.parse("x^2"), RXY.parse("y^2")], [1, 0])
         deep = Ideal(tuple(t.mid_gens) + (t.w,), t.order)
         assert krull_dimension(buchberger_basis(deep), RXY.nvars) == RXY.nvars - len(t.seq_gens)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7)], ids=repr)
+def test_mid_gens_match_greedy_completion(field):
+    # The closed form picks the mid generators that the greedy unit-vector
+    # completion picks, on random nonzero coordinate vectors with zeros.
+    rng = random.Random(23)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        ring = PolyRing(tuple(f"x{i}" for i in range(n)), field)
+        if field is QQ:
+            coords = [rng.choice([0, 0, 1, -2, Fraction(rng.randint(-3, 3), rng.randint(1, 3))])
+                      for _ in range(n)]
+        else:
+            coords = [rng.choice([0, 1, rng.randint(-8, 8)]) for _ in range(n)]
+        if not any(ring.const(c).nums for c in coords):
+            continue
+        gens = [ring.var(i) ** 2 for i in range(n)]
+        t = build_tower(ring, gens, coords)
+        units = reference_tower.complete_to_basis(field, t.w_coords)
+        assert t.mid_gens == tuple(gens[i] for i in units)
 
 
 class TestZeroW:
