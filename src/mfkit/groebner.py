@@ -258,6 +258,30 @@ def normal_form(p: Polynomial, basis: GroebnerBasis) -> Polynomial:
     return rem
 
 
+def linear_image(p: Polynomial, images) -> Polynomial:
+    """The image of p under a linear map, from the images of its monomials.
+
+    `images` lists, in p.nums order, the image (nums, den) of each
+    monomial of p; the result is sum_m (p.nums[m]/p.den)*image_m. It is
+    one int dict over L*p.den, with L the lcm of the images'
+    denominators, normalized once; over GF(p), and for integral images
+    over QQ, L == 1.
+    """
+    den = 1
+    for _, d in images:
+        if d != 1:
+            den = lcm(den, d)
+    acc: dict = {}
+    get = acc.get
+    for c, (nums, d) in zip(p.nums.values(), images):
+        if d != den:
+            c *= den // d
+        for m, a in nums.items():
+            acc[m] = get(m, 0) + c * a
+    ring = p.ring
+    return Polynomial(ring, *ring.field.normalize(acc, den * p.den))
+
+
 def _spair(fi, fj, order):
     """S-polynomial data for monic fi, fj: (spoly, mult_i, mult_j) with
     spoly = mult_i*fi + mult_j*fj, where mult_j is a negated monomial."""
@@ -536,14 +560,25 @@ def buchberger_basis(ideal: Ideal) -> GroebnerBasis:
 class DivisionOracle:
     """Exact division by a non-zerodivisor w modulo a fixed ideal.
 
-    Built once per (ideal, w); division then costs a single extended
-    reduction against the combined basis of (ideal generators + w). The
-    combined basis is the reduced Groebner basis of the ideal plus (w).
-    Buchberger tracks only w's cofactor c_b of each combined element b,
-    reduced modulo mid_basis, and the constructor certifies it: b - c_b*w
-    must reduce to zero modulo mid_basis, else VerificationFailure is
-    raised. A zero remainder comes with explicit quotients q_i, so
+    Built once per (ideal, w). The combined basis is the reduced
+    Groebner basis of the ideal plus (w). Buchberger tracks only w's
+    cofactor c_b of each combined element b, reduced modulo mid_basis,
+    and the constructor certifies it: b - c_b*w must reduce to zero
+    modulo mid_basis, else VerificationFailure is raised. A zero
+    remainder comes with explicit quotients q_i, so
     b == c_b*w + sum_i q_i*m_i holds exactly over the mid_basis polys m_i.
+
+    Division is a linear map read off a table. For a monomial m, one
+    extended reduction against the combined basis gives its remainder
+    r_m and cofactors a_b(m), and the table keeps r_m and
+    NF_mid(sum_b a_b(m)*c_b). `divide_full` visits monomials from the
+    top down and picks each divisor by the monomial alone, so remainder
+    and cofactors are linear in the dividend, and so is that normal
+    form. `divide(p)` sums the entries of p's monomials: p is divisible
+    iff the summed remainder is zero, and the summed quotient is then
+    what one reduction of p would give. A monomial that no combined
+    leading monomial divides is its own remainder, with quotient 0, and
+    takes no reduction.
 
     Buchberger gets the floor L(d) = max(0, HF_mid(d) - HF_mid(d - e)),
     with e = deg w, read off the leading monomials of mid_basis alone; it
@@ -584,18 +619,33 @@ class DivisionOracle:
                 )
         self.combined = GroebnerBasis(tuple(polys), self.order)
         self.w_cofactors = column
+        self._table: dict = {}
+
+    def _image(self, m: int) -> tuple:
+        """(remainder, quotient) of the monomial m, each as (nums, den),
+        computed once and kept in the table."""
+        combined, order = self.combined.polys, self.order
+        ring = combined[0].ring
+        if all((m - b.leading_monomial(order)) & ring.guard for b in combined):
+            image = ({m: 1}, 1), ({}, 1)
+        else:
+            rem, cofs = divide_full(Polynomial(ring, {m: 1}), combined, order)
+            quo = normal_form(sum_of_products(ring, zip(cofs, self.w_cofactors)), self.mid_basis)
+            image = (rem.nums, rem.den), (quo.nums, quo.den)
+        self._table[m] = image
+        return image
 
     def divide(self, p: Polynomial) -> Polynomial:
         """q with p == w*q modulo the ideal, in normal form; unique there."""
-        if p.is_zero():
-            _check_ring(p, self.combined.polys)
-            return p
-        rem, cofs = divide_full(p, self.combined.polys, self.order)
+        _check_ring(p, self.combined.polys[:1])
+        table = self._table
+        images = [table.get(m) or self._image(m) for m in p.nums]
+        rem = linear_image(p, [r for r, _ in images])
         if not rem.is_zero():
             raise NotDivisible(
                 f"{p!r} is not divisible modulo the ideal (remainder {rem!r})"
             )
-        return normal_form(sum_of_products(p.ring, zip(cofs, self.w_cofactors)), self.mid_basis)
+        return linear_image(p, [q for _, q in images])
 
 
 def krull_dimension(basis: GroebnerBasis, nvars: int) -> int:

@@ -52,7 +52,15 @@ Expression grammar accepted by the parser (whitespace insignificant)::
 
 Variables are ASCII identifiers; `nat` is a literal of ASCII digits
 0-9 (no other Unicode digit, no underscore), so exponents are
-non-negative; `a/b` denotes an exact field coefficient.
+non-negative; `a/b` denotes an exact field coefficient. A run of signs
+is read in a loop, and parentheses nest at most MAX_NESTING deep: the
+parser recurses once per level, so a deeper expression is a ParseError
+and never exhausts the interpreter's stack. A literal longer than the
+interpreter converts from decimal text (4300 digits by default since
+CPython 3.11) is a ParseError as well, and a coefficient too long to
+print is a BudgetExceeded from `format_canonical`; neither changes the
+interpreter's limit. Over QQ, a power whose coefficients could pass
+MAX_COEFF_BITS bits is a BudgetExceeded before any product.
 """
 
 from __future__ import annotations
@@ -77,6 +85,12 @@ WIDTH = 16
 
 MAX_DEGREE = (1 << (WIDTH - 1)) - 1
 """The largest exponent and total degree a packed monomial holds."""
+
+MAX_COEFF_BITS = 1 << 20
+"""The largest coefficient bit length a power may promise over QQ."""
+
+MAX_NESTING = 200
+"""The deepest parenthesis nesting the parser accepts."""
 
 _FIELD = (1 << WIDTH) - 1
 
@@ -357,11 +371,21 @@ class Polynomial:
 
     def __pow__(self, n: int) -> "Polynomial":
         """self^n by repeated squaring; BudgetExceeded before any product
-        when the result's degree would pass MAX_DEGREE."""
+        when the result's degree would pass MAX_DEGREE, or over QQ when
+        its coefficients could pass MAX_COEFF_BITS bits: with T terms and
+        numerators and denominator at most c in absolute value, every
+        numerator and the denominator of self^n are at most (T*c)^n."""
         if n < 0:
             raise ValueError("negative exponent")
         if self.nums and self.degree() * n > MAX_DEGREE:
             raise past_range(self.degree() * n)
+        if self.nums and not self.ring.field.characteristic:
+            c = max(self.den, *map(abs, self.nums.values()))
+            bits = n * ((c - 1).bit_length() + (len(self.nums) - 1).bit_length())
+            if bits > MAX_COEFF_BITS:
+                raise BudgetExceeded(
+                    f"power with coefficients of up to {bits} bits (at most {MAX_COEFF_BITS})"
+                )
         result = self.ring.one()
         base = self
         while n:
@@ -502,7 +526,11 @@ def format_canonical(p: Polynomial, order: MonomialOrder) -> str:
         sign = "-" if num < 0 else "+"
         mag = abs(num)
         g = gcd(mag, den) if den != 1 else 1
-        text = str(mag // g) if g == den else f"{mag // g}/{den // g}"
+        try:
+            text = str(mag // g) if g == den else f"{mag // g}/{den // g}"
+        except ValueError:  # past the interpreter's int-to-text digit limit
+            bits = max(mag // g, den // g).bit_length()
+            raise BudgetExceeded(f"coefficient too long to print (a {bits}-bit integer)") from None
         mono_str = _format_monomial(p.ring, m)
         if not mono_str:
             body = text
@@ -524,6 +552,7 @@ class _Parser:
         self.ring = ring
         self.text = text
         self.pos = 0
+        self.depth = 0
         self.var_index = {name: i for i, name in enumerate(ring.vars)}
 
     def run(self) -> Polynomial:
@@ -564,15 +593,15 @@ class _Parser:
         return p
 
     def _factor(self) -> Polynomial:
-        if self._peek() == "-":
+        negate = False
+        while self._peek() == "-":
             self.pos += 1
-            return -self._factor()
+            negate = not negate
         p = self._atom()
         if self._peek() == "^":
             self.pos += 1
-            n = self._nat("exponent")
-            return p**n
-        return p
+            p = p ** self._nat("exponent")
+        return -p if negate else p
 
     def _nat(self, what: str) -> int:
         self._skip_ws()
@@ -581,17 +610,24 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise ParseError(f"expected {what}", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past the interpreter's text-to-int digit limit
+            raise ParseError(f"{what} of {self.pos - start} digits is too long", start) from None
 
     def _atom(self) -> Polynomial:
         ch = self._peek()
         start = self.pos
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", start)
             self.pos += 1
+            self.depth += 1
             p = self._expr()
             if self._peek() != ")":
                 raise ParseError("expected ')'", self.pos)
             self.pos += 1
+            self.depth -= 1
             return p
         if "0" <= ch <= "9":
             num = self._nat("integer")

@@ -8,7 +8,13 @@ sequence generators and the coordinates of a distinguished element w in
 their span, the constructor drops the generator at the last nonzero
 coordinate to get the generators of the intermediate ideal,
 materializes the two quotient ideals with Groebner bases, and exposes
-normal forms so that ring equality at every level is decidable.
+normal forms so that ring equality at every level is decidable. A
+normal form modulo a reduced Groebner basis is linear in the
+polynomial, and a tower keeps its bases for life, so it reduces each
+monomial once per level and sums the images kept in a table (the
+normal-form table of FGLM: Faugere, Gianni, Lazard and Mora, "Efficient
+computation of zero-dimensional Groebner bases by change of ordering",
+J. Symbolic Comput. 16, 1993).
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .groebner import (
     Ideal,
     buchberger_basis,
     krull_dimension,
+    linear_image,
     monomials_of_degree,
     normal_form,
 )
@@ -139,6 +146,13 @@ class RingTower:
                    basis
       validation   the CiReport of seq_gens
       oracle       the DivisionOracle for exact division by w at level MID
+
+    Normal forms at MID and QUOT are read off one table per level, which
+    maps a packed monomial to the (nums, den) of its normal form: a
+    polynomial's normal form is the sum of its terms' table entries over
+    one denominator, normalized once. A monomial enters its level's
+    table on first use, by one reduction, or with no reduction when no
+    leading monomial of the level's basis divides it.
     """
 
     __slots__ = (
@@ -154,7 +168,7 @@ class RingTower:
         "oracle",
         "_std_monos",
         "_std_index",
-        "_quot_coords",
+        "_tables",
         "_quot_rows",
     )
 
@@ -172,14 +186,36 @@ class RingTower:
         self.oracle = oracle
         self._std_monos = {}
         self._std_index = {}
-        self._quot_coords = {}
+        self._tables = (None, {}, {})  # by Level: monomial -> (nums, den)
         self._quot_rows = {}
 
     def normal_form(self, p: Polynomial, level: Level) -> Polynomial:
+        """p's normal form at `level`: p itself at BASE or when the
+        level's basis is empty, else the sum of its monomials' table
+        entries. FieldMismatch or VariableMismatch for a polynomial from
+        another ring, raised before any lookup."""
         if level == Level.BASE:
             return p
         basis = self.mid_basis if level == Level.MID else self.quot_basis
-        return normal_form(p, basis) if basis.polys else p
+        if not basis.polys:
+            return p
+        if p.ring is not self.ring:
+            p._check_compatible(basis.polys[0])
+        table = self._tables[level]
+        return linear_image(p, [table.get(m) or self._image(m, level) for m in p.nums])
+
+    def _image(self, mono: int, level: Level) -> tuple[dict, int]:
+        """The (nums, den) of the monomial's normal form at `level`,
+        computed once and kept in the level's table."""
+        basis = self.mid_basis if level == Level.MID else self.quot_basis
+        order, guard = self.order, self.ring.guard
+        if all((mono - b.leading_monomial(order)) & guard for b in basis.polys):
+            image = ({mono: 1}, 1)
+        else:
+            nf = normal_form(Polynomial(self.ring, {mono: 1}), basis)
+            image = (nf.nums, nf.den)
+        self._tables[level][mono] = image
+        return image
 
     def is_graded(self) -> bool:
         """True when the deep quotient ideal is homogeneous."""
@@ -208,31 +244,27 @@ class RingTower:
         Returns (coords, den) with coords a list of (k, c) over ints: the
         normal form of `mono` is the sum of c/den times standard monomial
         k of mono's degree, indexed as in `standard_monomials`. These are
-        the normal form's own (nums, den), so den is 1 over GF(p) and for
-        integral normal forms over QQ. Each monomial's normal form is
-        computed once per tower; the rows of `quot_row`, from which the
-        graded windows read their products, are built from this table.
+        the (nums, den) of mono's entry in the QUOT normal-form table,
+        so den is 1 over GF(p) and for integral normal forms over QQ, and
+        each monomial's normal form is computed once per tower. The rows
+        of `quot_row`, from which the graded windows read their products,
+        are built from these coordinates.
         """
-        vec = self._quot_coords.get(mono)
-        if vec is not None:
-            return vec
+        nums, den = self._tables[Level.QUOT].get(mono) or self._image(mono, Level.QUOT)
         degree = mono >> self.ring.shift
         index = self._std_index.get(degree)
         if index is None:
             index = {m: k for k, m in enumerate(self.standard_monomials(degree))}
             self._std_index[degree] = index
-        nf = self.normal_form(Polynomial(self.ring, {mono: 1}), Level.QUOT)
         coords = []
-        for m, c in nf.nums.items():
+        for m, c in nums.items():
             k = index.get(m)
             if k is None:
                 raise VerificationFailure(
                     "graded piece bookkeeping failed: unexpected monomial"
                 )
             coords.append((k, c))
-        vec = (coords, nf.den)
-        self._quot_coords[mono] = vec
-        return vec
+        return coords, den
 
     def quot_row(self, mono: int, degree: int) -> tuple[list, int]:
         """The QUOT normal forms of mono times each standard monomial of
@@ -243,9 +275,9 @@ class RingTower:
         sum of c/den times standard monomial t of the product's degree.
         den is the lcm of the entries' `quot_coords` denominators, so it
         is 1 over GF(p) and for integral normal forms over QQ. The row is
-        built once per (mono, degree) from `quot_coords`, which computes
-        each normal form, and kept in the tower; a graded window map reads
-        one row per term of its matrix entries.
+        built once per (mono, degree) from `quot_coords`, which reads
+        each normal form off the QUOT table, and kept in the tower; a
+        graded window map reads one row per term of its matrix entries.
         """
         key = (mono, degree)
         row = self._quot_rows.get(key)

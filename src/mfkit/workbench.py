@@ -47,7 +47,9 @@ range (`mfkit.poly.MAX_DEGREE`) is a BudgetExceeded naming its line.
 Each `w_coords` entry is an integer `n` or a fraction `n/d`: n an
 optional sign and ASCII digits 0-9, d ASCII digits; any other entry,
 as well as a non-ASCII digit in a polynomial, is a parse error naming
-its line.
+its line. So is a literal longer than the interpreter converts from
+decimal text, and a polynomial with parentheses nested deeper than
+`mfkit.poly.MAX_NESTING`.
 """
 
 from __future__ import annotations
@@ -256,6 +258,10 @@ class Workbench:
                     coords.append(fld.ratio(int(num), int(den)))
             except DivisionByZeroInCoefficient as exc:
                 raise DivisionByZeroInCoefficient(f"line {coords_line}: {exc}") from None
+            except ValueError:  # past the interpreter's text-to-int digit limit
+                raise ParseError(
+                    f"line {coords_line}: coordinate of {len(c)} characters is too long"
+                ) from None
         return build_tower(ring, gens, coords, order)
 
     @staticmethod

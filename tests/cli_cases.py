@@ -75,6 +75,15 @@ FIELD_CASES = [
     # So is the prime of a field spec: fullwidth digits in `field =` are a
     # ParseError naming the field line.
     ("validate_bad_field", ["validate", "bad_field.mfw"], 2),
+    # Parentheses nested past the parser's bound are a ParseError naming
+    # their line (exit 2), after a run of 5000 signs parsed in a loop.
+    ("validate_deep_nesting", ["validate", "deep_nesting.mfw"], 2),
+    # An integer literal past the interpreter's 4300-digit limit on
+    # decimal text is a ParseError naming its line (exit 2).
+    ("validate_long_literal", ["validate", "long_literal.mfw"], 2),
+    # A verified coefficient too long to print is a BudgetExceeded
+    # (exit 4) when the report prints it.
+    ("suspend_huge_coefficient", ["suspend", "huge_coefficient.mfw", "A"], 4),
 ]
 
 

@@ -13,12 +13,20 @@ Both use only `Polynomial` `*`, `+` and `-`.
 vector to a basis, ranked with `dense_linalg`; `build_tower`'s closed
 form (drop the generator at the last nonzero coordinate) is tested
 against the mid generators it picks.
+
+`divide` is exact division by w with no table, the reference that
+`DivisionOracle.divide` is tested against: one `divide_full` of the
+whole polynomial against the combined basis, then the normal form
+modulo the mid basis of its cofactors against w's cofactor column.
 """
 
 from __future__ import annotations
 
 from math import lcm
 
+from mfkit.errors import NotDivisible
+from mfkit.groebner import divide_full, normal_form
+from mfkit.poly import sum_of_products
 from mfkit.tower import RingMatrix
 
 from .dense_linalg import matrix_rank
@@ -80,3 +88,12 @@ def complete_to_basis(field, first_row) -> list[int]:
             units.append(i)
     assert len(rows) == n
     return units
+
+
+def divide(oracle, p):
+    """q with p == w*q modulo the oracle's ideal, in normal form, or
+    NotDivisible with the oracle's message."""
+    rem, cofs = divide_full(p, oracle.combined.polys, oracle.order)
+    if not rem.is_zero():
+        raise NotDivisible(f"{p!r} is not divisible modulo the ideal (remainder {rem!r})")
+    return normal_form(sum_of_products(p.ring, zip(cofs, oracle.w_cofactors)), oracle.mid_basis)

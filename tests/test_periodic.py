@@ -405,15 +405,15 @@ class TestNullhomotopyWindow:
             graded_nullhomotopy_window(delta, 0, 2)
 
     def test_second_call_reuses_the_towers_normal_forms(self, monkeypatch):
-        from mfkit.tower import RingTower
+        import mfkit.tower
 
-        mf = koszul_mf(2)  # a fresh tower, whose table is empty
+        mf = koszul_mf(2)  # a fresh tower
         tower = mf.tower
         delta = window_delta(mf, random.Random(72))
         calls = []
-        normal_form = RingTower.normal_form
-        monkeypatch.setattr(RingTower, "normal_form",
-                            lambda self, p, level: calls.append(p) or normal_form(self, p, level))
+        normal_form = mfkit.tower.normal_form
+        monkeypatch.setattr(mfkit.tower, "normal_form",
+                            lambda p, basis: calls.append(p) or normal_form(p, basis))
 
         def counted():
             calls.clear()
@@ -421,14 +421,20 @@ class TestNullhomotopyWindow:
                       graded_nullhomotopy_window(delta, 0, 4))
             return result, len(calls)
 
+        table = tower._tables[Level.QUOT]
+
+        def reduced():  # entries that took a reduction
+            return sum(1 for m, image in table.items() if image != ({m: 1}, 1))
+
+        before = reduced()
         (report, win), first = counted()
-        entries = len(tower._quot_coords)
+        entries = len(table)
         (report2, win2), second = counted()
-        # The first calls computed one normal form per table entry on top
-        # of the ones both calls make; the second computed none of them.
-        assert entries > 0
-        assert len(tower._quot_coords) == entries
-        assert first - second == entries
+        # The first calls reduced each new monomial that a leading
+        # monomial divides, once; the second found every one in the table.
+        assert first == reduced() - before > 0
+        assert len(table) == entries
+        assert second == 0
         assert (report2.rows, report2.dual_rows) == (report.rows, report.dual_rows)
         assert win.solvable and win2.diagonals == win.diagonals
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfkit.errors import (
+    BudgetExceeded,
     DivisionByZeroInCoefficient,
     FieldMismatch,
     ParseError,
@@ -15,6 +16,8 @@ from mfkit.errors import (
 )
 from mfkit.fields import QQ, PrimeField
 from mfkit.poly import (
+    MAX_COEFF_BITS,
+    MAX_NESTING,
     MonomialOrder,
     PolyRing,
     format_canonical,
@@ -109,6 +112,27 @@ class TestParse:
             RUV.parse(text)
         assert err.value.position == position
 
+    @pytest.mark.parametrize("signs", [1, 2, 5000, 5001])
+    def test_a_run_of_signs_parses_in_a_loop(self, signs):
+        # -x^2 is -(x^2), however many signs.
+        p = RUV.parse("-" * signs + "u^2 - v")
+        assert p == (RUV.parse("u^2") if signs % 2 == 0 else -RUV.parse("u^2")) - RUV.parse("v")
+
+    def test_parentheses_nest_up_to_the_bound(self):
+        assert RUV.parse("(" * MAX_NESTING + "u" + ")" * MAX_NESTING) == RUV.parse("u")
+        deeper = "u*" + "(" * (MAX_NESTING + 1) + "v" + ")" * (MAX_NESTING + 1)
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING}") as err:
+            RUV.parse(deeper)
+        assert err.value.position == 2 + MAX_NESTING
+
+    @pytest.mark.parametrize("text, position", [
+        ("1" * 5000 + "*u", 0), ("u^" + "1" * 5000, 2), ("1/" + "1" * 5000, 2),
+    ])
+    def test_a_literal_past_the_digit_limit_is_a_parse_error(self, text, position):
+        with pytest.raises(ParseError, match="of 5000 digits is too long") as err:
+            RUV.parse(text)
+        assert err.value.position == position
+
     def test_sum_equals_the_term_by_term_sum(self):
         rng = random.Random(5)
         for field in (QQ, PrimeField(7)):
@@ -179,6 +203,28 @@ class TestFormat:
         b = RUV.parse("u^2 + 2*u*v")
         assert a == b
         assert format_canonical(a, GREVLEX2) == format_canonical(b, GREVLEX2)
+
+
+def test_a_coefficient_too_long_to_print_is_a_budget_error():
+    p = RUV.parse("2^15000*u")
+    with pytest.raises(BudgetExceeded, match="15001-bit"):
+        format_canonical(p, GREVLEX2)
+    with pytest.raises(BudgetExceeded, match="15001-bit"):
+        format_canonical(RUV.parse("(1/2)^15000*u"), GREVLEX2)
+    assert format_canonical(RUV.parse("2^10000*u"), GREVLEX2) == str(2**10000) + "*u"
+
+
+def test_powers_stop_before_their_coefficients_pass_the_bound():
+    # (T*c)^n bounds the coefficients of p^n for T terms of size at most c.
+    assert RUV.parse("(2^1000)^1000") == RUV.const_int(2 ** 1000000)
+    assert RUV.parse("1^1000000000") == RUV.one()
+    with pytest.raises(BudgetExceeded, match=f"at most {MAX_COEFF_BITS}"):
+        RUV.parse("((2^1000)^1000)^2")
+    with pytest.raises(BudgetExceeded):
+        RUV.parse("(u + v)^" + str(MAX_COEFF_BITS + 1))  # also past the degree range
+    # Over GF(p) coefficients stay below p, so only the degree is bounded.
+    ring = PolyRing(("u",), PrimeField(7))
+    assert ring.parse("(3)^1000000000") == ring.const_int(pow(3, 1000000000, 7))
 
 
 class TestArithmetic:

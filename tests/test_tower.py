@@ -510,4 +510,7 @@ def test_standard_monomials_and_quot_coords():
     # x^2 == -3/2*x*y at QUOT, and a standard monomial is its own normal form.
     assert t.quot_coords(ring.pack((2, 0))) == ([(0, -3)], 2)
     assert t.quot_coords(ring.pack((0, 2))) == ([(1, 1)], 1)
-    assert t.quot_coords(ring.pack((2, 0))) is t.quot_coords(ring.pack((2, 0)))
+    # Both come from the QUOT normal-form table, one (nums, den) per monomial.
+    x2, xy, y2 = ring.pack((2, 0)), ring.pack((1, 1)), ring.pack((0, 2))
+    table = t._tables[Level.QUOT]
+    assert (table[x2], table[y2]) == (({xy: -3}, 2), ({y2: 1}, 1))

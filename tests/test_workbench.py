@@ -95,6 +95,15 @@ class TestSections:
         with pytest.raises(ParseError, match="^line 7: bad coordinate"):
             Workbench(MINIMAL.replace("w_coords = 1", f"w_coords = {coords}"))
 
+    @pytest.mark.parametrize("coords", ["1" * 5000, "1/" + "1" * 5000])
+    def test_a_coordinate_past_the_digit_limit_names_its_line(self, coords):
+        with pytest.raises(ParseError, match="^line 7: coordinate of 500[02] characters is too long"):
+            Workbench(MINIMAL.replace("w_coords = 1", f"w_coords = {coords}"))
+
+    def test_a_polynomial_literal_past_the_digit_limit_names_its_line(self):
+        with pytest.raises(ParseError, match="^line 10: integer of 5000 digits is too long"):
+            Workbench(MINIMAL.replace("phi = [[u]]", f"phi = [[{'1' * 5000}*u]]")).get_mf("A")
+
     @pytest.mark.parametrize("coords, value", [("+1", 1), ("-1", -1), ("2/4", 1 / 2), (" 3 / 4 ", 3 / 4)])
     def test_signed_and_fractional_coordinates(self, coords, value):
         from fractions import Fraction
