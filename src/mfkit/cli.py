@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the file's monomial order")
         if name == "acyclic-window":
             p.add_argument("--max-degree", type=int, default=DEFAULT_BUDGET,
-                           help="budget for degree-window computations")
+                           help="budget for the window's top graded degree and its span")
             p.add_argument("--min", type=int, required=True, help="window start degree")
             p.add_argument("--max", type=int, required=True, help="window end degree")
             p.add_argument("--csv", action="store_true",

@@ -34,7 +34,7 @@ from .errors import (
     VerificationFailure,
 )
 from .poly import Polynomial, format_canonical
-from .tower import Level, RingMatrix, RingTower, matrix_sum_of_products
+from .tower import Level, RingMatrix, RingTower, matrix_sum_of_products, require_shape
 
 
 def _w_identity(tower: RingTower, level: Level, n: int) -> RingMatrix:
@@ -79,7 +79,7 @@ class MatrixFactorization:
         if phi.tower is not psi.tower:
             raise TowerMismatch("phi and psi from different towers")
         tower = phi.tower
-        if phi.level != psi.level or phi.level == Level.BASE:
+        if phi.level != psi.level:
             raise LevelMismatch(
                 "factorization matrices must share level MID or QUOT,"
                 f" got {phi.level.name}/{psi.level.name}"
@@ -153,14 +153,8 @@ class MfMorphism:
                  f: RingMatrix, g: RingMatrix):
         if source.tower is not target.tower:
             raise TowerMismatch("source and target from different towers")
-        if f.nrows != target.rank_f or f.ncols != source.rank_f:
-            raise DimensionMismatch(
-                f"f must be {target.rank_f}x{source.rank_f}, got {f.nrows}x{f.ncols}"
-            )
-        if g.nrows != target.rank_g or g.ncols != source.rank_g:
-            raise DimensionMismatch(
-                f"g must be {target.rank_g}x{source.rank_g}, got {g.nrows}x{g.ncols}"
-            )
+        require_shape("f", f, target.rank_f, source.rank_f)
+        require_shape("g", g, target.rank_g, source.rank_g)
         self.source = source
         self.target = target
         self.f = f
@@ -249,14 +243,8 @@ class MfHomotopy:
         if theta.source != theta_prime.source or theta.target != theta_prime.target:
             raise EndpointMismatch("homotopy needs parallel morphisms")
         src, tgt = theta.source, theta.target
-        if s.nrows != tgt.rank_f or s.ncols != src.rank_g:
-            raise DimensionMismatch(
-                f"s must be {tgt.rank_f}x{src.rank_g}, got {s.nrows}x{s.ncols}"
-            )
-        if t.nrows != tgt.rank_g or t.ncols != src.rank_f:
-            raise DimensionMismatch(
-                f"t must be {tgt.rank_g}x{src.rank_f}, got {t.nrows}x{t.ncols}"
-            )
+        require_shape("s", s, tgt.rank_f, src.rank_g)
+        require_shape("t", t, tgt.rank_g, src.rank_f)
         self.theta = theta
         self.theta_prime = theta_prime
         self.s = s

@@ -55,7 +55,6 @@ from math import lcm
 from . import linalg
 from .errors import (
     BudgetExceeded,
-    DimensionMismatch,
     EmptyWindow,
     LevelMismatch,
     NotDivisible,
@@ -72,7 +71,7 @@ from .mfcat import (
     verify_morphism,
     zero_morphism,
 )
-from .tower import Level, RingMatrix, RingTower, matrix_sum_of_products
+from .tower import Level, RingMatrix, RingTower, matrix_sum_of_products, require_shape
 
 DEFAULT_BUDGET = 32
 
@@ -130,10 +129,7 @@ def _check_mid_shapes(tower: RingTower, *specs):
     for name, m, rows, cols in specs:
         if m.level != Level.MID:
             raise LevelMismatch(f"{name} must be a MID-level matrix, got {m.level.name}")
-        if (m.nrows, m.ncols) != (rows, cols):
-            raise DimensionMismatch(
-                f"{name} must be {rows}x{cols}, got {m.nrows}x{m.ncols}"
-            )
+        require_shape(name, m, rows, cols)
     for _, m, _, _ in specs:
         if m.tower is not tower:
             raise TowerMismatch("matrices from different towers")
@@ -617,6 +613,10 @@ def _window_rows(c: MatrixFactorization, d_min: int, d_max: int, budget: int) ->
             f"window needs graded pieces up to degree {max_needed},"
             f" budget is {budget}"
         )
+    if d_max - d_min > budget:
+        raise BudgetExceeded(
+            f"window {d_min}..{d_max} spans {d_max - d_min} degrees, budget is {budget}"
+        )
 
     differentials = {"phi": (c.phi, e_phi, "psi"), "psi": (c.psi, e_psi, "phi")}
     # Each differential is needed on d_min..d_max as a kernel and on
@@ -658,7 +658,8 @@ def graded_acyclicity_window(c: MatrixFactorization, d_min: int, d_max: int,
     """Homology dimensions of the reduced complex `c` (and its dual) in a
     window of internal degrees, computed by exact rank computations on
     graded pieces. All zeros on the window is evidence of total
-    acyclicity."""
+    acyclicity. BudgetExceeded when the window needs a graded piece past
+    degree `budget` or spans more than `budget` degrees."""
     _require_graded(c)
     if d_min > d_max:
         raise EmptyWindow(f"empty degree window {d_min}..{d_max}")
@@ -692,7 +693,9 @@ def graded_nullhomotopy_window(delta: MfMorphism, p_min: int, p_max: int,
     unknown diagonal matrices at p_min..p_max (one per position, not
     assumed periodic). Unknown entries are homogeneous of the degree
     forced by the grading; all equations form one exact linear system
-    over the coefficient field.
+    over the coefficient field. BudgetExceeded when a nonzero `delta`
+    needs a graded piece past degree `budget` or the window spans more
+    than `budget` positions.
     """
     src, tgt = delta.source, delta.target
     tower = src.tower
@@ -701,12 +704,14 @@ def graded_nullhomotopy_window(delta: MfMorphism, p_min: int, p_max: int,
         raise EmptyWindow(
             f"position window {p_min}..{p_max} must contain at least two positions"
         )
-    positions = list(range(p_min, p_max + 1))
+    # A range: a nonzero delta builds nothing per position before the
+    # budget checks.
+    positions = range(p_min, p_max + 1)
     # Diagonals out of even positions map F1 -> G2, out of odd ones G1 -> F2.
     shapes = ((tgt.rank_g, src.rank_f), (tgt.rank_f, src.rank_g))
     if delta.is_zero():
         diagonals = [RingMatrix.zeros(tower, Level.QUOT, *shapes[p % 2]) for p in positions]
-        return NullhomotopyWindow(True, positions, diagonals, positions[1:])
+        return NullhomotopyWindow(True, list(positions), diagonals, list(positions[1:]))
 
     e_phi1, e_psi1 = _entry_degrees(src)
     e_phi2, e_psi2 = _entry_degrees(tgt)
@@ -735,6 +740,10 @@ def graded_nullhomotopy_window(delta: MfMorphism, p_min: int, p_max: int,
         raise BudgetExceeded(
             f"window needs graded pieces up to degree {needed}, budget is {budget}"
         )
+    if p_max - p_min > budget:
+        raise BudgetExceeded(
+            f"window {p_min}..{p_max} spans {p_max - p_min} positions, budget is {budget}"
+        )
 
     system = _GradedSystem(tower)
     sigma = {p: system.unknown(*shapes[p % 2], (t_deg, s_deg)[p % 2]) for p in positions}
@@ -748,5 +757,5 @@ def graded_nullhomotopy_window(delta: MfMorphism, p_min: int, p_max: int,
             system.equation(delta.g, s_deg + e_phi2, [(tgt.phi, sigma[p])], [(sigma[p - 1], src.psi)])
     diagonals = system.solve()
     if diagonals is None:
-        return NullhomotopyWindow(False, positions)
-    return NullhomotopyWindow(True, positions, diagonals, positions[1:])
+        return NullhomotopyWindow(False, list(positions))
+    return NullhomotopyWindow(True, list(positions), diagonals, list(positions[1:]))

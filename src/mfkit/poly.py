@@ -38,10 +38,10 @@ denominator and normalizes once at the end. When every denominator
 involved is 1 (always over GF(p), and for integral data over QQ), no
 content gcd is taken. The zero polynomial is ({}, 1).
 
-Two monomial orders are provided (lex and graded reverse lex, each with
-an optional variable precedence), together with a parser and a
-canonical printer whose output round-trips through the parser byte for
-byte.
+Two monomial orders are provided, lex and graded reverse lex, each
+ranking the variables in declaration order, together with a parser and
+a canonical printer whose output round-trips through the parser byte
+for byte.
 
 Expression grammar accepted by the parser (whitespace insignificant)::
 
@@ -106,66 +106,52 @@ def past_range(degree: int) -> BudgetExceeded:
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A global monomial order: "lex" or "grevlex" with a precedence.
+    """A global monomial order on `nvars` variables: "lex" or "grevlex".
 
-    `precedence` lists variable indices from most to least significant.
-    The induced order is total and multiplicative, and 1 is minimal.
+    Variables rank in declaration order, variable 0 the most significant.
+    The order is total and multiplicative, and 1 is minimal.
     """
 
     kind: str
-    precedence: tuple[int, ...]
-    # (bit offset, weight) per packed field, and the degree shift when
-    # the order is grevlex with identity precedence (else None).
+    nvars: int
+    # (bit offset, weight) per packed exponent field for lex, and the
+    # degree field's offset for grevlex (else None).
     _weights: tuple = dataclass_field(init=False, repr=False, compare=False)
     _grevlex_shift: int | None = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("lex", "grevlex"):
             raise ValueError(f"unknown order kind: {self.kind!r}")
-        n = len(self.precedence)
-        if sorted(self.precedence) != list(range(n)):
-            raise ValueError("precedence must be a permutation of variable indices")
-        base = 1 << WIDTH
-        if self.kind == "lex":
-            weights = [(v * WIDTH, base ** (n - 1 - j)) for j, v in enumerate(self.precedence)]
-        else:
-            weights = [(n * WIDTH, base**n)]
-            weights += [(v * WIDTH, -(base**j)) for j, v in enumerate(self.precedence)]
-        fast = self.kind == "grevlex" and self.precedence == tuple(range(n))
-        object.__setattr__(self, "_weights", tuple(weights))
-        object.__setattr__(self, "_grevlex_shift", n * WIDTH if fast else None)
+        n = self.nvars
+        weights = tuple((v * WIDTH, 1 << (n - 1 - v) * WIDTH) for v in range(n))
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_grevlex_shift", n * WIDTH if self.kind == "grevlex" else None)
 
     @classmethod
-    def lex(cls, nvars: int, precedence=None) -> "MonomialOrder":
-        return cls("lex", tuple(precedence or range(nvars)))
+    def lex(cls, nvars: int) -> "MonomialOrder":
+        return cls("lex", nvars)
 
     @classmethod
-    def grevlex(cls, nvars: int, precedence=None) -> "MonomialOrder":
-        return cls("grevlex", tuple(precedence or range(nvars)))
+    def grevlex(cls, nvars: int) -> "MonomialOrder":
+        return cls("grevlex", nvars)
 
     def key(self, m: int) -> int:
         """Sort key of a packed monomial, an int: bigger key means bigger
         monomial.
 
-        With B = 2^WIDTH, n variables and precedence p_0, ..., p_{n-1}, a
-        lex key is sum_j e[p_j] * B^(n-1-j), and a grevlex key is
-        deg * B^n - sum_j e[p_j] * B^j. Every exponent is below B, so
-        these are positional numbers that compare as the orders do, and
-        keys of distinct monomials differ. Both are linear in the
-        exponents: key(a*b) == key(a) + key(b), which `divide_full` uses
-        to key each new term with one addition. For grevlex with the
-        identity precedence the key is 2*((m >> S) << S) - m, with S the
-        degree field's offset.
+        With B = 2^WIDTH and n variables, a lex key is
+        sum_j e[j] * B^(n-1-j), and a grevlex key is
+        deg * B^n - sum_j e[j] * B^j, which is 2*((m >> S) << S) - m with
+        S the degree field's offset. Every exponent is below B, so these
+        are positional numbers that compare as the orders do, and keys of
+        distinct monomials differ. Both are linear in the exponents:
+        key(a*b) == key(a) + key(b), which `divide_full` uses to key each
+        new term with one addition.
         """
         s = self._grevlex_shift
         if s is not None:
             return 2 * (m >> s << s) - m
         return sum([((m >> shift) & _FIELD) * w for shift, w in self._weights])
-
-    def compare(self, a: int, b: int) -> int:
-        """Three-way comparison of packed monomials: -1, 0 or 1 as a <, =, > b."""
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
 
 
 @dataclass(frozen=True)
@@ -264,9 +250,6 @@ class PolyRing:
         """The constant polynomial of a scalar: an int, or an exact
         rational with int numerator and denominator."""
         return self.from_ints({0: c.numerator}, c.denominator)
-
-    def const_int(self, n: int) -> "Polynomial":
-        return self.const(self.field.from_int(n))
 
     def var(self, i: int) -> "Polynomial":
         return Polynomial(self, {1 << (i * WIDTH) | 1 << self.shift: 1})
@@ -400,14 +383,6 @@ class Polynomial:
         nums = {m: c * num for m, c in self.nums.items()}
         return Polynomial(self.ring, *self.ring.field.normalize(nums, self.den * den))
 
-    def mul_term(self, mono: int, num: int = 1, den: int = 1) -> "Polynomial":
-        """Multiply by the single term (num/den) * x^mono, for a packed
-        monomial; BudgetExceeded past the packed range."""
-        if self.nums and max(self.nums) + mono >= self.ring.limit:
-            raise past_range((max(self.nums) + mono) >> self.ring.shift)
-        nums = {m + mono: c * num for m, c in self.nums.items()}
-        return Polynomial(self.ring, *self.ring.field.normalize(nums, self.den * den))
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.nums:
@@ -432,9 +407,9 @@ class Polynomial:
         cached = self._lm
         if cached is not None and (cached[0] is order or cached[0] == order):
             return cached[1]
-        if len(order.precedence) != self.ring.nvars:
+        if order.nvars != self.ring.nvars:
             raise VariableMismatch(
-                f"order has {len(order.precedence)} variables, ring has {self.ring.nvars}"
+                f"order has {order.nvars} variables, ring has {self.ring.nvars}"
             )
         if not self.nums:
             raise ValueError("zero polynomial has no leading monomial")
@@ -639,7 +614,7 @@ class _Parser:
                 except DivisionByZeroInCoefficient as exc:
                     raise DivisionByZeroInCoefficient(str(exc), start) from None
                 return self.ring.const(c)
-            return self.ring.const_int(num)
+            return self.ring.const(self.ring.field.from_int(num))
         m = _IDENT_RE.match(self.text, self.pos)
         if m:
             name = m.group(0)

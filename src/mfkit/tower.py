@@ -1,17 +1,17 @@
 """Ring towers and matrix algebra over their quotients.
 
-A tower packages three rings: the ambient polynomial ring (level BASE),
-an intermediate quotient by part of a regular sequence (level MID, where
-matrix factorizations live), and the full quotient by the whole sequence
-(level QUOT, where the reduced 2-periodic complexes live). Given the
-sequence generators and the coordinates of a distinguished element w in
-their span, the constructor drops the generator at the last nonzero
-coordinate to get the generators of the intermediate ideal,
-materializes the two quotient ideals with Groebner bases, and exposes
-normal forms so that ring equality at every level is decidable. A
-normal form modulo a reduced Groebner basis is linear in the
-polynomial, and a tower keeps its bases for life, so it reduces each
-monomial once per level and sums the images kept in a table (the
+A tower packages two quotients of an ambient polynomial ring S: the
+intermediate quotient R = S/(mid) by part of a regular sequence (level
+MID, where matrix factorizations of w live), and the full quotient
+R/(w) by the whole sequence (level QUOT, where the reduced 2-periodic
+complexes live). Given the sequence generators and the coordinates of a
+distinguished element w in their span, the constructor drops the
+generator at the last nonzero coordinate to get the generators of the
+intermediate ideal, materializes the two quotient ideals with Groebner
+bases, and exposes normal forms so that ring equality at both levels is
+decidable. A normal form modulo a reduced Groebner basis is linear in
+the polynomial, and a tower keeps its bases for life, so it reduces
+each monomial once per level and sums the images kept in a table (the
 normal-form table of FGLM: Faugere, Gianni, Lazard and Mora, "Efficient
 computation of zero-dimensional Groebner bases by change of ordering",
 J. Symbolic Comput. 16, 1993).
@@ -53,9 +53,9 @@ from .poly import (
 
 
 class Level(enum.IntEnum):
-    """Tower levels, ordered from shallowest to deepest quotient."""
+    """The two quotient levels of a tower, MID < QUOT: MID is R = S/(mid)
+    and QUOT is R/(w)."""
 
-    BASE = 0
     MID = 1
     QUOT = 2
 
@@ -128,7 +128,7 @@ def validate_ci_presentation(ring: PolyRing, seq_gens, order: MonomialOrder | No
 
 
 class RingTower:
-    """The tower base -> mid -> quot with the distinguished element w.
+    """The tower S -> R = S/(mid) -> R/(w) with the distinguished element w.
 
     Fields:
       ring         ambient polynomial ring
@@ -186,16 +186,14 @@ class RingTower:
         self.oracle = oracle
         self._std_monos = {}
         self._std_index = {}
-        self._tables = (None, {}, {})  # by Level: monomial -> (nums, den)
+        self._tables = {Level.MID: {}, Level.QUOT: {}}  # monomial -> (nums, den)
         self._quot_rows = {}
 
     def normal_form(self, p: Polynomial, level: Level) -> Polynomial:
-        """p's normal form at `level`: p itself at BASE or when the
-        level's basis is empty, else the sum of its monomials' table
-        entries. FieldMismatch or VariableMismatch for a polynomial from
-        another ring, raised before any lookup."""
-        if level == Level.BASE:
-            return p
+        """p's normal form at `level`: p itself when the level's basis is
+        empty, else the sum of its monomials' table entries.
+        FieldMismatch or VariableMismatch for a polynomial from another
+        ring, raised before any lookup."""
         basis = self.mid_basis if level == Level.MID else self.quot_basis
         if not basis.polys:
             return p
@@ -528,9 +526,6 @@ class RingMatrix:
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
 
-    def entry(self, i: int, j: int) -> Polynomial:
-        return self.entries[i][j]
-
     def format_rows(self) -> list[str]:
         order = self.tower.order
         return [
@@ -541,6 +536,12 @@ class RingMatrix:
     def __repr__(self) -> str:
         body = "; ".join(self.format_rows()) if self.nrows else "(empty)"
         return f"RingMatrix[{self.level.name} {self.nrows}x{self.ncols}]({body})"
+
+
+def require_shape(name: str, m: RingMatrix, rows: int, cols: int):
+    """DimensionMismatch unless the matrix `name` is rows x cols."""
+    if (m.nrows, m.ncols) != (rows, cols):
+        raise DimensionMismatch(f"{name} must be {rows}x{cols}, got {m.nrows}x{m.ncols}")
 
 
 def matrix_sum_of_products(products, lead: RingMatrix | None = None) -> RingMatrix:

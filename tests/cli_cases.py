@@ -84,6 +84,10 @@ FIELD_CASES = [
     # A verified coefficient too long to print is a BudgetExceeded
     # (exit 4) when the report prints it.
     ("suspend_huge_coefficient", ["suspend", "huge_coefficient.mfw", "A"], 4),
+    # A window wider than the degree budget is a BudgetExceeded (exit 4)
+    # before any graded piece is visited.
+    ("acyclic_wide_window",
+     ["acyclic-window", "uv_hypersurface.mfw", "A", "--min", "-1000000000", "--max", "0"], 4),
 ]
 
 

@@ -59,10 +59,9 @@ def mono_lcm(a, b):
 
 def order_key(order, exps):
     """Sort key under `order`: bigger key means bigger monomial."""
-    perm = tuple(exps[i] for i in order.precedence)
     if order.kind == "lex":
-        return perm
-    return (sum(exps), tuple(-e for e in reversed(perm)))
+        return tuple(exps)
+    return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
 def leading_monomial(p: Polynomial, order):

@@ -25,7 +25,7 @@ from .reference_poly import RefField, assert_canonical, coeffs, int_row
 
 FIELDS = [QQ, PrimeField(2), PrimeField(32003)]
 RINGS = {f: PolyRing(("x", "y", "z"), f) for f in FIELDS}
-ORDERS = [MonomialOrder.grevlex(3), MonomialOrder.lex(3), MonomialOrder.lex(3, (2, 0, 1))]
+ORDERS = [MonomialOrder.grevlex(3), MonomialOrder.lex(3)]
 
 BIG = 2**40
 PAIRS = st.one_of(
@@ -87,7 +87,8 @@ def test_ring_operations_match_reference(case):
     check(-a, ref.add(field, {}, ra, sign=-1))
     check(a * b, ref.mul(field, ra, rb))
     check(a.scale(num, den), ref.mul(field, ra, {(0, 0, 0): field.of(num, den)}))
-    check(a.mul_term(ring.pack((1, 0, 2)), num, den), ref.mul(field, ra, {(1, 0, 2): field.of(num, den)}))
+    term = ring.monomial((1, 0, 2), ring.field.ratio(num, den))
+    check(a * term, ref.mul(field, ra, {(1, 0, 2): field.of(num, den)}))
     pairs = [(a, b), (b, c), (-c, a), (a, -b)]
     check(sum_of_products(ring, pairs),
           ref.sum_of_products(field, [(ra, rb), (rb, rc), (ref.add(field, {}, rc, sign=-1), ra),

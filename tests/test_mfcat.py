@@ -7,6 +7,7 @@ import pytest
 from mfkit.errors import (
     AxiomViolation,
     CommutationViolation,
+    DimensionMismatch,
     EndpointMismatch,
     HomotopyViolation,
     LevelMismatch,
@@ -83,9 +84,9 @@ class TestLevels:
         assert (err.value.identity, err.value.expected, err.value.found) == ("psi@phi", "0", "u^2")
 
     @pytest.mark.parametrize("levels", [
-        (Level.BASE, Level.BASE), (Level.MID, Level.QUOT), (Level.QUOT, Level.MID),
-    ], ids=["base", "mid-quot", "quot-mid"])
-    def test_base_and_mixed_levels_rejected(self, towers, levels):
+        (Level.MID, Level.QUOT), (Level.QUOT, Level.MID),
+    ], ids=["mid-quot", "quot-mid"])
+    def test_mixed_levels_rejected(self, towers, levels):
         t = towers["uv"]
         with pytest.raises(LevelMismatch):
             MatrixFactorization(mat(t, [["u"]], levels[0]), mat(t, [["v"]], levels[1]))
@@ -152,6 +153,18 @@ class TestMorphisms:
         MfMorphism(b, b, one.f, one.g)
         assert len(calls) == 8
 
+    def test_component_shapes_are_checked_f_first(self, objects):
+        # From A (rank 1) into A + A (rank 2), f and g must be 2x1.
+        a = objects["A"]
+        t = a.tower
+        wide = mat(t, [["0", "0"]])
+        with pytest.raises(DimensionMismatch) as err:
+            MfMorphism(a, direct_sum(a, a), wide, wide)
+        assert str(err.value) == "f must be 2x1, got 1x2"
+        with pytest.raises(DimensionMismatch) as err:
+            MfMorphism(a, direct_sum(a, a), mat(t, [["0"], ["0"]]), wide)
+        assert str(err.value) == "g must be 2x1, got 1x2"
+
     def test_composition_endpoint_check(self, objects):
         with pytest.raises((EndpointMismatch, TowerMismatch)):
             compose_morphisms(identity_morphism(objects["A"]), identity_morphism(objects["C"]))
@@ -176,6 +189,19 @@ class TestHomotopies:
         th = verify_morphism(a, a, mat(t, [["u*v"]]), mat(t, [["u*v"]]))
         with pytest.raises(HomotopyViolation):
             verify_homotopy(th, zero_morphism(a, a), mat(t, [["u"]]), mat(t, [["0"]]))
+
+    def test_diagonal_shapes_are_checked_s_first(self, objects):
+        # From A (rank 1) into A + A (rank 2), s and t must be 2x1.
+        a = objects["A"]
+        t = a.tower
+        zero = zero_morphism(a, direct_sum(a, a))
+        wide, tall = mat(t, [["0", "0"]]), mat(t, [["0"], ["0"]])
+        with pytest.raises(DimensionMismatch) as err:
+            MfHomotopy(zero, zero, wide, wide)
+        assert str(err.value) == "s must be 2x1, got 1x2"
+        with pytest.raises(DimensionMismatch) as err:
+            MfHomotopy(zero, zero, tall, wide)
+        assert str(err.value) == "t must be 2x1, got 1x2"
 
     def test_congruence_addition(self, objects):
         # Two homotopies compose additively to one for the outer pair.

@@ -47,8 +47,7 @@ def monomial_pairs(draw):
 
 @st.composite
 def orders(draw, n):
-    kind = draw(st.sampled_from(["lex", "grevlex"]))
-    return MonomialOrder(kind, tuple(draw(st.permutations(range(n)))))
+    return MonomialOrder(draw(st.sampled_from(["lex", "grevlex"])), n)
 
 
 def sign(x):
@@ -122,7 +121,6 @@ def test_keys_agree_with_tuple_orders_and_are_linear(case):
     key = order.key
     ka, kb = order_key(order, a), order_key(order, b)
     assert sign(key(pa) - key(pb)) == sign((ka > kb) - (ka < kb))
-    assert order.compare(pa, pb) == sign((ka > kb) - (ka < kb))
     assert (key(pa) == key(pb)) == (a == b)
     # key(a*b) == key(a) + key(b), and so key(a/b) == key(a) - key(b).
     assert key(pa + pb) == key(pa) + key(pb)
@@ -169,7 +167,7 @@ class TestRangeBound:
         with pytest.raises(BudgetExceeded):
             sum_of_products(ring, [(ring.one(), half), (half, half)])
         with pytest.raises(BudgetExceeded):
-            half.mul_term(ring.pack((0, MAX_DEGREE)))
+            half * ring.monomial((0, MAX_DEGREE))
         with pytest.raises(BudgetExceeded):
             half**2
         # At the edge itself every operation still works.

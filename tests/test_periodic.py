@@ -6,7 +6,14 @@ import random
 
 import pytest
 
-from mfkit.errors import BudgetExceeded, EmptyWindow, LevelMismatch, NotDivisible, NotHomogeneous
+from mfkit.errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    EmptyWindow,
+    LevelMismatch,
+    NotDivisible,
+    NotHomogeneous,
+)
 from mfkit.mfcat import (
     MatrixFactorization,
     MfMorphism,
@@ -202,6 +209,31 @@ class TestTransport:
         with pytest.raises(LevelMismatch, match="phi1 must be a MID-level matrix, got QUOT"):
             ChainLiftInput(c, c, zm, zm, zm)
 
+    def test_lifting_input_shapes_are_checked_in_order(self, objects):
+        # From A (rank 1) into A + A (rank 2): each lifted matrix must be
+        # 2x1, and the first wrong one is named.
+        a = objects["A"]
+        aa = direct_sum(a, a)
+        t = a.tower
+        wide, tall = mat(t, [["0", "0"]]), mat(t, [["0"], ["0"]])
+        zero = zero_morphism(a, aa)
+        for args, message in [
+            ((wide, wide, wide), "s1 must be 2x1, got 1x2"),
+            ((tall, wide, wide), "t must be 2x1, got 1x2"),
+            ((tall, tall, wide), "s2 must be 2x1, got 1x2"),
+        ]:
+            with pytest.raises(DimensionMismatch) as err:
+                HomotopyTransportInput(zero, *args)
+            assert str(err.value) == message
+        for args, message in [
+            ((wide, wide, wide), "g1 must be 2x1, got 1x2"),
+            ((tall, wide, wide), "f0 must be 2x1, got 1x2"),
+            ((tall, tall, wide), "g0 must be 2x1, got 1x2"),
+        ]:
+            with pytest.raises(DimensionMismatch) as err:
+                ChainLiftInput(a, aa, *args)
+            assert str(err.value) == message
+
 
 class TestLift:
     def test_identity_lifts(self, objects):
@@ -282,8 +314,13 @@ class TestAcyclicityWindow:
             graded_acyclicity_window(objects["A"], 0, 4)
 
     def test_budget(self, objects):
+        c = reduce_object(objects["A"])
         with pytest.raises(BudgetExceeded):
-            graded_acyclicity_window(reduce_object(objects["A"]), 0, 50, budget=10)
+            graded_acyclicity_window(c, 0, 50, budget=10)
+        # Every degree of -100..0 is below the budget; the span is not.
+        with pytest.raises(BudgetExceeded) as err:
+            graded_acyclicity_window(c, -100, 0, budget=10)
+        assert str(err.value) == "window -100..0 spans 100 degrees, budget is 10"
 
     def test_koszul_n4_window_all_zero(self):
         report = graded_acyclicity_window(reduce_object(koszul_mf(4)), 0, 3)
@@ -365,6 +402,12 @@ class TestNullhomotopyWindow:
         a = objects["A"]
         with pytest.raises(LevelMismatch):
             graded_nullhomotopy_window(identity_morphism(a), 0, 4)
+
+    def test_a_window_wider_than_the_budget_is_refused(self, objects):
+        delta = reduce_morphism(identity_morphism(objects["A"]))
+        with pytest.raises(BudgetExceeded) as err:
+            graded_nullhomotopy_window(delta, 0, 100, budget=10)
+        assert str(err.value) == "window 0..100 spans 100 positions, budget is 10"
 
     def test_single_position_window_rejected(self, objects):
         a = objects["A"]

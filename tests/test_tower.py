@@ -308,15 +308,15 @@ class TestReduceLevel:
         assert m.reduce_to(Level.QUOT).is_zero()
 
     def test_base_to_mid_normal_form(self):
-        # Under lex with y most significant the curve equation rewrites
-        # y^2 as x^3; under grevlex it would rewrite x^3 instead.
-        lex_y = MonomialOrder.lex(2, (1, 0))
+        # A matrix built at MID holds the normal forms of its ambient
+        # entries. Under lex with y declared first the curve equation
+        # rewrites y^2 as x^3; under grevlex it would rewrite x^3 instead.
+        ryx = PolyRing(("y", "x"), QQ)
         t = build_tower(
-            RXY, [RXY.parse("x^2"), RXY.parse("y^2 - x^3")], [1, 0], order=lex_y
+            ryx, [ryx.parse("x^2"), ryx.parse("y^2 - x^3")], [1, 0], order=MonomialOrder.lex(2)
         )
-        m = RingMatrix.from_strings(t, Level.BASE, [["y^2"]])
-        reduced = m.reduce_to(Level.MID)
-        assert reduced.entries[0][0] == RXY.parse("x^3")
+        m = RingMatrix.from_strings(t, Level.MID, [["y^2"]])
+        assert m.entries[0][0] == ryx.parse("x^3")
 
     def test_reduction_commutes_with_product(self):
         rng = random.Random(3)
@@ -394,7 +394,7 @@ def _operand_pool(tower, level, rng):
         a, b, one, RingMatrix.zeros(tower, level, 2, 2), -a, a.transpose(), a @ b,
         a.scale(tower.ring.parse("x + 1")), one.scale(tower.w),
         RingMatrix.block([[one1, corner], [RingMatrix.zeros(tower, level, 1, 1), one1]]),
-        RingMatrix.from_strings(tower, Level.BASE, [["x^3", "1"], ["0", "x*y^2"]]).reduce_to(level),
+        RingMatrix.from_strings(tower, Level.MID, [["x^3", "1"], ["0", "x*y^2"]]).reduce_to(level),
     ]
 
 
@@ -471,8 +471,8 @@ def test_add_matches_normal_form_of_sum(name, level):
             for got, raw in ((a + b, operator.add), (a - b, operator.sub)):
                 for i in range(2):
                     for j in range(2):
-                        expected = tower.normal_form(raw(a.entry(i, j), b.entry(i, j)), level)
-                        assert got.entry(i, j) == expected
+                        expected = tower.normal_form(raw(a.entries[i][j], b.entries[i][j]), level)
+                        assert got.entries[i][j] == expected
 
 
 @pytest.mark.parametrize("level", [Level.MID, Level.QUOT], ids=lambda lv: lv.name)
@@ -487,8 +487,8 @@ def test_sub_matches_add_of_neg(name, level):
             assert diff == a + (-b)
             for i in range(2):
                 for j in range(2):
-                    p, q = a.entry(i, j), b.entry(i, j)
-                    assert diff.entry(i, j) == p - q == p + (-q)
+                    p, q = a.entries[i][j], b.entries[i][j]
+                    assert diff.entries[i][j] == p - q == p + (-q)
             assert (a - a).is_zero()
 
 
