@@ -1,7 +1,9 @@
 """Command line front end.
 
-Every command reads a workbench file, runs one operation, and prints a
-deterministic report followed by a machine-readable key=value trailer.
+Every command reads a workbench file, runs one operation, appends a
+deterministic report and returns its verdict: a status word ("verified",
+"ok" or "failed") and a location, set only by `validate`. `main` writes
+the one machine-readable key=value trailer, for a verdict or an error.
 Exit codes: 0 success, 1 verification failed, 2 parse error,
 3 mathematical precondition violated, 4 budget exceeded.
 """
@@ -45,6 +47,10 @@ _ERROR_EXITS = (
     (MfkitError, "error", EXIT_PRECONDITION),
 )
 
+# What a command returns: its status word and, for `validate`, the
+# location of the first failure.
+Verdict = tuple[str, str | None]
+
 
 def _print_matrix(label: str, matrix, out):
     out.append(f"{label}:")
@@ -58,7 +64,7 @@ def _fmt(tower, p) -> str:
     return format_canonical(p, tower.order)
 
 
-def cmd_validate(wb: Workbench, args, out: list[str]) -> int:
+def cmd_validate(wb: Workbench, args, out: list[str]) -> Verdict:
     tower = wb.tower
     ring = tower.ring
     out.append(
@@ -80,14 +86,10 @@ def cmd_validate(wb: Workbench, args, out: list[str]) -> int:
                 first_location = exc.location
             continue
         out.append(f"mf {name}: axioms verified (rank {mf.rank_f})")
-    if failures:
-        out.append(f"status=failed command=validate location={first_location} exit=1")
-        return EXIT_VERIFICATION
-    out.append("status=verified command=validate exit=0")
-    return EXIT_OK
+    return ("failed", first_location) if failures else ("verified", None)
 
 
-def cmd_gb(wb: Workbench, args, out: list[str]) -> int:
+def cmd_gb(wb: Workbench, args, out: list[str]) -> Verdict:
     tower = wb.tower
     out.append("mid ideal reduced basis:")
     if tower.mid_basis.polys:
@@ -96,22 +98,20 @@ def cmd_gb(wb: Workbench, args, out: list[str]) -> int:
         out.append("(none)")
     out.append("quot ideal reduced basis:")
     out.extend(_fmt(tower, g) for g in tower.quot_basis.polys)
-    out.append("status=ok command=gb exit=0")
-    return EXIT_OK
+    return "ok", None
 
 
-def cmd_suspend(wb: Workbench, args, out: list[str]) -> int:
+def cmd_suspend(wb: Workbench, args, out: list[str]) -> Verdict:
     mf = wb.get_mf(args.name)
     s = suspend(mf)
     out.append(f"suspend {args.name}:")
     _print_matrix("phi", s.phi, out)
     _print_matrix("psi", s.psi, out)
     out.append("axioms: verified")
-    out.append("status=verified command=suspend exit=0")
-    return EXIT_OK
+    return "verified", None
 
 
-def cmd_cone(wb: Workbench, args, out: list[str]) -> int:
+def cmd_cone(wb: Workbench, args, out: list[str]) -> Verdict:
     theta = wb.get_morphism(args.name)
     cone, include, project = mapping_cone(theta)
     out.append(f"cone of {args.name}:")
@@ -122,21 +122,16 @@ def cmd_cone(wb: Workbench, args, out: list[str]) -> int:
     out.append("project morphism: verified")
     ok = compose_morphisms(project, include).is_zero()
     out.append(f"project@include == 0: {'ok' if ok else 'FAILED'}")
-    if not ok:
-        out.append("status=failed command=cone exit=1")
-        return EXIT_VERIFICATION
-    out.append("status=verified command=cone exit=0")
-    return EXIT_OK
+    return ("verified" if ok else "failed"), None
 
 
-def cmd_verify_homotopy(wb: Workbench, args, out: list[str]) -> int:
+def cmd_verify_homotopy(wb: Workbench, args, out: list[str]) -> Verdict:
     wb.get_homotopy(args.name)
     out.append(f"homotopy {args.name}: verified")
-    out.append("status=verified command=verify-homotopy exit=0")
-    return EXIT_OK
+    return "verified", None
 
 
-def cmd_reduce(wb: Workbench, args, out: list[str]) -> int:
+def cmd_reduce(wb: Workbench, args, out: list[str]) -> Verdict:
     mf = wb.get_mf(args.name)
     c = reduce_object(mf)
     out.append(f"reduction of {args.name}:")
@@ -144,11 +139,10 @@ def cmd_reduce(wb: Workbench, args, out: list[str]) -> int:
     _print_matrix("psi_bar", c.psi, out)
     out.append(f"twist: {twist_of(mf.tower)}")
     out.append("composites zero: ok")
-    out.append("status=verified command=reduce exit=0")
-    return EXIT_OK
+    return "verified", None
 
 
-def cmd_transport(wb: Workbench, args, out: list[str]) -> int:
+def cmd_transport(wb: Workbench, args, out: list[str]) -> Verdict:
     inp = wb.get_transport(args.name)
     h = transport_nullhomotopy(inp)
     out.append(f"transport {args.name}:")
@@ -156,11 +150,10 @@ def cmd_transport(wb: Workbench, args, out: list[str]) -> int:
     _print_matrix("t", h.t, out)
     out.append("homotopy to zero: verified")
     out.append("internal identity p@psi1 == s1 - s2 + psi2@q: ok")
-    out.append("status=verified command=transport exit=0")
-    return EXIT_OK
+    return "verified", None
 
 
-def cmd_lift(wb: Workbench, args, out: list[str]) -> int:
+def cmd_lift(wb: Workbench, args, out: list[str]) -> Verdict:
     inp = wb.get_lift(args.name)
     theta, witness = lift_chain_map(inp)
     out.append(f"lift {args.name}:")
@@ -170,11 +163,10 @@ def cmd_lift(wb: Workbench, args, out: list[str]) -> int:
     _print_matrix("phi_gap_bar", witness.phi_gap_bar, out)
     _print_matrix("psi_gap_bar", witness.psi_gap_bar, out)
     out.append("witness identity over quotient: ok")
-    out.append("status=verified command=lift exit=0")
-    return EXIT_OK
+    return "verified", None
 
 
-def cmd_coker(wb: Workbench, args, out: list[str]) -> int:
+def cmd_coker(wb: Workbench, args, out: list[str]) -> Verdict:
     mf = wb.get_mf(args.name)
     pres = coker_presentation(mf)
     tower = wb.tower
@@ -185,11 +177,10 @@ def cmd_coker(wb: Workbench, args, out: list[str]) -> int:
         f"injectivity certificate: det(phi)*det(psi) = {_fmt(tower, pres.det_product)}"
         f" = +w^{pres.w_power}"
     )
-    out.append("status=verified command=coker exit=0")
-    return EXIT_OK
+    return "verified", None
 
 
-def cmd_acyclic_window(wb: Workbench, args, out: list[str]) -> int:
+def cmd_acyclic_window(wb: Workbench, args, out: list[str]) -> Verdict:
     mf = wb.get_mf(args.name)
     c = reduce_object(mf)
     report = graded_acyclicity_window(c, args.min, args.max, budget=args.max_degree)
@@ -201,16 +192,12 @@ def cmd_acyclic_window(wb: Workbench, args, out: list[str]) -> int:
         out.append("degree,position,dim_ker,dim_im,homology")
         out.extend(r.csv() for r in report.dual_rows)
     else:
-        out.extend(report.table_lines())
+        out.extend(report.table(report.rows))
         out.append("transpose-dual complex:")
-        out.extend(report.dual_table_lines())
-    if report.all_zero:
-        out.append("verdict: acyclic on window")
-        out.append("status=verified command=acyclic-window exit=0")
-        return EXIT_OK
-    out.append("verdict: NONZERO homology on window")
-    out.append("status=failed command=acyclic-window exit=1")
-    return EXIT_VERIFICATION
+        out.extend(report.table(report.dual_rows))
+    acyclic = report.all_zero
+    out.append("verdict: acyclic on window" if acyclic else "verdict: NONZERO homology on window")
+    return ("verified" if acyclic else "failed"), None
 
 
 _COMMANDS = {
@@ -259,18 +246,23 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler, _ = _COMMANDS[args.command]
     out: list[str] = []
+    location = None
     try:
         wb = load_workbench(args.file, args.field, args.order)
-        code = handler(wb, args, out)
+        status, location = handler(wb, args, out)
+        code = EXIT_VERIFICATION if status == "failed" else EXIT_OK
+        fields = [f"command={args.command}"]
     except MfkitError as exc:
         status, code = next((s, c) for cls, s, c in _ERROR_EXITS if isinstance(exc, cls))
-        loc = ""
-        if isinstance(exc, VerificationError) and exc.location:
-            loc = f" location={exc.location}"
+        if isinstance(exc, VerificationError):
+            location = exc.location
         out.append(f"error: {exc}")
-        out.append(
-            f"status={status} kind={type(exc).__name__}{loc} command={args.command} exit={code}"
-        )
+        fields = [f"kind={type(exc).__name__}", f"command={args.command}"]
+    # A location follows the first field: the command of a verdict, the
+    # kind of an error.
+    if location:
+        fields.insert(1, f"location={location}")
+    out.append(" ".join([f"status={status}", *fields, f"exit={code}"]))
     sys.stdout.write("\n".join(out) + "\n")
     return code
 

@@ -518,17 +518,10 @@ def buchberger_with_reps(generators, order: MonomialOrder, floor=None, modulo=No
         if numerator is not None:
             numerator = _numerator_plus(ring, numerator, lms[:-1], lms[-1])
 
-    # Minimalize: drop elements whose leading monomial is divisible by
-    # another element's leading monomial.
-    order_idx = sorted(range(len(polys)), key=lambda i: order.key(lms[i]))
-    kept: list[int] = []
-    kept_lms: list = []
-    for i in order_idx:
-        lm = lms[i]
-        if any(not (lm - l) & ring.guard for l in kept_lms):
-            continue
-        kept.append(i)
-        kept_lms.append(lm)
+    # Minimalize: keep the elements whose leading monomials generate the
+    # ideal minimally, the lowest index among equal ones (lms.index), in
+    # ascending order.
+    kept = sorted(map(lms.index, _minimal_monomials(ring, lms)), key=lambda i: order.key(lms[i]))
     polys = [polys[i] for i in kept]
     if track:
         column = [column[i] for i in kept]

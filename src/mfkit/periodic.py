@@ -555,7 +555,8 @@ class AcyclicityReport:
         )
 
     @staticmethod
-    def _table(rows: list[HomologyRow]) -> list[str]:
+    def table(rows: list[HomologyRow]) -> list[str]:
+        """The aligned table of `rows`, header first."""
         header = f"{'degree':>6} {'position':>8} {'dim_ker':>7} {'dim_im':>6} {'homology':>8}"
         out = [header]
         for r in rows:
@@ -563,12 +564,6 @@ class AcyclicityReport:
                 f"{r.degree:>6} {r.position:>8} {r.dim_ker:>7} {r.dim_im:>6} {r.homology:>8}"
             )
         return out
-
-    def table_lines(self) -> list[str]:
-        return self._table(self.rows)
-
-    def dual_table_lines(self) -> list[str]:
-        return self._table(self.dual_rows)
 
 
 def _entry_degrees(c: MatrixFactorization) -> tuple[int | None, int | None]:
@@ -583,6 +578,16 @@ def _entry_degrees(c: MatrixFactorization) -> tuple[int | None, int | None]:
             f"entry degrees {e_phi}+{e_psi} do not add up to the twist {twist}"
         )
     return e_phi, e_psi
+
+
+def _check_budget(needed: int | None, lo: int, hi: int, unit: str, budget: int):
+    """BudgetExceeded when a window lo..hi needs graded pieces up to
+    degree `needed` past `budget` (None skips that check), or spans more
+    than `budget` `unit`."""
+    if needed is not None and needed > budget:
+        raise BudgetExceeded(f"window needs graded pieces up to degree {needed}, budget is {budget}")
+    if hi - lo > budget:
+        raise BudgetExceeded(f"window {lo}..{hi} spans {hi - lo} {unit}, budget is {budget}")
 
 
 def _window_rows(c: MatrixFactorization, d_min: int, d_max: int, budget: int) -> list[HomologyRow]:
@@ -607,16 +612,8 @@ def _window_rows(c: MatrixFactorization, d_min: int, d_max: int, budget: int) ->
     tower = c.tower
     field = tower.ring.field
     e_phi, e_psi = _entry_degrees(c)
-    max_needed = d_max + max(e for e in (e_phi, e_psi, 0) if e is not None)
-    if max_needed > budget:
-        raise BudgetExceeded(
-            f"window needs graded pieces up to degree {max_needed},"
-            f" budget is {budget}"
-        )
-    if d_max - d_min > budget:
-        raise BudgetExceeded(
-            f"window {d_min}..{d_max} spans {d_max - d_min} degrees, budget is {budget}"
-        )
+    needed = d_max + max(e for e in (e_phi, e_psi, 0) if e is not None)
+    _check_budget(needed, d_min, d_max, "degrees", budget)
 
     differentials = {"phi": (c.phi, e_phi, "psi"), "psi": (c.psi, e_psi, "phi")}
     # Each differential is needed on d_min..d_max as a kernel and on
@@ -693,9 +690,9 @@ def graded_nullhomotopy_window(delta: MfMorphism, p_min: int, p_max: int,
     unknown diagonal matrices at p_min..p_max (one per position, not
     assumed periodic). Unknown entries are homogeneous of the degree
     forced by the grading; all equations form one exact linear system
-    over the coefficient field. BudgetExceeded when a nonzero `delta`
-    needs a graded piece past degree `budget` or the window spans more
-    than `budget` positions.
+    over the coefficient field. BudgetExceeded when the window spans
+    more than `budget` positions, zero `delta` included, or a nonzero
+    `delta` needs a graded piece past degree `budget`.
     """
     src, tgt = delta.source, delta.target
     tower = src.tower
@@ -704,12 +701,13 @@ def graded_nullhomotopy_window(delta: MfMorphism, p_min: int, p_max: int,
         raise EmptyWindow(
             f"position window {p_min}..{p_max} must contain at least two positions"
         )
-    # A range: a nonzero delta builds nothing per position before the
-    # budget checks.
+    # A range: nothing is built per position before the budget checks.
     positions = range(p_min, p_max + 1)
     # Diagonals out of even positions map F1 -> G2, out of odd ones G1 -> F2.
     shapes = ((tgt.rank_g, src.rank_f), (tgt.rank_f, src.rank_g))
     if delta.is_zero():
+        # Zero needs no graded piece, so only the span is checked.
+        _check_budget(None, p_min, p_max, "positions", budget)
         diagonals = [RingMatrix.zeros(tower, Level.QUOT, *shapes[p % 2]) for p in positions]
         return NullhomotopyWindow(True, list(positions), diagonals, list(positions[1:]))
 
@@ -736,14 +734,7 @@ def graded_nullhomotopy_window(delta: MfMorphism, p_min: int, p_max: int,
     s_deg = s_deg_candidates.pop()
 
     needed = max(d for d in (t_deg, s_deg, d_f, d_g, 0) if d is not None)
-    if needed > budget:
-        raise BudgetExceeded(
-            f"window needs graded pieces up to degree {needed}, budget is {budget}"
-        )
-    if p_max - p_min > budget:
-        raise BudgetExceeded(
-            f"window {p_min}..{p_max} spans {p_max - p_min} positions, budget is {budget}"
-        )
+    _check_budget(needed, p_min, p_max, "positions", budget)
 
     system = _GradedSystem(tower)
     sigma = {p: system.unknown(*shapes[p % 2], (t_deg, s_deg)[p % 2]) for p in positions}

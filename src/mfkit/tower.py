@@ -140,10 +140,9 @@ class RingTower:
       mid_gens     seq_gens without the generator at the last nonzero
                    coordinate (empty when the sequence has length 1)
       w            the distinguished element, a non-zerodivisor at level MID
-      mid_basis    reduced Groebner basis of (mid_gens)
+      mid_basis    reduced Groebner basis of (mid_gens): the oracle's mid basis
       quot_basis   reduced Groebner basis of (mid_gens + w), which is the
-                   ideal (seq_gens); it is the division oracle's combined
-                   basis
+                   ideal (seq_gens): the oracle's combined basis
       validation   the CiReport of seq_gens
       oracle       the DivisionOracle for exact division by w at level MID
 
@@ -172,16 +171,15 @@ class RingTower:
         "_quot_rows",
     )
 
-    def __init__(self, ring, order, seq_gens, w_coords, mid_gens, w,
-                 mid_basis, quot_basis, validation, oracle):
+    def __init__(self, ring, order, seq_gens, w_coords, mid_gens, w, validation, oracle):
         self.ring = ring
         self.order = order
         self.seq_gens = seq_gens
         self.w_coords = w_coords
         self.mid_gens = mid_gens
         self.w = w
-        self.mid_basis = mid_basis
-        self.quot_basis = quot_basis
+        self.mid_basis = oracle.mid_basis
+        self.quot_basis = oracle.combined
         self.validation = validation
         self.oracle = oracle
         self._std_monos = {}
@@ -325,40 +323,23 @@ def build_tower(ring: PolyRing, seq_gens, w_coords, order: MonomialOrder | None 
     mid_gens = gens[:last] + gens[last + 1:]
 
     # w is gens[last] times a nonzero scalar plus a combination of
-    # mid_gens, so (seq_gens) == (mid_gens + w):
-    # validation and quot_basis both use the oracle's combined basis.
-    # Computed on first use, so inhomogeneous input that fails
-    # validation is rejected without a Groebner basis.
-    bases = functools.cache(lambda: _tower_bases(mid_gens, w, order))
-    validation = _ci_report(ring, gens, lambda: bases()[2])
+    # mid_gens, so (seq_gens) == (mid_gens + w), whose reduced basis is
+    # the oracle's combined basis, or the mid basis when w == 0.
+    # Validation and the tower read both bases off the oracle, one
+    # Buchberger run per ideal, computed on first use, so inhomogeneous
+    # input that fails validation is rejected without a Groebner basis.
+    mid_basis = functools.cache(
+        lambda: buchberger_basis(Ideal(tuple(mid_gens), order)) if mid_gens else GroebnerBasis((), order)
+    )
+    oracle = functools.cache(lambda: DivisionOracle(mid_basis(), w))  # w == 0: NotDivisible
+    validation = _ci_report(ring, gens, lambda: mid_basis() if w.is_zero() else oracle().combined)
     if not allow_unchecked and not validation.ok:
         raise VerificationFailure(
             "presentation failed validation: " + "; ".join(validation.lines())
         )
-    mid_basis, oracle, quot_basis = bases()
-    if oracle is None:
-        oracle = DivisionOracle(mid_basis, w)  # w == 0: raises NotDivisible
-
-    tower = RingTower(
-        ring, order, tuple(gens), coords,
-        tuple(mid_gens), w, mid_basis, quot_basis, validation, oracle,
-    )
+    tower = RingTower(ring, order, tuple(gens), coords, tuple(mid_gens), w, validation, oracle())
     _check_tower_invariants(tower)
     return tower
-
-
-def _tower_bases(mid_gens, w, order):
-    """(mid_basis, division oracle, quot_basis), one Buchberger run per ideal.
-
-    A reduced Groebner basis is unique, so the oracle's combined basis
-    of (mid_basis + w) is quot_basis. For w == 0 the deep ideal is
-    (mid_gens), and the oracle is None.
-    """
-    mid_basis = buchberger_basis(Ideal(tuple(mid_gens), order)) if mid_gens else GroebnerBasis((), order)
-    if w.is_zero():
-        return mid_basis, None, mid_basis
-    oracle = DivisionOracle(mid_basis, w)
-    return mid_basis, oracle, oracle.combined
 
 
 def _check_tower_invariants(tower: RingTower):

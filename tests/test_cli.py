@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfkit.cli
 from mfkit.cli import main
+from mfkit.periodic import HomologyRow, graded_acyclicity_window
 
 from .cli_cases import CASES, FIELD_CASES, argv_for
 from .conftest import CORPUS_DIR, GOLDEN_DIR
@@ -103,6 +105,36 @@ def test_reversed_window_is_precondition_error():
     assert code == 3
     assert out.splitlines()[-1] == "status=error kind=EmptyWindow command=acyclic-window exit=3"
     assert "Traceback" not in out
+
+
+def test_nonzero_homology_trailer(monkeypatch):
+    # A validated tower is always acyclic, so no golden reaches this verdict.
+    def with_homology(c, d_min, d_max, budget):
+        report = graded_acyclicity_window(c, d_min, d_max, budget=budget)
+        row = report.rows[0]
+        report.rows[0] = HomologyRow(row.degree, row.position, row.dim_ker + 1, row.dim_im)
+        return report
+
+    monkeypatch.setattr(mfkit.cli, "graded_acyclicity_window", with_homology)
+    _, argv, _ = next(c for c in CASES if c[0] == "acyclic_a")
+    code, out = run_cli(argv_for(argv, CORPUS_DIR))
+    golden = (GOLDEN_DIR / "acyclic_a.txt").read_text(encoding="utf-8").splitlines()
+    first_row = golden.index("     0        F       0      0        0")
+    golden[first_row] = "     0        F       1      0        1"
+    golden[-2:] = ["verdict: NONZERO homology on window", "status=failed command=acyclic-window exit=1"]
+    assert code == 1
+    assert out.splitlines() == golden
+
+
+def test_nonzero_project_at_include_trailer(monkeypatch):
+    # project@include is always zero, so no golden reaches this verdict.
+    monkeypatch.setattr(mfkit.cli, "compose_morphisms", lambda project, include: include)
+    _, argv, _ = next(c for c in CASES if c[0] == "cone_th")
+    code, out = run_cli(argv_for(argv, CORPUS_DIR))
+    golden = (GOLDEN_DIR / "cone_th.txt").read_text(encoding="utf-8").splitlines()
+    golden[-2:] = ["project@include == 0: FAILED", "status=failed command=cone exit=1"]
+    assert code == 1
+    assert out.splitlines() == golden
 
 
 def test_console_entry_point_subprocess():

@@ -324,26 +324,41 @@ def test_divide_full_matches_reference(problem):
     assert cofs == ref_cofs
 
 
+REPEATED_LEADING_MONOMIALS = ("x^2 + y", "x^2 + z", "x^2 - y*z")
+
+
 @pytest.mark.parametrize("field", DIFF_FIELDS, ids=lambda f: repr(f))
 @pytest.mark.parametrize("kind,declaration", DIFF_ORDERS, ids=[f"{k}{d}" for k, d in DIFF_ORDERS])
 def test_buchberger_matches_reference(field, kind, declaration):
     ring, target = PolyRing(("x", "y", "z"), field), diff_ring(field, declaration)
     order = MonomialOrder(kind, 3)
+    # Generators with equal leading monomials (x^2 under lex and grevlex
+    # on (x, y, z)); w = x^2 - y*z shares its leading monomial with a
+    # mid-basis element, so the oracle's run sees it too.
+    inputs = [[ring.parse(t) for t in REPEATED_LEADING_MONOMIALS]]
     for make_poly in (rand_poly, rand_rational_poly):
         rng = random.Random(17)
-        for _ in range(6):
-            gens = [make_poly(ring, rng, max_degree=3, terms=3) for _ in range(rng.randint(2, 3))]
-            gens = declared(gens, target)
-            ref_polys, ref_reps = reference_groebner.buchberger_with_reps(gens, order)
-            assert buchberger_with_reps(gens, order) == (ref_polys, None)
-            # The tracked column agrees with the reference's last one
-            # modulo (mid : w): (c - c_ref)*w lies in (mid) for each entry.
-            w, mid = gens[-1], buchberger_basis(Ideal(tuple(gens[:-1]), order))
-            polys, column = buchberger_with_reps(gens, order, modulo=mid)
-            assert polys == ref_polys
-            for c, rep in zip(column, ref_reps):
-                assert normal_form(c, mid) == c
-                assert normal_form((c - rep[-1]) * w, mid).is_zero()
+        inputs += [[make_poly(ring, rng, max_degree=3, terms=3) for _ in range(rng.randint(2, 3))]
+                   for _ in range(6)]
+    for gens in inputs:
+        gens = declared(gens, target)
+        ref_polys, ref_reps = reference_groebner.buchberger_with_reps(gens, order)
+        assert buchberger_with_reps(gens, order) == (ref_polys, None)
+        # The tracked column agrees with the reference's last one
+        # modulo (mid : w): (c - c_ref)*w lies in (mid) for each entry.
+        w, mid = gens[-1], buchberger_basis(Ideal(tuple(gens[:-1]), order))
+        polys, column = buchberger_with_reps(gens, order, modulo=mid)
+        assert polys == ref_polys
+        for b, c, rep in zip(polys, column, ref_reps):
+            assert normal_form(c, mid) == c
+            assert normal_form((c - rep[-1]) * w, mid).is_zero()
+            assert reference_groebner.w_cofactor_holds(b, c, w, mid.polys, order)
+        if w.is_zero():
+            continue
+        oracle = DivisionOracle(mid, w)
+        assert list(oracle.combined.polys) == ref_polys
+        for b, c in zip(oracle.combined.polys, oracle.w_cofactors):
+            assert reference_groebner.w_cofactor_holds(b, c, w, mid.polys, order)
 
 
 RXYZ = PolyRing(("x", "y", "z"), QQ)

@@ -3,6 +3,8 @@
 import functools
 import math
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -408,6 +410,37 @@ class TestNullhomotopyWindow:
         with pytest.raises(BudgetExceeded) as err:
             graded_nullhomotopy_window(delta, 0, 100, budget=10)
         assert str(err.value) == "window 0..100 spans 100 positions, budget is 10"
+
+    def test_a_zero_window_wider_than_the_budget_is_refused(self, objects):
+        # A zero chain map needs no graded piece, but its span is bounded.
+        a = objects["A"]
+        delta = reduce_morphism(zero_morphism(a, a))
+        with pytest.raises(BudgetExceeded) as err:
+            graded_nullhomotopy_window(delta, 0, 100, budget=10)
+        assert str(err.value) == "window 0..100 spans 100 positions, budget is 10"
+
+    def test_a_huge_zero_window_is_refused_before_any_diagonal(self, objects):
+        a = objects["A"]
+        delta = reduce_morphism(zero_morphism(a, a))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(BudgetExceeded):
+                graded_nullhomotopy_window(delta, 0, 10**9, budget=10)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 100_000  # bytes: nothing per position
+
+    def test_an_empty_zero_window_is_refused_before_the_budget(self, objects):
+        # Span 0 or less passes no budget of -1: EmptyWindow must come first.
+        a = objects["A"]
+        delta = reduce_morphism(zero_morphism(a, a))
+        for p_max in (0, -1):
+            with pytest.raises(EmptyWindow):
+                graded_nullhomotopy_window(delta, 0, p_max, budget=-1)
 
     def test_single_position_window_rejected(self, objects):
         a = objects["A"]
