@@ -73,7 +73,7 @@ class MatrixFactorization:
     Construction checks both axioms and the forced rank equality.
     """
 
-    __slots__ = ("tower", "phi", "psi", "_bars")
+    __slots__ = ("tower", "phi", "psi", "_bars", "_dual")
 
     def __init__(self, phi: RingMatrix, psi: RingMatrix):
         if phi.tower is not psi.tower:
@@ -92,6 +92,7 @@ class MatrixFactorization:
         self.phi = phi
         self.psi = psi
         self._bars = None
+        self._dual = None
         self._verify()
 
     @property
@@ -332,8 +333,11 @@ def mapping_cone(theta: MfMorphism):
 
 
 def dual_mf(a: MatrixFactorization) -> MatrixFactorization:
-    """The dual factorization: transposed matrices in swapped roles."""
-    return MatrixFactorization(a.psi.transpose(), a.phi.transpose())
+    """The dual factorization: transposed matrices in swapped roles, built
+    and verified on the first call and kept with `a`, like `bars()`."""
+    if a._dual is None:
+        a._dual = MatrixFactorization(a.psi.transpose(), a.phi.transpose())
+    return a._dual
 
 
 @dataclass

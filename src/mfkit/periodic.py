@@ -33,7 +33,8 @@ forms (`RingTower.quot_row`, built from its table of monomial normal
 forms `RingTower.quot_coords`), which every window on that tower shares.
 The images, and the rows of the graded systems, are canonical int rows,
 with no zero entry and, over GF(p), every entry in [1, p), which
-`linalg` copies without normalizing them again. The acyclicity window
+`linalg` takes without normalizing them again: a row that leads a new
+column becomes a pivot row as it stands, uncopied. The acyclicity window
 ranks each differential on a complement of a known part of its kernel: a
 QUOT-level factorization has phi@psi == 0 and psi@phi == 0, checked by
 its constructor, so the image U of psi landing in the source V of phi

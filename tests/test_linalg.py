@@ -176,6 +176,11 @@ def test_insert_leaves_the_callers_rows_unmodified(int_rows, field):
     assert rows == snapshot
     assert all(pivot is not row for pivot in pivots.values() for row in rows)
     assert len(pivots) == dense_linalg.matrix_rank(sparse(int_rows, field), field)
+    # The entry points keep caller rows as pivot rows, which they only read.
+    assert linalg.matrix_rank(rows, field) == len(pivots)
+    ncols = max(len(int_rows[0]) - 1, 0) if int_rows else 0
+    linalg.solve_linear(rows, ncols, field)
+    assert rows == snapshot
 
 
 @given(st.data(), st.sampled_from(FIELDS), st.integers(0, 5))

@@ -299,10 +299,19 @@ class TestDual:
         for mf in objects.values():
             assert dual_mf(dual_mf(mf)) == mf
 
-    def test_two_by_two_transpose(self, objects):
+    def test_two_by_two_transpose(self, objects, monkeypatch):
         b = objects["B"]
         d = dual_mf(b)
         assert d.phi.entries[0][1] == b.psi.entries[1][0]
+        # The dual is built and verified on the first call, then kept.
+        fresh = MatrixFactorization(b.phi, b.psi)
+        verified = []
+        verify = MatrixFactorization._verify
+        monkeypatch.setattr(
+            MatrixFactorization, "_verify", lambda self: verified.append(1) or verify(self)
+        )
+        assert dual_mf(fresh) is dual_mf(fresh)
+        assert len(verified) == 1
 
 
 class TestCoker:
