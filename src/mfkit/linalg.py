@@ -4,22 +4,24 @@ A row is a `{column: int}` dict: the int numerators of one equation, or
 of any nonzero multiple of it, since scaling a row by a nonzero constant
 changes neither the rank nor the solution set. Over QQ a caller clears
 a row's denominators by scaling it; over GF(p) the ints stand for their
-residues. A matrix is a list of rows. One incremental echelon engine,
-`_echelon`, serves both entry points. A canonical row whose leading
-column has no pivot yet becomes that column's pivot row as it stands,
-without a copy; any other row is reduced on a copy at its leading
-column against the pivot rows found so far (`_insert`) and, unless it
-reduces to zero, becomes a new pivot row. The pivot columns of an
-echelon form depend only on the row space, so rank and the solution
-with free variables set to zero do not depend on row order.
+residues. A matrix is a list of rows. One echelon loop, `_echelon`,
+serves both entry points. Each row passes through the field's
+`canonical_row` once. At each step the row's leading column is looked
+up once among the pivot rows found so far: a row that leads a new
+column becomes that column's pivot row as it stands, and any other row
+is reduced at that column and looked at again, until it leads a new
+column or reduces to zero. The pivot columns of an echelon form depend
+only on the row space, so rank and the solution with free variables set
+to zero do not depend on row order.
 
 The engine is fraction-free, like `groebner.divide_full`. A row enters
 as it stands when it is canonical already: no zero entry and, over
 GF(p), every entry in [1, p), as the graded window maps and systems hand
 their rows over. Any other int row enters as the field's `normalize` of
 it over denominator 1, its zero entries dropped and, over GF(p), every
-entry reduced into [1, p). Pivot rows are only read, so the caller's
-row is never modified. To cancel the leading entry c of the working row
+entry reduced into [1, p). A caller's row is copied at its first
+elimination step, and pivot rows are only read, so the caller's row is
+never modified. To cancel the leading entry c of the working row
 against a pivot row with leading entry a, the field's `cancel` gives
 (s, t) with s*c == t*a, and the working row becomes s*row - t*pivot,
 each entry passed through `reduce_int`. Over GF(p), s is always 1 and
@@ -35,50 +37,37 @@ from __future__ import annotations
 from math import gcd, lcm
 
 
-def _insert(pivots: dict[int, dict], row: dict, field) -> int | None:
-    """Reduce the int `row` against the int `pivots` and add it as a pivot row.
-
-    Returns the new pivot column, or None when the row reduces to zero.
-    """
-    cancel, reduce_int = field.cancel, field.reduce_int
-    work = dict(field.canonical_row(row))
-    while work:
-        col = min(work)
-        pivot = pivots.get(col)
-        if pivot is None:
-            pivots[col] = work
-            return col
-        s, t = cancel(work[col], pivot[col])
-        if s != 1:
-            for c in work:
-                work[c] *= s
-        for c, v in pivot.items():
-            value = reduce_int(work.get(c, 0) - t * v)
-            if value:
-                work[c] = value
-            else:
-                work.pop(c, None)
-        if s != 1 and work:
-            g = gcd(*work.values())
-            if g != 1:
-                for c in work:
-                    work[c] //= g
-    return None
-
-
 def _echelon(rows: list[dict], field) -> dict[int, dict]:
     """The pivot rows of an echelon form of the int `rows`, by leading
-    column. A canonical row whose leading column has no pivot yet is kept
-    as it stands and only read; every other row goes through `_insert`."""
+    column. A row is copied only at its first elimination step, so the
+    caller's rows are only read."""
     pivots: dict[int, dict] = {}
-    canonical_row = field.canonical_row
+    canonical_row, cancel, reduce_int = field.canonical_row, field.cancel, field.reduce_int
     for row in rows:
-        if row:
-            col = min(row)
-            if col not in pivots and canonical_row(row) is row:
-                pivots[col] = row
-                continue
-        _insert(pivots, row, field)
+        work = canonical_row(row)
+        while work:
+            col = min(work)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = work
+                break
+            if work is row:
+                work = dict(row)
+            s, t = cancel(work[col], pivot[col])
+            if s != 1:
+                for c in work:
+                    work[c] *= s
+            for c, v in pivot.items():
+                value = reduce_int(work.get(c, 0) - t * v)
+                if value:
+                    work[c] = value
+                else:
+                    work.pop(c, None)
+            if s != 1 and work:
+                g = gcd(*work.values())
+                if g != 1:
+                    for c in work:
+                        work[c] //= g
     return pivots
 
 

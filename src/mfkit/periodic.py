@@ -720,19 +720,14 @@ def graded_nullhomotopy_window(delta: MfMorphism, p_min: int, p_max: int,
         raise NotHomogeneous("window solver needs nonzero graded differentials")
 
     # Degrees of the two diagonal shapes, from whichever component of
-    # delta is nonzero; cross-check when both are.
-    t_deg_candidates = set()
-    s_deg_candidates = set()
-    if d_f is not None:
-        t_deg_candidates.add(d_f - e_psi2)
-        s_deg_candidates.add(d_f - e_phi1)
-    if d_g is not None:
-        t_deg_candidates.add(d_g - e_psi1)
-        s_deg_candidates.add(d_g - e_phi2)
-    if len(t_deg_candidates) > 1 or len(s_deg_candidates) > 1:
+    # delta is nonzero. As e_phi1 + e_psi1 == e_phi2 + e_psi2, the two
+    # components agree on s_deg exactly when they agree on t_deg.
+    if d_f is not None and d_g is not None and d_f - e_psi2 != d_g - e_psi1:
         raise NotHomogeneous("chain map degrees are inconsistent with the twists")
-    t_deg = t_deg_candidates.pop()
-    s_deg = s_deg_candidates.pop()
+    if d_f is not None:
+        t_deg, s_deg = d_f - e_psi2, d_f - e_phi1
+    else:
+        t_deg, s_deg = d_g - e_psi1, d_g - e_phi2
 
     needed = max(d for d in (t_deg, s_deg, d_f, d_g, 0) if d is not None)
     _check_budget(needed, p_min, p_max, "positions", budget)

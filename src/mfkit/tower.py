@@ -385,12 +385,6 @@ class RingMatrix:
         self.entries = tuple(tuple(row) for row in entries)
 
     @classmethod
-    def from_strings(cls, tower: RingTower, level: Level, rows: list[list[str]],
-                     ncols: int | None = None) -> "RingMatrix":
-        entries = [[tower.ring.parse(s) for s in row] for row in rows]
-        return cls(tower, level, entries, ncols=ncols)
-
-    @classmethod
     def identity(cls, tower: RingTower, level: Level, n: int) -> "RingMatrix":
         zero = tower.ring.zero()
         one = tower.normal_form(tower.ring.one(), level)

@@ -93,10 +93,12 @@ def build_corpus_towers(field=QQ) -> dict[str, RingTower]:
     }
 
 
-def build_corpus_objects(towers: dict[str, RingTower]) -> dict[str, MatrixFactorization]:
-    def mat(tower, rows):
-        return RingMatrix.from_strings(tower, Level.MID, rows)
+def mat(tower: RingTower, rows: list[list[str]], level: Level = Level.MID) -> RingMatrix:
+    """The matrix at `level` whose entries are parsed from the strings `rows`."""
+    return RingMatrix(tower, level, [[tower.ring.parse(s) for s in row] for row in rows])
 
+
+def build_corpus_objects(towers: dict[str, RingTower]) -> dict[str, MatrixFactorization]:
     uv = towers["uv"]
     sq = towers["squares_sum"]
     two = towers["two_squares"]
@@ -175,9 +177,36 @@ def fractions_mf() -> MatrixFactorization:
     halves, and the entries carry thirds."""
     ring = PolyRing(("x", "y", "z"), QQ)
     tower = build_tower(ring, [ring.parse("2*x*y + z^2")], [1])
-    phi = RingMatrix.from_strings(tower, Level.MID, [["2/3*x", "-1/3*z"], ["z", "y"]])
-    psi = RingMatrix.from_strings(tower, Level.MID, [["3*y", "z"], ["-3*z", "2*x"]])
+    phi = mat(tower, [["2/3*x", "-1/3*z"], ["z", "y"]])
+    psi = mat(tower, [["3*y", "z"], ["-3*z", "2*x"]])
     return verify_mf(phi, psi)
+
+
+def basis_changed_mf(mf: MatrixFactorization, rng: random.Random) -> MatrixFactorization:
+    """The isomorphic copy (P@phi@Q^-1, Q@psi@P^-1) of `mf`, for P of size
+    rank_g and Q of size rank_f, each a product of 3*rank elementary
+    matrices I + c*e_ij (i != j, c in {-2, -1, 1, 2}), whose inverses
+    I - c*e_ij are exact over every field. Where mf's entries are
+    monomials, the copy's are sums, so its window rows need elimination."""
+    tower, ring = mf.tower, mf.tower.ring
+
+    def elementary(n, i, j, c):
+        return RingMatrix(tower, Level.MID, [
+            [ring.const(c if (a, b) == (i, j) else int(a == b)) for b in range(n)]
+            for a in range(n)
+        ])
+
+    def change(n):
+        m = inverse = RingMatrix.identity(tower, Level.MID, n)
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            m, inverse = m @ elementary(n, i, j, c), elementary(n, i, j, -c) @ inverse
+        return m, inverse
+
+    p, p_inv = change(mf.rank_g)
+    q, q_inv = change(mf.rank_f)
+    return verify_mf(p @ mf.phi @ q_inv, q @ mf.psi @ p_inv)
 
 
 def window_delta(mf: MatrixFactorization, rng: random.Random) -> MfMorphism:

@@ -51,6 +51,7 @@ from mfkit.workbench import load_workbench
 from .cli_cases import CASES, argv_for
 from .conftest import CORPUS_DIR, GOLDEN_DIR
 from .genutil import (
+    mat,
     rand_homogeneous_matrix,
     rand_homogeneous_poly,
     rand_matrix,
@@ -313,11 +314,11 @@ def test_criterion_09_tower_and_coker_setup():
     assert t2.validation.regular is None  # inhomogeneous: unchecked premise
     # Cokernel of the [x],[x] object over the first tower.
     mf = verify_mf(
-        RingMatrix.from_strings(t1, Level.MID, [["x"]]),
-        RingMatrix.from_strings(t1, Level.MID, [["x"]]),
+        mat(t1, [["x"]]),
+        mat(t1, [["x"]]),
     )
     pres = coker_presentation(mf)
-    assert pres.presentation == RingMatrix.from_strings(t1, Level.QUOT, [["x"]])
+    assert pres.presentation == mat(t1, [["x"]], Level.QUOT)
     assert pres.annihilation_cert == mf.phi
     assert (mf.psi @ mf.phi) == RingMatrix.identity(t1, Level.MID, 1).scale(t1.w)
 

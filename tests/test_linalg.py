@@ -8,10 +8,16 @@ from hypothesis import strategies as st
 
 from mfkit import linalg, periodic
 from mfkit.fields import QQ, PrimeField
-from mfkit.periodic import graded_acyclicity_window, graded_nullhomotopy_window, reduce_object
+from mfkit.mfcat import identity_morphism
+from mfkit.periodic import (
+    graded_acyclicity_window,
+    graded_nullhomotopy_window,
+    reduce_morphism,
+    reduce_object,
+)
 
 from . import dense_linalg
-from .genutil import fractions_mf, koszul_mf, window_delta
+from .genutil import basis_changed_mf, fractions_mf, koszul_mf, window_delta
 from .reference_poly import RefField, int_row
 
 FIELDS = [QQ, PrimeField(2), PrimeField(32003)]
@@ -148,9 +154,7 @@ def draw_rational_rows(data, field, ncols):
 @given(st.data(), st.sampled_from(FIELDS), st.integers(0, 6))
 def test_rational_rank_matches_dense(data, field, ncols):
     rows = [int_row(r) for r in draw_rational_rows(data, field, ncols)]
-    pivots: dict[int, dict] = {}
-    for row in rows:
-        linalg._insert(pivots, row, field)
+    pivots = linalg._echelon(rows, field)
     assert len(pivots) == linalg.matrix_rank(rows, field) == dense_linalg.matrix_rank(rows, field)
     # Pivot rows are int rows: no zero stored, the pivot column leads,
     # and over GF(p) every entry is reduced.
@@ -162,19 +166,16 @@ def test_rational_rank_matches_dense(data, field, ncols):
 
 
 @given(int_matrices, st.sampled_from(FIELDS))
-def test_insert_leaves_the_callers_rows_unmodified(int_rows, field):
+def test_echelon_leaves_the_callers_rows_unmodified(int_rows, field):
     # Each row twice: as raw ints, with zeros, negatives and, over GF(p),
-    # entries past p, which `_insert` normalizes; and canonical, which it
-    # copies as it is.
+    # entries past p, which `_echelon` normalizes; and canonical, which it
+    # copies at its first elimination step.
     p = getattr(field, "p", 0)
     raw = [{c: v + p * (c % 2) for c, v in enumerate(row)} for row in int_rows]
     rows = [row for pair in zip(raw, sparse(int_rows, field)) for row in pair]
     snapshot = [dict(row) for row in rows]
-    pivots: dict[int, dict] = {}
-    for row in rows:
-        linalg._insert(pivots, row, field)
+    pivots = linalg._echelon(rows, field)
     assert rows == snapshot
-    assert all(pivot is not row for pivot in pivots.values() for row in rows)
     assert len(pivots) == dense_linalg.matrix_rank(sparse(int_rows, field), field)
     # The entry points keep caller rows as pivot rows, which they only read.
     assert linalg.matrix_rank(rows, field) == len(pivots)
@@ -206,18 +207,14 @@ def test_qq_elimination_divides_out_the_content():
     # Rows enter as (2, 1) and (3, 3), the int forms of (1/2, 1/4) and
     # (3/7, 3/7). cancel(3, 2) scales the second by s = 2:
     # 2*(3, 3) - 3*(2, 1) = (0, 3), stored as its primitive (0, 1).
-    pivots: dict[int, dict] = {}
-    assert linalg._insert(pivots, {0: 2, 1: 1}, QQ) == 0
-    assert linalg._insert(pivots, {0: 3, 1: 3}, QQ) == 1
+    pivots = linalg._echelon([{0: 2, 1: 1}, {0: 3, 1: 3}], QQ)
     assert pivots == {0: {0: 2, 1: 1}, 1: {1: 1}}
 
 
 def test_prime_field_elimination_reduces_each_entry():
     # Over GF(5), (1, 0, 1) - (1, 1, 0) = (0, -1, 1) is stored as (0, 4, 1).
     f5 = PrimeField(5)
-    pivots: dict[int, dict] = {}
-    assert linalg._insert(pivots, {0: 1, 1: 1}, f5) == 0
-    assert linalg._insert(pivots, {0: 1, 2: 1}, f5) == 1
+    pivots = linalg._echelon([{0: 1, 1: 1}, {0: 1, 2: 1}], f5)
     assert pivots == {0: {0: 1, 1: 1}, 1: {1: 4, 2: 1}}
 
 
@@ -253,3 +250,22 @@ def test_koszul_windows_match_dense(case, monkeypatch):
     assert (report.rows, report.dual_rows) == (dense_report.rows, dense_report.dual_rows)
     assert null.solvable and dense_null.solvable
     assert null.diagonals == dense_null.diagonals
+
+
+# Koszul rows reach the engine in echelon form already; the rows of an
+# isomorphic copy (P@phi@Q^-1, Q@psi@P^-1) have to be eliminated. Each
+# case: (n, top acyclicity degree, top nullhomotopy position, seed).
+@pytest.mark.parametrize("n, d_max, p_max, seed", [(2, 4, 4, 81), (2, 4, 4, 82), (3, 3, 2, 83), (3, 3, 2, 84)])
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
+def test_basis_changed_koszul_windows(n, d_max, p_max, seed, field):
+    rng = random.Random(seed)
+    mf = koszul_mf(n, field)
+    copy = basis_changed_mf(mf, rng)
+    assert copy.phi != mf.phi
+    report = graded_acyclicity_window(reduce_object(mf), 0, d_max)
+    copy_report = graded_acyclicity_window(reduce_object(copy), 0, d_max)
+    assert (copy_report.rows, copy_report.dual_rows) == (report.rows, report.dual_rows)
+    null = graded_nullhomotopy_window(window_delta(copy, rng), 0, p_max)
+    assert null.solvable and null.verified_positions == list(range(1, p_max + 1))
+    for c in (mf, copy):
+        assert not graded_nullhomotopy_window(reduce_morphism(identity_morphism(c)), 0, p_max).solvable

@@ -31,12 +31,8 @@ from mfkit.mfcat import (
 )
 from mfkit.tower import Level, RingMatrix, RingTower
 
-from .genutil import rand_derived_object, rand_nullhomotopic_morphism
+from .genutil import mat, rand_derived_object, rand_nullhomotopic_morphism
 from .reference_tower import det
-
-
-def mat(tower, rows, level=Level.MID):
-    return RingMatrix.from_strings(tower, level, rows)
 
 
 class TestVerify:

@@ -49,15 +49,12 @@ from .genutil import (
     cyclic_garbage,
     fractions_mf,
     koszul_mf,
+    mat,
     rand_homogeneous_matrix,
     rand_matrix,
     rand_nullhomotopic_morphism,
     window_delta,
 )
-
-
-def mat(tower, rows, level=Level.MID):
-    return RingMatrix.from_strings(tower, level, rows)
 
 
 class TestReduceObject:
@@ -478,6 +475,25 @@ class TestNullhomotopyWindow:
         # The twist is 4, but the target's entry degrees add up to 6.
         delta = _over_x4(("x", "x^3"), ("x^3", "x^3"), "x^2", "0")
         with pytest.raises(NotHomogeneous):
+            graded_nullhomotopy_window(delta, 0, 2)
+
+    def test_components_forcing_different_diagonal_degrees_rejected(self):
+        # Over QQ[x,y]/(x*y), (x, y^2): (x, y) -> (y, x) is a chain map, as
+        # each product vanishes, but f asks for even diagonals of degree
+        # 1 - 1 = 0 and g for degree 2 - 1 = 1.
+        from mfkit.fields import QQ
+        from mfkit.poly import PolyRing
+        from mfkit.tower import build_tower
+
+        ring = PolyRing(("x", "y"), QQ)
+        tower = build_tower(ring, [ring.parse("x*y")], [1])
+
+        def one(s):
+            return mat(tower, [[s]], Level.QUOT)
+
+        source, target = verify_mf(one("x"), one("y")), verify_mf(one("y"), one("x"))
+        delta = verify_morphism(source, target, one("x"), one("y^2"))
+        with pytest.raises(NotHomogeneous, match="inconsistent with the twists"):
             graded_nullhomotopy_window(delta, 0, 2)
 
     def test_second_call_reuses_the_towers_normal_forms(self, monkeypatch):

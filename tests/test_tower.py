@@ -28,7 +28,7 @@ from mfkit.tower import (
 )
 
 from . import reference_tower
-from .genutil import rand_homogeneous_poly, rand_matrix, rand_poly
+from .genutil import mat, rand_homogeneous_poly, rand_matrix, rand_poly
 
 RXY = PolyRing(("x", "y"), QQ)
 RUV = PolyRing(("u", "v"), QQ)
@@ -258,8 +258,8 @@ class TestMatrixAlgebra:
 
     def test_rotation_pair_multiplies_to_scalar(self):
         t = build_tower(RUV, [RUV.parse("u^2+v^2")], [1])
-        a = RingMatrix.from_strings(t, Level.MID, [["u", "v"], ["-v", "u"]])
-        b = RingMatrix.from_strings(t, Level.MID, [["u", "-v"], ["v", "u"]])
+        a = mat(t, [["u", "v"], ["-v", "u"]])
+        b = mat(t, [["u", "-v"], ["v", "u"]])
         expected = RingMatrix.identity(t, Level.MID, 2).scale(RUV.parse("u^2+v^2"))
         assert a @ b == expected
         assert b @ a == expected
@@ -271,16 +271,16 @@ class TestMatrixAlgebra:
 
     def test_block_assembly(self):
         t = build_tower(RUV, [RUV.parse("u*v")], [1])
-        a = RingMatrix.from_strings(t, Level.MID, [["u"]])
+        a = mat(t, [["u"]])
         z = RingMatrix.zeros(t, Level.MID, 1, 1)
         one = RingMatrix.identity(t, Level.MID, 1)
         blk = RingMatrix.block([[a, z], [one, a]])
-        assert blk == RingMatrix.from_strings(t, Level.MID, [["u", "0"], ["1", "u"]])
+        assert blk == mat(t, [["u", "0"], ["1", "u"]])
 
     def test_dimension_errors(self):
         t = build_tower(RUV, [RUV.parse("u*v")], [1])
-        a = RingMatrix.from_strings(t, Level.MID, [["u"]])
-        b = RingMatrix.from_strings(t, Level.MID, [["u", "v"]])
+        a = mat(t, [["u"]])
+        b = mat(t, [["u", "v"]])
         with pytest.raises(DimensionMismatch):
             a + b
         with pytest.raises(DimensionMismatch):
@@ -288,7 +288,7 @@ class TestMatrixAlgebra:
 
     def test_level_errors(self):
         t = build_tower(RUV, [RUV.parse("u*v")], [1])
-        a = RingMatrix.from_strings(t, Level.MID, [["u"]])
+        a = mat(t, [["u"]])
         q = a.reduce_to(Level.QUOT)
         with pytest.raises(LevelMismatch):
             a + q
@@ -304,7 +304,7 @@ class TestReduceLevel:
 
     def test_w_dies_in_quotient(self):
         t = build_tower(RUV, [RUV.parse("u*v")], [1])
-        m = RingMatrix.from_strings(t, Level.MID, [["u*v"]])
+        m = mat(t, [["u*v"]])
         assert m.reduce_to(Level.QUOT).is_zero()
 
     def test_base_to_mid_normal_form(self):
@@ -315,7 +315,7 @@ class TestReduceLevel:
         t = build_tower(
             ryx, [ryx.parse("x^2"), ryx.parse("y^2 - x^3")], [1, 0], order=MonomialOrder.lex(2)
         )
-        m = RingMatrix.from_strings(t, Level.MID, [["y^2"]])
+        m = mat(t, [["y^2"]])
         assert m.entries[0][0] == ryx.parse("x^3")
 
     def test_reduction_commutes_with_product(self):
@@ -336,14 +336,14 @@ class TestDeterminant:
 
     def test_two_by_two(self):
         t = build_tower(RUV, [RUV.parse("u^2+v^2")], [1])
-        a = RingMatrix.from_strings(t, Level.MID, [["u", "v"], ["-v", "u"]])
+        a = mat(t, [["u", "v"], ["-v", "u"]])
         assert reference_tower.det(a) == RUV.parse("u^2 + v^2")
 
     def test_three_by_three_against_cofactor_oracle(self):
         # Oracle: explicit cofactor expansion written out by hand.
         t = build_tower(RUV, [RUV.parse("u*v")], [1])
         rows = [["u", "v", "1"], ["0", "u", "v"], ["1", "0", "u"]]
-        m = RingMatrix.from_strings(t, Level.MID, rows)
+        m = mat(t, rows)
         u, v, one = RUV.parse("u"), RUV.parse("v"), RUV.one()
         zero = RUV.zero()
         expected = (
@@ -394,7 +394,7 @@ def _operand_pool(tower, level, rng):
         a, b, one, RingMatrix.zeros(tower, level, 2, 2), -a, a.transpose(), a @ b,
         a.scale(tower.ring.parse("x + 1")), one.scale(tower.w),
         RingMatrix.block([[one1, corner], [RingMatrix.zeros(tower, level, 1, 1), one1]]),
-        RingMatrix.from_strings(tower, Level.MID, [["x^3", "1"], ["0", "x*y^2"]]).reduce_to(level),
+        mat(tower, [["x^3", "1"], ["0", "x*y^2"]]).reduce_to(level),
     ]
 
 
