@@ -5,7 +5,10 @@ deterministic report and returns its verdict: a status word ("verified",
 "ok" or "failed") and a location, set only by `validate`. `main` writes
 the one machine-readable key=value trailer, for a verdict or an error.
 Exit codes: 0 success, 1 verification failed, 2 parse error,
-3 mathematical precondition violated, 4 budget exceeded.
+3 mathematical precondition violated, 4 budget exceeded. A character
+of the report that stdout's encoding cannot represent (one echoed from
+the input) is written as a backslash escape, so the exit code holds
+whatever the locale.
 """
 
 from __future__ import annotations
@@ -263,7 +266,14 @@ def main(argv=None) -> int:
     if location:
         fields.insert(1, f"location={location}")
     out.append(" ".join([f"status={status}", *fields, f"exit={code}"]))
-    sys.stdout.write("\n".join(out) + "\n")
+    text = "\n".join(out) + "\n"
+    # An echoed input character that stdout cannot encode is written as a
+    # backslash escape; a stream without an encoding (StringIO) takes the
+    # text as it is.
+    encoding = getattr(sys.stdout, "encoding", None)
+    if encoding:
+        text = text.encode(encoding, "backslashreplace").decode(encoding)
+    sys.stdout.write(text)
     return code
 
 

@@ -37,9 +37,10 @@ HF(d) from it. The Krull dimension is n minus the multiplicity of the
 factor (1-t) in Q.
 
 Hilbert-driven pair skipping (Traverso 1996, "Hilbert functions and the
-Buchberger algorithm", J. Symbolic Comput. 22): Buchberger on
-homogeneous generators of an ideal I may be given a floor, a lower
-bound L(d) <= HF(S/I)(d) in every degree. G lies in I throughout, so
+Buchberger algorithm", J. Symbolic Comput. 22): Buchberger on the
+homogeneous generators of I = (mid) + (w), a basis of (mid) followed by
+w, computes a floor from that basis, a lower bound L(d) <= HF(S/I)(d) in
+every degree (`_hilbert_floor`). G lies in I throughout, so
 in(G) is inside in(I), and HF(S/in(G))(d) >= HF(S/in(I))(d) =
 HF(S/I)(d) >= L(d), since S/I and S/in(I) have one Hilbert function
 (Macaulay). When a pair of degree d is taken and the current leading
@@ -50,8 +51,7 @@ whose leading monomial lies in in(I)_d but is divisible by no leading
 monomial of G, which is impossible. So every pair of degree d reduces to zero from then on, and
 it is skipped. A skipped pair would have added nothing, so the basis,
 the tracked cofactors and the rest of the pair sequence are those of
-the run without the floor. `DivisionOracle` derives its floor from the mid
-basis alone.
+the run without the floor.
 """
 
 from __future__ import annotations
@@ -413,16 +413,36 @@ def hilbert_function(numerator, nvars: int, d: int) -> int:
     return sum(q * comb(d - k + nvars - 1, nvars - 1) for k, q in enumerate(numerator[: d + 1]))
 
 
-def buchberger_with_reps(generators, order: MonomialOrder, floor=None, modulo=None):
+def _hilbert_floor(modulo: GroebnerBasis, w: Polynomial):
+    """The floor L(d) = max(0, HF_mid(d) - HF_mid(d - e)) of S/(mid + w),
+    with mid the ideal of `modulo` and e = deg w, read off the leading
+    monomials of `modulo` alone; a function of d.
+
+    It is a lower bound on the Hilbert function of S/(mid + w) whether or
+    not w is regular: the exact sequence
+        0 -> ((mid : w)/mid)(-e) -> (S/mid)(-e) --w--> S/mid -> S/(mid + w) -> 0
+    gives HF_deep(d) = HF_mid(d) - HF_mid(d - e) + dim ((mid : w)/mid)_(d-e).
+    When w is a non-zerodivisor modulo mid the last term is zero and the
+    floor is exact: a degree is skipped as soon as its leading monomials
+    are complete, so few of the pairs that are still divided reduce to
+    zero (none on the graded corpus towers).
+    """
+    ring = w.ring
+    q = hilbert_numerator(ring, [g.leading_monomial(modulo.order) for g in modulo.polys])
+    bound = _add_shifted(q, [-c for c in q], w.degree())
+    return lambda d: max(0, hilbert_function(bound, ring.nvars, d))
+
+
+def buchberger_with_reps(generators, order: MonomialOrder, modulo=None):
     """Reduced Groebner basis, optionally with the last generator's cofactors.
 
     Returns (basis polys, column). Without `modulo` the column is None
-    and no cofactor is computed. With `modulo`, a GroebnerBasis of an
-    ideal inside the one the other generators span, column[i] is the
-    cofactor c_i of the last generator w in basis[i], in normal form
-    modulo `modulo`: basis[i] - c_i*w lies in the ideal of the other
-    generators (module docstring). Each new value is reduced as it is
-    made.
+    and no cofactor is computed. With `modulo`, a GroebnerBasis of the
+    ideal (mid) that the other generators span, the generators must be
+    `modulo.polys` followed by one more, w (else ValueError); column[i]
+    is then the cofactor c_i of w in basis[i], in normal form modulo
+    `modulo`: basis[i] - c_i*w lies in (mid) (module docstring). Each
+    new value is reduced as it is made.
 
     Deterministic: pairs are taken by sugar (module docstring; Giovini
     et al. 1991), smallest sugar first, then smallest lcm in the order,
@@ -431,16 +451,17 @@ def buchberger_with_reps(generators, order: MonomialOrder, floor=None, modulo=No
     Gebauer-Moeller update (`_update`), which drops the pairs that its
     criteria prove redundant.
 
-    `floor`, when given, maps a degree d to a lower bound on the Hilbert
-    function of S/(generators) at d. On homogeneous generators a pair of
-    degree d is then skipped once the current leading monomials leave
-    exactly floor(d) standard monomials in degree d; such a pair reduces
-    to zero (module docstring), so the result is the same. The numerator
-    of HS(S/in(G)) is updated as each element joins. On inhomogeneous
-    generators `floor` is ignored.
+    With `modulo` and homogeneous generators, the Hilbert floor L of
+    S/(mid + w) (`_hilbert_floor`) is computed when the first pair is
+    taken, and a pair of degree d is skipped once the current leading
+    monomials leave exactly L(d) standard monomials in degree d; such a
+    pair reduces to zero (module docstring), so the result is the same.
+    The numerator of HS(S/in(G)) is updated as each element joins.
     """
-    gens = [g for g in generators]
+    gens = list(generators)
     track = modulo is not None
+    if track and tuple(gens[:-1]) != modulo.polys:
+        raise ValueError("with `modulo`, the generators must be modulo.polys followed by w")
     if not gens:
         return [], [] if track else None
     ring = gens[0].ring
@@ -480,12 +501,12 @@ def buchberger_with_reps(generators, order: MonomialOrder, floor=None, modulo=No
     live: dict = {}
     for k in range(len(polys)):
         _update(ring, k, lms, live, pairs, pair_key)
-    # Hilbert-driven skipping: `numerator` is that of S/in(G) for the
-    # current leading monomials, computed when the first pair is taken,
-    # and `complete` holds the degrees d with in(G)_d == in(I)_d, which
-    # stay so as G grows.
-    hilbert = floor is not None and all(g.is_homogeneous() for g in gens)
-    numerator = None
+    # Hilbert-driven skipping: `floor` and `numerator`, that of S/in(G)
+    # for the current leading monomials, are computed when the first pair
+    # is taken, and `complete` holds the degrees d with in(G)_d ==
+    # in(I)_d, which stay so as G grows.
+    hilbert = track and all(g.is_homogeneous() for g in gens)
+    floor = numerator = None
     complete: set = set()
     while pairs:
         (pair_sugar, _), ij = heappop(pairs)
@@ -497,7 +518,7 @@ def buchberger_with_reps(generators, order: MonomialOrder, floor=None, modulo=No
             if d in complete:
                 continue
             if numerator is None:
-                numerator = hilbert_numerator(ring, lms)
+                floor, numerator = _hilbert_floor(modulo, gens[-1]), hilbert_numerator(ring, lms)
             if hilbert_function(numerator, ring.nvars, d) == floor(d):
                 complete.add(d)
                 continue
@@ -554,11 +575,13 @@ class DivisionOracle:
     """Exact division by a non-zerodivisor w modulo a fixed ideal.
 
     Built once per (ideal, w). The combined basis is the reduced
-    Groebner basis of the ideal plus (w). Buchberger tracks only w's
-    cofactor c_b of each combined element b, reduced modulo mid_basis,
-    and the constructor certifies it: b - c_b*w must reduce to zero
-    modulo mid_basis, else VerificationFailure is raised. A zero
-    remainder comes with explicit quotients q_i, so
+    Groebner basis of the ideal plus (w), from one Buchberger run on
+    mid_basis followed by w, which skips pairs under its Hilbert floor
+    when both are homogeneous (`buchberger_with_reps`). Buchberger
+    tracks only w's cofactor c_b of each combined element b, reduced
+    modulo mid_basis, and the constructor certifies it: b - c_b*w must
+    reduce to zero modulo mid_basis, else VerificationFailure is raised.
+    A zero remainder comes with explicit quotients q_i, so
     b == c_b*w + sum_i q_i*m_i holds exactly over the mid_basis polys m_i.
 
     Division is a linear map read off a table. For a monomial m, one
@@ -572,20 +595,6 @@ class DivisionOracle:
     what one reduction of p would give. A monomial that no combined
     leading monomial divides is its own remainder, with quotient 0, and
     takes no reduction.
-
-    Buchberger gets the floor L(d) = max(0, HF_mid(d) - HF_mid(d - e)),
-    with e = deg w, read off the leading monomials of mid_basis alone; it
-    acts only when mid_basis and w are homogeneous. It is a lower bound
-    on the Hilbert function of S/(mid + w) whether or not w is regular:
-    the exact sequence
-        0 -> ((mid : w)/mid)(-e) -> (S/mid)(-e) --w--> S/mid -> S/(mid + w) -> 0
-    gives HF_deep(d) = HF_mid(d) - HF_mid(d - e) + dim ((mid : w)/mid)_(d-e).
-    The skipped pairs reduce to zero in every case (`buchberger_with_reps`),
-    so the basis and the cofactors are the same as without the floor.
-    When w is a non-zerodivisor modulo mid the last term is zero and the
-    floor is exact: a degree is skipped as soon as its leading monomials
-    are complete, so few of the pairs that are still divided reduce to
-    zero (none on the graded corpus towers).
     """
 
     def __init__(self, mid_basis: GroebnerBasis, w: Polynomial):
@@ -593,18 +602,7 @@ class DivisionOracle:
             raise NotDivisible("cannot divide by zero")
         self.order = mid_basis.order
         self.mid_basis = mid_basis
-        gens = list(mid_basis.polys) + [w]
-        ring, bound = w.ring, []
-
-        def floor(d):
-            # Asked only on homogeneous generators, once a pair is taken;
-            # the numerator is read off mid_basis on the first call.
-            if not bound:
-                q = hilbert_numerator(ring, [g.leading_monomial(self.order) for g in mid_basis.polys])
-                bound.extend(_add_shifted(q, [-c for c in q], w.degree()))
-            return max(0, hilbert_function(bound, ring.nvars, d))
-
-        polys, column = buchberger_with_reps(gens, self.order, floor, mid_basis)
+        polys, column = buchberger_with_reps([*mid_basis.polys, w], self.order, mid_basis)
         for i, (b, c) in enumerate(zip(polys, column)):
             if not normal_form(b - c * w, mid_basis).is_zero():
                 raise VerificationFailure(

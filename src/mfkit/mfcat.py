@@ -30,7 +30,6 @@ from .errors import (
     EndpointMismatch,
     HomotopyViolation,
     LevelMismatch,
-    TowerMismatch,
     VerificationFailure,
 )
 from .poly import Polynomial, format_canonical
@@ -69,26 +68,19 @@ class MatrixFactorization:
     """A verified matrix factorization of the tower element w.
 
     phi maps the rank_f free module into the rank_g one (a rank_g x
-    rank_f matrix); psi maps back. Both are at one level, MID or QUOT.
-    Construction checks both axioms and the forced rank equality.
+    rank_f matrix); psi maps back. Both are at one level, MID or QUOT,
+    over one tower, which the product psi@phi checks. Construction
+    checks both axioms and the forced rank equality.
     """
 
     __slots__ = ("tower", "phi", "psi", "_bars", "_dual")
 
     def __init__(self, phi: RingMatrix, psi: RingMatrix):
-        if phi.tower is not psi.tower:
-            raise TowerMismatch("phi and psi from different towers")
-        tower = phi.tower
-        if phi.level != psi.level:
-            raise LevelMismatch(
-                "factorization matrices must share level MID or QUOT,"
-                f" got {phi.level.name}/{psi.level.name}"
-            )
         if phi.nrows != psi.ncols or phi.ncols != psi.nrows:
             raise DimensionMismatch(
                 f"phi is {phi.nrows}x{phi.ncols} but psi is {psi.nrows}x{psi.ncols}"
             )
-        self.tower = tower
+        self.tower = phi.tower
         self.phi = phi
         self.psi = psi
         self._bars = None
@@ -152,8 +144,6 @@ class MfMorphism:
 
     def __init__(self, source: MatrixFactorization, target: MatrixFactorization,
                  f: RingMatrix, g: RingMatrix):
-        if source.tower is not target.tower:
-            raise TowerMismatch("source and target from different towers")
         require_shape("f", f, target.rank_f, source.rank_f)
         require_shape("g", g, target.rank_g, source.rank_g)
         self.source = source
@@ -276,8 +266,6 @@ def suspend(a: MatrixFactorization) -> MatrixFactorization:
 
 
 def direct_sum(a: MatrixFactorization, b: MatrixFactorization) -> MatrixFactorization:
-    if a.tower is not b.tower:
-        raise TowerMismatch("direct sum needs a common tower")
     tower, level = a.tower, a.level
     za = RingMatrix.zeros
     phi = RingMatrix.block(

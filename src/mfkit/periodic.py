@@ -60,7 +60,6 @@ from .errors import (
     LevelMismatch,
     NotDivisible,
     NotHomogeneous,
-    TowerMismatch,
     VerificationFailure,
 )
 from .mfcat import (
@@ -124,16 +123,14 @@ def _divide_matrix(tower: RingTower, m: RingMatrix, failure: str) -> RingMatrix:
     return RingMatrix(tower, Level.MID, entries, m.nrows, m.ncols, normalize=False)
 
 
-def _check_mid_shapes(tower: RingTower, *specs):
+def _check_mid_shapes(*specs):
     """Each (name, matrix, rows, cols) must be a MID-level rows x cols
-    matrix over `tower`."""
+    matrix. That the operands share one tower is checked where they meet,
+    in `matrix_sum_of_products`."""
     for name, m, rows, cols in specs:
         if m.level != Level.MID:
             raise LevelMismatch(f"{name} must be a MID-level matrix, got {m.level.name}")
         require_shape(name, m, rows, cols)
-    for _, m, _, _ in specs:
-        if m.tower is not tower:
-            raise TowerMismatch("matrices from different towers")
 
 
 class HomotopyTransportInput:
@@ -151,7 +148,6 @@ class HomotopyTransportInput:
         src, tgt = theta.source, theta.target
         tower = theta.tower
         _check_mid_shapes(
-            tower,
             ("s1", s1, tgt.rank_f, src.rank_g),
             ("t", t, tgt.rank_g, src.rank_f),
             ("s2", s2, tgt.rank_f, src.rank_g),
@@ -208,10 +204,7 @@ class ChainLiftInput:
     def __init__(self, source: MatrixFactorization, target: MatrixFactorization,
                  g1: RingMatrix, f0: RingMatrix, g0: RingMatrix):
         tower = source.tower
-        if target.tower is not tower:
-            raise TowerMismatch("source and target from different towers")
         _check_mid_shapes(
-            tower,
             ("g1", g1, target.rank_g, source.rank_g),
             ("f0", f0, target.rank_f, source.rank_f),
             ("g0", g0, target.rank_g, source.rank_g),

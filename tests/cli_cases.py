@@ -84,6 +84,9 @@ FIELD_CASES = [
     # A verified coefficient too long to print is a BudgetExceeded
     # (exit 4) when the report prints it.
     ("suspend_huge_coefficient", ["suspend", "huge_coefficient.mfw", "A"], 4),
+    # An isomorphic copy of sum_of_squares.mfw's B whose entries are
+    # sums, so its window rows need elimination: its table is B's.
+    ("acyclic_b_copy", ["acyclic-window", "sum_of_squares_copy.mfw", "B", "--min", "0", "--max", "6"], 0),
     # A window wider than the degree budget is a BudgetExceeded (exit 4)
     # before any graded piece is visited.
     ("acyclic_wide_window",

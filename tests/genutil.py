@@ -182,12 +182,21 @@ def fractions_mf() -> MatrixFactorization:
     return verify_mf(phi, psi)
 
 
-def basis_changed_mf(mf: MatrixFactorization, rng: random.Random) -> MatrixFactorization:
-    """The isomorphic copy (P@phi@Q^-1, Q@psi@P^-1) of `mf`, for P of size
-    rank_g and Q of size rank_f, each a product of 3*rank elementary
-    matrices I + c*e_ij (i != j, c in {-2, -1, 1, 2}), whose inverses
-    I - c*e_ij are exact over every field. Where mf's entries are
-    monomials, the copy's are sums, so its window rows need elimination."""
+def basis_changed_mf(mf: MatrixFactorization, rng: random.Random):
+    """(copy, P, P^-1, Q, Q^-1): the isomorphic copy (P@phi@Q^-1,
+    Q@psi@P^-1) of `mf` and its change of basis, at MID.
+
+    P, acting on G, has size rank_g and Q, acting on F, size rank_f. Each
+    is a product of 3*rank elementary matrices I + c*e_ij (i != j, c in
+    {-2, -1, 1, 2}), whose inverses I - c*e_ij are exact over every
+    field; at rank 1, where no pair i != j exists, it is a unit constant
+    c from the same set. Where mf's entries are monomials, the copy's are
+    sums, so its window rows need elimination.
+
+    Data on mf carries over to data on copies: (f, g): A -> B maps to
+    (Q_B@f@Q_A^-1, P_B@g@P_A^-1), a diagonal s: G_A -> F_B to
+    Q_B@s@P_A^-1 and t: F_A -> G_B to P_B@t@Q_A^-1.
+    """
     tower, ring = mf.tower, mf.tower.ring
 
     def elementary(n, i, j, c):
@@ -196,7 +205,13 @@ def basis_changed_mf(mf: MatrixFactorization, rng: random.Random) -> MatrixFacto
             for a in range(n)
         ])
 
+    def unit(num, den):
+        return RingMatrix(tower, Level.MID, [[ring.from_ints({0: num}, den)]])
+
     def change(n):
+        if n == 1:
+            c = rng.choice((-2, -1, 1, 2))
+            return unit(c, 1), unit(1, c)
         m = inverse = RingMatrix.identity(tower, Level.MID, n)
         for _ in range(3 * n):
             i, j = rng.sample(range(n), 2)
@@ -206,7 +221,7 @@ def basis_changed_mf(mf: MatrixFactorization, rng: random.Random) -> MatrixFacto
 
     p, p_inv = change(mf.rank_g)
     q, q_inv = change(mf.rank_f)
-    return verify_mf(p @ mf.phi @ q_inv, q @ mf.psi @ p_inv)
+    return verify_mf(p @ mf.phi @ q_inv, q @ mf.psi @ p_inv), p, p_inv, q, q_inv
 
 
 def window_delta(mf: MatrixFactorization, rng: random.Random) -> MfMorphism:

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import os
 import subprocess
 import sys
 
@@ -40,6 +41,13 @@ def test_two_runs_byte_identical(name, argv, expected):
     first = run_cli(argv_for(argv, CORPUS_DIR))
     second = run_cli(argv_for(argv, CORPUS_DIR))
     assert first == second
+
+
+def test_basis_changed_copy_has_the_original_window_table():
+    # sum_of_squares_copy.mfw holds (P@phi@Q^-1, Q@psi@P^-1) for
+    # sum_of_squares.mfw's B: an isomorphic complex, so the same report.
+    copy = (GOLDEN_DIR / "acyclic_b_copy.txt").read_bytes()
+    assert copy == (GOLDEN_DIR / "acyclic_b.txt").read_bytes()
 
 
 def test_shared_parser_keeps_no_options_between_calls():
@@ -142,10 +150,29 @@ def test_console_entry_point_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "mfkit.cli", "validate", str(CORPUS_DIR / "uv_hypersurface.mfw")],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
     )
     assert result.returncode == 0
     assert "mf A: axioms verified" in result.stdout
+
+
+def test_report_escapes_what_stdout_cannot_encode():
+    # bad_field.mfw's report echoes fullwidth digits. A UTF-8 stdout gets
+    # the golden bytes; an ASCII one gets them escaped, with the parse
+    # error's exit code and trailer and no traceback.
+    argv = [sys.executable, "-m", "mfkit.cli", "validate", str(CORPUS_DIR / "bad_field.mfw")]
+    golden = (GOLDEN_DIR / "validate_bad_field.txt").read_bytes()
+    runs = {}
+    for encoding in ("utf-8", "ascii"):
+        env = {**os.environ, "PYTHONIOENCODING": encoding}
+        runs[encoding] = subprocess.run(argv, capture_output=True, env=env)
+    assert runs["utf-8"].stdout == golden
+    ascii_run = runs["ascii"]
+    assert ascii_run.returncode == 2
+    assert ascii_run.stderr == b""
+    lines = ascii_run.stdout.decode("ascii").splitlines()
+    assert lines[-1] == "status=error kind=ParseError command=validate exit=2"
+    assert "'fp:\\uff13\\uff12\\uff10\\uff10\\uff13'" in lines[0]
 
 
 def test_max_degree_only_on_acyclic_window():

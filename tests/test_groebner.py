@@ -76,11 +76,22 @@ class TestBuchberger:
             if not gens:
                 continue
             mid = buchberger_basis(Ideal(tuple(gens[:-1]), GREVLEX2))
-            polys, column = buchberger_with_reps(gens, GREVLEX2, modulo=mid)
+            polys, column = buchberger_with_reps([*mid.polys, gens[-1]], GREVLEX2, modulo=mid)
             assert len(column) == len(polys)
             for b, c in zip(polys, column):
                 assert reference_groebner.w_cofactor_holds(b, c, gens[-1], mid.polys, GREVLEX2)
                 assert normal_form(c, mid) == c
+
+    def test_modulo_takes_its_own_basis_then_w(self):
+        # The column's premise is structural: with `modulo`, the
+        # generators are modulo.polys followed by w, and any other list
+        # is refused before any pair is taken.
+        first, w = RXY.parse("2*x^2 - 2*y"), RXY.parse("x*y - 1")
+        mid = buchberger_basis(Ideal((first,), GREVLEX2))
+        assert buchberger_with_reps([*mid.polys, w], GREVLEX2, modulo=mid)[1]
+        for gens in ([first, w], [w, *mid.polys], list(mid.polys), [], [*mid.polys, w, w]):
+            with pytest.raises(ValueError, match="modulo.polys followed by w"):
+                buchberger_with_reps(gens, GREVLEX2, modulo=mid)
 
 
 class TestNormalForm:
@@ -347,7 +358,7 @@ def test_buchberger_matches_reference(field, kind, declaration):
         # The tracked column agrees with the reference's last one
         # modulo (mid : w): (c - c_ref)*w lies in (mid) for each entry.
         w, mid = gens[-1], buchberger_basis(Ideal(tuple(gens[:-1]), order))
-        polys, column = buchberger_with_reps(gens, order, modulo=mid)
+        polys, column = buchberger_with_reps([*mid.polys, w], order, modulo=mid)
         assert polys == ref_polys
         for b, c, rep in zip(polys, column, ref_reps):
             assert normal_form(c, mid) == c
@@ -424,8 +435,8 @@ def test_cofactor_certificate_matches_polynomial_arithmetic(monkeypatch, field):
     rng, divide_rng = random.Random(41), random.Random(43)
     real, shift = groebner.buchberger_with_reps, {}
 
-    def shifted(generators, order, floor=None, modulo=None):
-        polys, column = real(generators, order, floor, modulo)
+    def shifted(generators, order, modulo=None):
+        polys, column = real(generators, order, modulo)
         if shift and modulo is not None:
             polys = list(polys)
             polys[shift["i"]] = polys[shift["i"]] + shift["term"]

@@ -137,7 +137,7 @@ def random_graded_tower(ring, order, rng, zerodivisor, max_degree):
 
 @pytest.mark.parametrize("field", TOWER_FIELDS, ids=repr)
 @pytest.mark.parametrize("kind", ["grevlex", "lex"])
-def test_oracle_matches_reference_and_the_run_without_floor(field, kind):
+def test_oracle_matches_reference_and_the_run_without_floor(monkeypatch, field, kind):
     ring = PolyRing(("x", "y", "z"), field)
     order = getattr(MonomialOrder, kind)(3)
     rng = random.Random(17)
@@ -147,7 +147,11 @@ def test_oracle_matches_reference_and_the_run_without_floor(field, kind):
         t = random_graded_tower(ring, order, rng, zerodivisor, 3 if kind == "grevlex" else 2)
         gens = list(t.mid_basis.polys) + [t.w]
         oracle = DivisionOracle(t.mid_basis, t.w)
-        polys, column = buchberger_with_reps(gens, order, modulo=t.mid_basis)
+        # The run without the floor: a floor below every Hilbert
+        # function skips no pair.
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner, "_hilbert_floor", lambda modulo, w: lambda d: -1)
+            polys, column = buchberger_with_reps(gens, order, modulo=t.mid_basis)
         assert list(oracle.combined.polys) == polys
         assert oracle.w_cofactors == column
         assert polys == reference_groebner.buchberger_with_reps(gens, order)[0]
@@ -246,24 +250,33 @@ def test_regular_w_splits_the_series_and_no_spair_reduces_to_zero(monkeypatch, s
     assert depth["reductions"] == COLUMN_REDUCTIONS[source]
 
 
-def test_the_floor_decides_the_skip_and_only_on_homogeneous_input():
-    # The skip trusts its floor. A floor equal to the Hilbert function of
-    # the input's own leading monomials, which overstates that of the
-    # ideal, skips every pair, so the run returns the inputs made monic.
-    # On inhomogeneous input the floor is ignored.
+def test_the_floor_decides_the_skip_and_only_on_homogeneous_input(monkeypatch):
+    # The skip trusts the floor that `_hilbert_floor` computes. A floor
+    # equal to the Hilbert function of the input's own leading monomials,
+    # which overstates that of the ideal, skips every pair, so the run
+    # returns the inputs made monic. On inhomogeneous input no floor is
+    # computed.
     ring = PolyRing(("x", "y", "z"), QQ)
     order = MonomialOrder.grevlex(3)
+    floors = []
 
     def run(texts):
-        gens = [ring.parse(s) for s in texts]
+        first, w = (ring.parse(s) for s in texts)
+        mid = GroebnerBasis((first.monic(order)[0],), order)
+        gens = [*mid.polys, w]
         q = hilbert_numerator(ring, [g.leading_monomial(order) for g in gens])
-        with_floor = buchberger_with_reps(gens, order, lambda d: hilbert_function(q, 3, d))
-        return with_floor, buchberger_with_reps(gens, order)
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner, "_hilbert_floor",
+                          lambda modulo, w: floors.append(w) or (lambda d: hilbert_function(q, 3, d)))
+            with_floor = buchberger_with_reps(gens, order, mid)
+        return with_floor, buchberger_with_reps(gens, order, mid)
 
     (skipped, _), (full, _) = run(["x*y + z^2", "x^2 - y*z"])
     assert len(skipped) == 2 < len(full)
+    assert len(floors) == 1
     with_floor, without = run(["x*y + z", "x^2 - y*z"])
     assert with_floor == without
+    assert len(floors) == 1
 
 
 # -- the tracked cofactor column against the reference's full rows -----------

@@ -15,6 +15,7 @@ from mfkit.errors import (
     LevelMismatch,
     NotDivisible,
     NotHomogeneous,
+    TowerMismatch,
 )
 from mfkit.mfcat import (
     MatrixFactorization,
@@ -207,6 +208,32 @@ class TestTransport:
             ChainLiftInput(a, a, z, z, z)
         with pytest.raises(LevelMismatch, match="phi1 must be a MID-level matrix, got QUOT"):
             ChainLiftInput(c, c, zm, zm, zm)
+
+    def test_operands_from_another_tower_are_a_tower_error(self, objects):
+        # Each constructor leaves the common-tower check to the tower's
+        # own guards, which every operand meets; a foreign operand in any
+        # place is a TowerMismatch.
+        a = objects["A"]
+        other = build_corpus_objects(build_corpus_towers())["A"]
+        one, one2 = (RingMatrix.identity(t, Level.MID, 1) for t in (a.tower, other.tower))
+        zero, zero2 = (RingMatrix.zeros(t, Level.MID, 1, 1) for t in (a.tower, other.tower))
+        theta = zero_morphism(a, a)
+        for build in (
+            lambda: MatrixFactorization(a.phi, other.psi),
+            lambda: MfMorphism(a, other, one, one),
+            lambda: MfMorphism(a, a, one2, one),
+            lambda: MfMorphism(a, a, one, one2),
+            lambda: direct_sum(a, other),
+            lambda: ChainLiftInput(a, other, one, one, one),
+            lambda: ChainLiftInput(a, a, one2, one, one),
+            lambda: ChainLiftInput(a, a, one, one2, one),
+            lambda: ChainLiftInput(a, a, one, one, one2),
+            lambda: HomotopyTransportInput(theta, zero2, zero, zero),
+            lambda: HomotopyTransportInput(theta, zero, zero2, zero),
+            lambda: HomotopyTransportInput(theta, zero, zero, zero2),
+        ):
+            with pytest.raises(TowerMismatch):
+                build()
 
     def test_lifting_input_shapes_are_checked_in_order(self, objects):
         # From A (rank 1) into A + A (rank 2): each lifted matrix must be

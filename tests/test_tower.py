@@ -210,9 +210,9 @@ def test_build_tower_runs_buchberger_once_per_ideal(monkeypatch, c):
     calls = []
     real = groebner.buchberger_with_reps
 
-    def counting(generators, order, floor=None, modulo=None):
+    def counting(generators, order, modulo=None):
         calls.append(list(generators))
-        return real(generators, order, floor, modulo)
+        return real(generators, order, modulo)
 
     monkeypatch.setattr(groebner, "buchberger_with_reps", counting)
     gens = [ring.parse(t) for t in ("x^2 + y*z", "y^2", "z^2")[:c]]
@@ -231,8 +231,8 @@ def test_perturbed_cofactor_fails_certificate(monkeypatch, field, where):
     ring = RXYZ_BY_FIELD[field]
     real = groebner.buchberger_with_reps
 
-    def perturbed(generators, order, floor=None, modulo=None):
-        polys, column = real(generators, order, floor, modulo)
+    def perturbed(generators, order, modulo=None):
+        polys, column = real(generators, order, modulo)
         if modulo is None:
             return polys, column
         polys, column = list(polys), list(column)
