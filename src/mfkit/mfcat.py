@@ -14,9 +14,10 @@ factorization to a factorization of 0 at QUOT.
 
 Every constructor verifies the defining identities entrywise in normal
 form and reports the first failing entry. The morphism squares and the
-homotopy identities are each one `tower.matrix_sum_of_products`
-combination tested for zero; the factorization axioms compare psi@phi
-and phi@psi with w times the identity and report both values.
+homotopy identities are each one signed `tower.matrix_sum_of_products`
+combination tested for zero, built in one sparse pass with no negated
+or subtracted matrix; the factorization axioms compare psi@phi and
+phi@psi with w times the identity and report both values.
 """
 
 from __future__ import annotations
@@ -154,9 +155,9 @@ class MfMorphism:
 
     def _verify(self):
         src, tgt = self.source, self.target
-        _require_zero(matrix_sum_of_products([(self.g, src.phi), (-tgt.phi, self.f)]),
+        _require_zero(matrix_sum_of_products([(1, self.g, src.phi), (-1, tgt.phi, self.f)]),
                       CommutationViolation, "g@phi1 != phi2@f", "g@phi1")
-        _require_zero(matrix_sum_of_products([(self.f, src.psi), (-tgt.psi, self.g)]),
+        _require_zero(matrix_sum_of_products([(1, self.f, src.psi), (-1, tgt.psi, self.g)]),
                       CommutationViolation, "f@psi1 != psi2@g", "f@psi1")
 
     @property
@@ -243,13 +244,13 @@ class MfHomotopy:
         self._verify()
 
     def _verify(self):
-        src, tgt = self.theta.source, self.theta.target
-        s, t = -self.s, -self.t
-        _require_zero(matrix_sum_of_products([(s, src.phi), (tgt.psi, t)],
-                                             self.theta.f - self.theta_prime.f),
+        theta, theta_prime, s, t = self.theta, self.theta_prime, self.s, self.t
+        src, tgt = theta.source, theta.target
+        _require_zero(matrix_sum_of_products([(-1, s, src.phi), (-1, tgt.psi, t)],
+                                             [(1, theta.f), (-1, theta_prime.f)]),
                       HomotopyViolation, "f - f' != s@phi1 + psi2@t", "f-identity")
-        _require_zero(matrix_sum_of_products([(t, src.psi), (tgt.phi, s)],
-                                             self.theta.g - self.theta_prime.g),
+        _require_zero(matrix_sum_of_products([(-1, t, src.psi), (-1, tgt.phi, s)],
+                                             [(1, theta.g), (-1, theta_prime.g)]),
                       HomotopyViolation, "g - g' != t@psi1 + phi2@s", "g-identity")
 
     def __repr__(self) -> str:

@@ -21,8 +21,11 @@ Two constructive algorithms cross the quotient in the other direction:
   defect matrices as the zeroth part of a homotopy witness.
 
 Each defect, correction and internal identity of the two algorithms is
-one combination lead + sum of a@b, computed by
-`tower.matrix_sum_of_products` with one normal form per entry.
+one signed combination, a sum of +-m over leads plus a sum of +-a@b,
+computed by `tower.matrix_sum_of_products` in one sparse pass with one
+normal form per entry; a negated term or a subtracted lead is a sign,
+so no negated or subtracted matrix is built. The one exception is the
+witness identity's lead, f - f0 reduced to QUOT, which crosses levels.
 
 Degree-window oracles verify acyclicity and nullhomotopy statements on
 finite windows by exact linear algebra over the coefficient field for
@@ -160,11 +163,11 @@ class HomotopyTransportInput:
         why = (" does not vanish over the quotient,"
                " the given diagonals do not reduce to a nullhomotopy")
         self.p_corr = _divide_matrix(
-            tower, matrix_sum_of_products([(-s2, src.phi), (-tgt.psi, t)], theta.f),
+            tower, matrix_sum_of_products([(-1, s2, src.phi), (-1, tgt.psi, t)], [(1, theta.f)]),
             "f - s2@phi1 - psi2@t" + why,
         )
         self.q_corr = _divide_matrix(
-            tower, matrix_sum_of_products([(-t, src.psi), (-tgt.phi, s1)], theta.g),
+            tower, matrix_sum_of_products([(-1, t, src.psi), (-1, tgt.phi, s1)], [(1, theta.g)]),
             "g - t@psi1 - phi2@s1" + why,
         )
 
@@ -182,10 +185,10 @@ def transport_nullhomotopy(inp: HomotopyTransportInput) -> MfHomotopy:
     theta = inp.theta
     src, tgt = theta.source, theta.target
     residual = matrix_sum_of_products(
-        [(inp.p_corr, src.psi), (-tgt.psi, inp.q_corr)], inp.s2 - inp.s1)
+        [(1, inp.p_corr, src.psi), (-1, tgt.psi, inp.q_corr)], [(1, inp.s2), (-1, inp.s1)])
     if not residual.is_zero():
         raise VerificationFailure("internal identity p@psi1 == s1 - s2 + psi2@q failed")
-    t_prime = matrix_sum_of_products([(tgt.phi, inp.p_corr)], inp.t)
+    t_prime = matrix_sum_of_products([(1, tgt.phi, inp.p_corr)], [(1, inp.t)])
     return verify_homotopy(theta, zero_morphism(src, tgt), inp.s2, t_prime)
 
 
@@ -219,11 +222,11 @@ class ChainLiftInput:
         why = (" does not vanish over the quotient,"
                " the lifted window is not a chain-map section")
         self.phi_gap = _divide_matrix(
-            tower, matrix_sum_of_products([(target.phi, f0), (-g0, source.phi)]),
+            tower, matrix_sum_of_products([(1, target.phi, f0), (-1, g0, source.phi)]),
             "phi2@f0 - g0@phi1" + why,
         )
         self.psi_gap = _divide_matrix(
-            tower, matrix_sum_of_products([(target.psi, g1), (-f0, source.psi)]),
+            tower, matrix_sum_of_products([(1, target.psi, g1), (-1, f0, source.psi)]),
             "psi2@g1 - f0@psi1" + why,
         )
 
@@ -258,21 +261,21 @@ def lift_chain_map(inp: ChainLiftInput) -> tuple[MfMorphism, LiftWitness]:
     """
     src, tgt = inp.source, inp.target
     phi_gap, psi_gap = inp.phi_gap, inp.psi_gap
-    f_lead = inp.f0 - tgt.psi @ phi_gap
-    if not matrix_sum_of_products([(f_lead, src.psi), (-tgt.psi, inp.g0)]).is_zero():
+    f_lead = matrix_sum_of_products([(-1, tgt.psi, phi_gap)], [(1, inp.f0)])
+    if not matrix_sum_of_products([(1, f_lead, src.psi), (-1, tgt.psi, inp.g0)]).is_zero():
         raise VerificationFailure(
             "internal identity psi2@phi_gap@psi1 == f0@psi1 - psi2@g0 failed"
         )
-    f = matrix_sum_of_products([(psi_gap, src.phi)], f_lead)
-    g = matrix_sum_of_products([(tgt.phi, psi_gap)], inp.g0)
+    f = matrix_sum_of_products([(1, psi_gap, src.phi)], [(1, f_lead)])
+    g = matrix_sum_of_products([(1, tgt.phi, psi_gap)], [(1, inp.g0)])
     theta = verify_morphism(src, tgt, f, g)
     phi_gap_bar = phi_gap.reduce_to(Level.QUOT)
     psi_gap_bar = psi_gap.reduce_to(Level.QUOT)
     phi1_bar, _ = src.bars()
     _, psi2_bar = tgt.bars()
     residual_bar = matrix_sum_of_products(
-        [(psi2_bar, phi_gap_bar), (-psi_gap_bar, phi1_bar)],
-        (f - inp.f0).reduce_to(Level.QUOT),
+        [(1, psi2_bar, phi_gap_bar), (-1, psi_gap_bar, phi1_bar)],
+        [(1, (f - inp.f0).reduce_to(Level.QUOT))],
     )
     if not residual_bar.is_zero():
         raise VerificationFailure(
@@ -512,8 +515,8 @@ class _GradedSystem:
             # Combinations of standard monomials are in QUOT normal form.
             xs.append(RingMatrix(tower, Level.QUOT, entries, nrows, ncols, normalize=False))
         for c, left, right in self._equations:
-            products = [(a, xs[x]) for a, x in left] + [(xs[x], b) for x, b in right]
-            if not matrix_sum_of_products(products, -c).is_zero():
+            products = [(1, a, xs[x]) for a, x in left] + [(1, xs[x], b) for x, b in right]
+            if not matrix_sum_of_products(products, [(-1, c)]).is_zero():
                 raise VerificationFailure("graded system solution failed re-verification")
         return xs
 

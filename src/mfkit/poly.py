@@ -434,31 +434,45 @@ class Polynomial:
 def sum_of_products(ring: PolyRing, pairs) -> Polynomial:
     """sum_k a_k*b_k over the (a_k, b_k) in `pairs`, exactly, in `ring`.
 
-    With L the lcm of the products of the factors' denominators d_a*d_b,
-    it accumulates one int dict of sum_k (L/(d_a*d_b)) * nums_a*nums_b,
-    each monomial product one int addition, and normalizes it over L
-    once at the end. When L == 1 (always over GF(p)) that takes no gcd,
-    only the reduction of each numerator. BudgetExceeded when a product
-    monomial is past the packed range (one `max` over the result's keys:
-    a product of two in-range monomials is exact, so it cannot wrap).
-    `Polynomial.__mul__` is its one-pair case.
+    Checks every factor's ring (VariableMismatch or FieldMismatch for a
+    foreign one), then sums the nonzero products in one `sum_of_terms`
+    call. `Polynomial.__mul__` is its one-pair case.
     """
-    prods = []
-    den = 1
+    terms = []
     for a, b in pairs:
         for f in (a, b):
             if f.ring is not ring and f.ring != ring:
                 ring.zero()._check_compatible(f)
         if a.nums and b.nums:
-            d = a.den * b.den
-            # The factor with fewer terms goes in the outer loop.
-            fa, fb = (a.nums, b.nums) if len(a.nums) <= len(b.nums) else (b.nums, a.nums)
-            prods.append((fa, fb, d))
-            if d != 1:
-                den = lcm(den, d)
+            terms.append((a.nums, b.nums, a.den * b.den))
+    return sum_of_terms(ring, terms)
+
+
+def sum_of_terms(ring: PolyRing, terms) -> Polynomial:
+    """sum_k nums_a*nums_b/d over the (nums_a, nums_b, d) in `terms`.
+
+    Each term is a product of two numerator dicts over the signed
+    denominator d, a nonzero int whose sign is the term's: a negated
+    product costs nothing per monomial pair. With L the lcm of the |d|,
+    it accumulates one int dict of sum_k (L/d) * nums_a*nums_b, the
+    factor with fewer terms in the outer loop, so the multiplier L/d is
+    one multiply per outer term and each monomial product one int
+    addition. The sum is normalized over L once at the end; when L == 1
+    (always over GF(p)) the accumulator itself becomes the result if
+    `canonical_row` finds it canonical. BudgetExceeded when a product
+    monomial is past the packed range (one `max` over the result's keys:
+    a product of two in-range monomials is exact, so it cannot wrap).
+    The caller vouches that every dict belongs to `ring`.
+    """
+    den = 1
+    for _, _, d in terms:
+        if d != 1 and d != -1:
+            den = lcm(den, d)
     acc: dict = {}
     get = acc.get
-    for fa, fb, d in prods:
+    for fa, fb, d in terms:
+        if len(fa) > len(fb):
+            fa, fb = fb, fa
         k = den // d
         fb = fb.items()
         for ma, ca in fa.items():
@@ -471,6 +485,8 @@ def sum_of_products(ring: PolyRing, pairs) -> Polynomial:
         top = max(acc)
         if top >= ring.limit:
             raise past_range(top >> ring.shift)
+    if den == 1:
+        return Polynomial(ring, ring.field.canonical_row(acc))
     return Polynomial(ring, *ring.field.normalize(acc, den))
 
 

@@ -49,6 +49,7 @@ from .poly import (
     PolyRing,
     format_canonical,
     sum_of_products,
+    sum_of_terms,
 )
 
 
@@ -357,7 +358,9 @@ class RingMatrix:
     """A matrix over one tower level; entries kept in normal form.
 
     Every constructor and operation keeps that invariant, so a caller
-    that passes normalize=False vouches for its entries.
+    that passes normalize=False vouches for its entries. An explicit
+    `nrows` or `ncols` must agree with the rows given (DimensionMismatch
+    otherwise); `ncols` is needed only when there are no rows.
 
     Dimensions may be zero: rank-zero objects (empty matrices) are legal
     and behave as expected under block assembly and products.
@@ -371,6 +374,8 @@ class RingMatrix:
         self.level = Level(level)
         if nrows is None:
             nrows = len(entries)
+        elif nrows != len(entries):
+            raise DimensionMismatch(f"matrix literal has {len(entries)} rows, not {nrows}")
         if ncols is None:
             ncols = len(entries[0]) if entries else 0
         self.nrows = nrows
@@ -383,6 +388,16 @@ class RingMatrix:
                 [tower.normal_form(p, self.level) for p in row] for row in entries
             ]
         self.entries = tuple(tuple(row) for row in entries)
+
+    @classmethod
+    def _of_rows(cls, tower: RingTower, level: Level, rows: tuple, nrows: int,
+                 ncols: int) -> "RingMatrix":
+        """The matrix of `rows`, a tuple of nrows tuples of ncols normal
+        forms at `level`, taken as they are: the operations that compute
+        their entries in normal form build their results through it."""
+        m = cls.__new__(cls)
+        m.tower, m.level, m.nrows, m.ncols, m.entries = tower, level, nrows, ncols, rows
+        return m
 
     @classmethod
     def identity(cls, tower: RingTower, level: Level, n: int) -> "RingMatrix":
@@ -454,15 +469,15 @@ class RingMatrix:
         # Entries are stored in normal form, and no term of a sum or
         # difference of normal forms is divisible by a leading monomial
         # of the basis.
-        entries = [[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        return RingMatrix(self.tower, self.level, entries, self.nrows, self.ncols, normalize=False)
+        entries = tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries))
+        return RingMatrix._of_rows(self.tower, self.level, entries, self.nrows, self.ncols)
 
     def __neg__(self) -> "RingMatrix":
-        entries = [[-p for p in row] for row in self.entries]
-        return RingMatrix(self.tower, self.level, entries, self.nrows, self.ncols, normalize=False)
+        entries = tuple(tuple(-p for p in row) for row in self.entries)
+        return RingMatrix._of_rows(self.tower, self.level, entries, self.nrows, self.ncols)
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
-        return matrix_sum_of_products(((self, other),))
+        return matrix_sum_of_products(((1, self, other),))
 
     def scale(self, c) -> "RingMatrix":
         """Multiply entrywise by a polynomial."""
@@ -472,10 +487,8 @@ class RingMatrix:
         return RingMatrix(self.tower, self.level, entries, self.nrows, self.ncols, normalize=False)
 
     def transpose(self) -> "RingMatrix":
-        entries = [
-            [self.entries[i][j] for i in range(self.nrows)] for j in range(self.ncols)
-        ]
-        return RingMatrix(self.tower, self.level, entries, self.ncols, self.nrows, normalize=False)
+        entries = tuple(zip(*self.entries)) if self.nrows else ((),) * self.ncols
+        return RingMatrix._of_rows(self.tower, self.level, entries, self.ncols, self.nrows)
 
     def reduce_to(self, level: Level) -> "RingMatrix":
         """Entrywise reduction to a deeper level."""
@@ -519,22 +532,33 @@ def require_shape(name: str, m: RingMatrix, rows: int, cols: int):
         raise DimensionMismatch(f"{name} must be {rows}x{cols}, got {m.nrows}x{m.ncols}")
 
 
-def matrix_sum_of_products(products, lead: RingMatrix | None = None) -> RingMatrix:
-    """lead + sum of a@b over the (a, b) in `products`; `lead` may be None.
+def matrix_sum_of_products(products, lead=()) -> RingMatrix:
+    """sum of sign*a@b over the (sign, a, b) in `products`, plus sum of
+    sign*m over the (sign, m) in `lead`, each sign 1 or -1.
 
-    Each entry is one `sum_of_products` call over every term, the lead's
-    entry paired with 1, and one normal form at the operands' level; the
-    lead is in normal form and normal form is linear, so this is the sum
-    of the normalized products. Each pair must multiply, and the terms
-    and the lead must share tower, level and result shape.
+    One sparse pass, with no intermediate matrix: the sum of products is
+    one product of the operands set side by side, [s_1*a_1 | s_2*a_2 |
+    ...] @ [b_1; b_2; ...]. Each row of the left side is viewed once as
+    its nonzero entries (index, nums, signed den), each column of the
+    right side once as a dict index -> (nums, den), and every ring is
+    checked as the views are built (VariableMismatch or FieldMismatch
+    for a foreign polynomial). An entry intersects one row view with one
+    column view and is one `sum_of_terms` call over those products and
+    the leads' entries, a sign folded into each term's denominator, then
+    one normal form at the operands' level; the leads are in normal form
+    and normal form is linear, so this is the sum of the normalized
+    products. There must be at least one product (ValueError); each pair
+    must multiply, and the terms and the leads must share tower, level
+    and result shape.
     """
-    for a, b in products:
+    if not products:
+        raise ValueError("a matrix combination needs at least one product")
+    for _, a, b in products:
         a._check(b, for_product=True)
-    first, last = products[0]
+    _, first, last = products[0]
     tower, level, shape = first.tower, first.level, (first.nrows, last.ncols)
-    others = [(a, (a.nrows, b.ncols)) for a, b in products[1:]]
-    if lead is not None:
-        others.append((lead, (lead.nrows, lead.ncols)))
+    others = [(a, (a.nrows, b.ncols)) for _, a, b in products[1:]]
+    others += [(m, (m.nrows, m.ncols)) for _, m in lead]
     for m, m_shape in others:
         if m.tower is not tower:
             raise TowerMismatch("matrices from different towers")
@@ -542,18 +566,47 @@ def matrix_sum_of_products(products, lead: RingMatrix | None = None) -> RingMatr
             raise LevelMismatch(f"levels differ: {level.name} vs {m.level.name}")
         if m_shape != shape:
             raise DimensionMismatch("shape mismatch: {}x{} vs {}x{}".format(*shape, *m_shape))
-    # A sum of products is one product of the operands set side by side:
-    # [a_1 | a_2 | ...] @ [b_1; b_2; ...].
-    rows = first.entries if len(products) == 1 else [
-        [p for a, _ in products for p in a.entries[i]] for i in range(shape[0])
-    ]
-    cols = [[row[j] for _, b in products for row in b.entries] for j in range(shape[1])]
-    ring, normal_form = tower.ring, tower.normal_form
-    if lead is None:
-        entries = [[normal_form(sum_of_products(ring, zip(row, col)), level) for col in cols]
-                   for row in rows]
-    else:
-        one = ring.one()
-        entries = [[normal_form(sum_of_products(ring, [(c, one), *zip(row, col)]), level)
-                    for c, col in zip(lead_row, cols)] for row, lead_row in zip(rows, lead.entries)]
-    return RingMatrix(tower, level, entries, *shape, normalize=False)
+    ring = tower.ring
+    rows = [[] for _ in range(shape[0])]
+    cols = [{} for _ in range(shape[1])]
+    offset = 0
+    for sign, a, b in products:
+        for view, line in zip(rows, a.entries):
+            for k, p in enumerate(line, offset):
+                if p.ring is not ring:
+                    _check_ring(ring, p)
+                if p.nums:
+                    view.append((k, p.nums, sign * p.den))
+        for k, line in enumerate(b.entries, offset):
+            for col, p in zip(cols, line):
+                if p.ring is not ring:
+                    _check_ring(ring, p)
+                if p.nums:
+                    col[k] = (p.nums, p.den)
+        offset += a.ncols
+    leads = [(sign, m.entries) for sign, m in lead]
+    for _, rows_m in leads:
+        for line in rows_m:
+            for p in line:
+                if p.ring is not ring:
+                    _check_ring(ring, p)
+    one, zero, normal_form = {0: 1}, ring.zero(), tower.normal_form
+    entries = []
+    for i, view in enumerate(rows):
+        line = []
+        for j, col in enumerate(cols):
+            terms = [(one, p.nums, sign * p.den) for sign, rows_m in leads if (p := rows_m[i][j]).nums]
+            get = col.get
+            for k, nums, d in view:
+                e = get(k)
+                if e is not None:
+                    terms.append((nums, e[0], d * e[1]))
+            line.append(normal_form(sum_of_terms(ring, terms), level) if terms else zero)
+        entries.append(tuple(line))
+    return RingMatrix._of_rows(tower, level, tuple(entries), *shape)
+
+
+def _check_ring(ring: PolyRing, p: Polynomial):
+    """VariableMismatch or FieldMismatch unless p belongs to `ring`."""
+    if p.ring != ring:
+        ring.zero()._check_compatible(p)

@@ -25,6 +25,7 @@ from mfkit.mfcat import (
     identity_morphism,
     mapping_cone,
     suspend,
+    verify_homotopy,
     verify_mf,
     verify_morphism,
     zero_morphism,
@@ -1049,3 +1050,43 @@ def test_lifting_algorithms_reuse_the_inputs_quotients(monkeypatch, objects):
     transport_nullhomotopy(transport)
     lift_chain_map(lift)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["B", "koszul-2"])
+def test_identities_build_no_negated_or_subtracted_matrices(monkeypatch, objects, name):
+    # Every defect, correction and checked identity is one signed
+    # combination: no RingMatrix negation inside the lifting algorithms,
+    # the morphism and homotopy checks or a window solve, and one
+    # subtraction, the lead of lift_chain_map's witness identity, which
+    # crosses from MID to QUOT.
+    a = objects["B"] if name == "B" else koszul_mf(2)
+    rng = random.Random(57)
+    (th, s1, t, s2), (g1, f0, g0) = _lifting_inputs(a, rng)
+    th_null, s, t_null = rand_nullhomotopic_morphism(a, a, rng)
+    zero = zero_morphism(a, a)
+    delta = window_delta(a, rng)
+    calls = []
+    for op in ("__neg__", "__sub__"):
+        original = getattr(RingMatrix, op)
+
+        def counting(self, *args, op=op, original=original):
+            calls.append(op)
+            return original(self, *args)
+
+        monkeypatch.setattr(RingMatrix, op, counting)
+
+    def counted(call):
+        calls.clear()
+        result = call()
+        return result, sorted(calls)
+
+    transport, used = counted(lambda: HomotopyTransportInput(th, s1, t, s2))
+    assert used == []
+    assert counted(lambda: transport_nullhomotopy(transport))[1] == []
+    lift, used = counted(lambda: ChainLiftInput(a, a, g1, f0, g0))
+    assert used == []
+    assert counted(lambda: lift_chain_map(lift))[1] == ["__sub__"]
+    assert counted(lambda: verify_morphism(a, a, th.f, th.g))[1] == []
+    assert counted(lambda: verify_homotopy(th_null, zero, s, t_null))[1] == []
+    window, used = counted(lambda: graded_nullhomotopy_window(delta, 0, 2))
+    assert window.solvable and used == []

@@ -10,9 +10,11 @@ import pytest
 import mfkit.groebner as groebner
 from mfkit.errors import (
     DimensionMismatch,
+    FieldMismatch,
     LevelMismatch,
     NotDivisible,
     TowerMismatch,
+    VariableMismatch,
     VerificationFailure,
     ZeroVector,
 )
@@ -414,26 +416,49 @@ def test_matmul_matches_reference_loop(name, level):
             assert a @ b == reference_tower.matmul(a, b)
 
 
+def _signed_reference(tower, level, shape, products, lead):
+    """sum of sign*a@b + sum of sign*m from reference products and the
+    entrywise + and - of RingMatrix."""
+    total = RingMatrix.zeros(tower, level, *shape)
+    for sign, m in [*((s, reference_tower.matmul(a, b)) for s, a, b in products), *lead]:
+        total = total + m if sign == 1 else total - m
+    return total
+
+
 @pytest.mark.parametrize("level", [Level.MID, Level.QUOT], ids=lambda lv: lv.name)
 @pytest.mark.parametrize("name", KERNEL_TOWERS)
 def test_matrix_sum_of_products_matches_reference_loop(name, level):
-    # lead + sum of a@b against the sum of reference products, over
-    # 1-3 terms with mixed inner sizes, empty shapes included.
+    # sum of sign*a@b + sum of sign*m against the signed sum of reference
+    # products, over 1-3 product terms with mixed inner sizes and signs
+    # and 0-2 signed leads, zero operands and empty shapes included. Over
+    # QQ the entries have assorted denominators, so a sign meets an lcm;
+    # every entry must be canonical (over GF(p), a -1 comes back in [1, p)).
     tower = kernel_tower(name)
+    ring = tower.ring
     rng = random.Random(71)
+
+    def operand(nrows, ncols):
+        if rng.random() < 0.15:
+            return RingMatrix.zeros(tower, level, nrows, ncols)
+        return _rational_matrix(tower, rng, nrows, ncols, level)
+
     shapes = [(0, 2), (2, 0), (0, 0), (1, 1), (2, 3), (3, 2), (2, 2), (3, 3)]
-    for k, (n, m) in enumerate(shapes * 2):
+    for k, (n, m) in enumerate(shapes * 3):
         products = []
         for _ in range(k % 3 + 1):
             inner = rng.randint(0, 3)
-            products.append((_rational_matrix(tower, rng, n, inner, level),
-                             _rational_matrix(tower, rng, inner, m, level)))
-        expected = functools.reduce(
-            operator.add, [reference_tower.matmul(a, b) for a, b in products]
-        )
-        assert matrix_sum_of_products(products) == expected
-        lead = _rational_matrix(tower, rng, n, m, level)
-        assert matrix_sum_of_products(products, lead) == lead + expected
+            products.append((rng.choice([1, -1]), operand(n, inner), operand(inner, m)))
+        lead = [(rng.choice([1, -1]), operand(n, m)) for _ in range(k % 3)]
+        got = matrix_sum_of_products(products, lead)
+        assert got == _signed_reference(tower, level, (n, m), products, lead)
+        assert all(ring.from_ints(p.nums, p.den) == p for row in got.entries for p in row)
+        unsigned = [(1, a, b) for _, a, b in products]
+        assert matrix_sum_of_products(unsigned) == _signed_reference(tower, level, (n, m), unsigned, [])
+    one = RingMatrix.identity(tower, level, 2)
+    c = _rational_matrix(tower, rng, 2, 2, level)
+    assert matrix_sum_of_products([(-1, one, one)]) == -one
+    assert matrix_sum_of_products([(-1, c, one)], [(1, c)]).is_zero()
+    assert matrix_sum_of_products([(1, c, one)], [(-1, c), (-1, c)]) == -c
 
 
 def test_matrix_sum_of_products_rejects_mismatched_terms():
@@ -443,21 +468,59 @@ def test_matrix_sum_of_products_rejects_mismatched_terms():
     def m(nrows, ncols, level=Level.MID, t=tower):
         return _rational_matrix(t, rng, nrows, ncols, level)
 
-    a, b = m(2, 2), m(2, 3)
+    a, b, c = m(2, 2), m(2, 3), m(2, 3)
     cases = [
-        ([(a, m(3, 2))], None, DimensionMismatch),  # the pair does not multiply
-        ([(a, m(2, 2, Level.QUOT))], None, LevelMismatch),
-        ([(a, m(2, 2, t=other))], None, TowerMismatch),
-        ([(a, b), (m(2, 2, t=other), m(2, 3, t=other))], None, TowerMismatch),
-        ([(a, b), (m(2, 2, Level.QUOT), m(2, 3, Level.QUOT))], None, LevelMismatch),
-        ([(a, b), (m(2, 1), m(1, 2))], None, DimensionMismatch),
-        ([(a, b)], m(2, 3, t=other), TowerMismatch),
-        ([(a, b)], m(2, 3, Level.QUOT), LevelMismatch),
-        ([(a, b)], m(3, 2), DimensionMismatch),
+        ([], (), ValueError),  # no product
+        ([(1, a, m(3, 2))], (), DimensionMismatch),  # the pair does not multiply
+        ([(1, a, m(2, 2, Level.QUOT))], (), LevelMismatch),
+        ([(-1, a, m(2, 2, t=other))], (), TowerMismatch),
+        ([(1, a, b), (-1, m(2, 2, t=other), m(2, 3, t=other))], (), TowerMismatch),
+        ([(1, a, b), (1, m(2, 2, Level.QUOT), m(2, 3, Level.QUOT))], (), LevelMismatch),
+        ([(1, a, b), (-1, m(2, 1), m(1, 2))], (), DimensionMismatch),
+        ([(1, a, b)], [(1, m(2, 3, t=other))], TowerMismatch),
+        ([(1, a, b)], [(-1, m(2, 3, Level.QUOT))], LevelMismatch),
+        ([(1, a, b)], [(1, m(3, 2))], DimensionMismatch),
+        ([(1, a, b)], [(1, c), (-1, m(2, 3, t=other))], TowerMismatch),
+        ([(1, a, b)], [(-1, c), (1, m(2, 3, Level.QUOT))], LevelMismatch),
+        ([(-1, a, b)], [(1, c), (-1, m(3, 3))], DimensionMismatch),
     ]
     for products, lead, error in cases:
         with pytest.raises(error):
             matrix_sum_of_products(products, lead)
+
+
+@pytest.mark.parametrize("foreign, error", [
+    (PolyRing(("u", "v", "w"), QQ).parse("u + 1"), VariableMismatch),
+    (RXYZ_BY_FIELD[PrimeField(2)].parse("x + 1"), FieldMismatch),
+    (RXYZ_BY_FIELD[PrimeField(2)].zero(), FieldMismatch),
+], ids=["vars", "field", "zero"])
+def test_matrix_sum_of_products_rejects_foreign_entries(foreign, error):
+    # A polynomial from another ring inside a normalize=False matrix, as
+    # left factor, right factor or lead, is caught as the views are built.
+    tower = kernel_tower("qq")
+    x = tower.ring.parse("x")
+    bad = RingMatrix(tower, Level.MID, [[x, foreign]], normalize=False)
+    good_row, good_col = mat(tower, [["1", "y"]]), mat(tower, [["x"], ["1"]])
+    for products, lead in [
+        ([(1, bad, good_col)], ()),
+        ([(-1, good_col, bad)], ()),
+        ([(1, good_row, good_col)], [(-1, RingMatrix(tower, Level.MID, [[foreign]], normalize=False))]),
+    ]:
+        with pytest.raises(error):
+            matrix_sum_of_products(products, lead)
+
+
+def test_explicit_row_count_must_match_the_rows():
+    tower = kernel_tower("qq")
+    x = tower.ring.parse("x")
+    with pytest.raises(DimensionMismatch):
+        RingMatrix(tower, Level.MID, [[x]], nrows=2, ncols=1)
+    with pytest.raises(DimensionMismatch):
+        RingMatrix(tower, Level.MID, [], nrows=1, ncols=2)
+    empty = RingMatrix(tower, Level.MID, [], nrows=0, ncols=2)
+    assert (empty.nrows, empty.ncols) == (0, 2)
+    assert empty.transpose() == RingMatrix.zeros(tower, Level.MID, 2, 0)
+    assert RingMatrix(tower, Level.MID, [[x]], nrows=1, ncols=1).transpose().entries == ((x,),)
 
 
 @pytest.mark.parametrize("level", [Level.MID, Level.QUOT], ids=lambda lv: lv.name)
