@@ -42,8 +42,8 @@ def _w_identity(tower: RingTower, level: Level, n: int) -> RingMatrix:
     (which is 0 at QUOT)."""
     w = tower.normal_form(tower.w, level)
     zero = tower.ring.zero()
-    return RingMatrix(tower, level, [[w if i == j else zero for j in range(n)] for i in range(n)],
-                      nrows=n, ncols=n, normalize=False)
+    return RingMatrix._of_rows(tower, level, tuple(
+        tuple(w if i == j else zero for j in range(n)) for i in range(n)), n)
 
 
 def _first_diff(found: RingMatrix, expected: RingMatrix):

@@ -120,10 +120,10 @@ def _divide_matrix(tower: RingTower, m: RingMatrix, failure: str) -> RingMatrix:
     unless every entry vanishes over the deep quotient."""
     oracle = tower.oracle
     try:
-        entries = [[oracle.divide(p) for p in row] for row in m.entries]
+        entries = tuple(tuple([oracle.divide(p) for p in row]) for row in m.entries)
     except NotDivisible:
         raise NotDivisible(failure) from None
-    return RingMatrix(tower, Level.MID, entries, m.nrows, m.ncols, normalize=False)
+    return RingMatrix._of_rows(tower, Level.MID, entries, m.ncols)
 
 
 def _check_mid_shapes(*specs):
@@ -510,10 +510,10 @@ class _GradedSystem:
             size = len(monos)
             coeffs = [nums[offset + cell * size:offset + (cell + 1) * size]
                       for cell in range(nrows * ncols)]
-            entries = [[tower.ring.from_ints(dict(zip(monos, coeffs[i * ncols + j])), den)
-                        for j in range(ncols)] for i in range(nrows)]
+            entries = tuple(tuple([tower.ring.from_ints(dict(zip(monos, c)), den)
+                                   for c in coeffs[i * ncols:(i + 1) * ncols]]) for i in range(nrows))
             # Combinations of standard monomials are in QUOT normal form.
-            xs.append(RingMatrix(tower, Level.QUOT, entries, nrows, ncols, normalize=False))
+            xs.append(RingMatrix._of_rows(tower, Level.QUOT, entries, ncols))
         for c, left, right in self._equations:
             products = [(1, a, xs[x]) for a, x in left] + [(1, xs[x], b) for x, b in right]
             if not matrix_sum_of_products(products, [(-1, c)]).is_zero():

@@ -462,7 +462,10 @@ def sum_of_terms(ring: PolyRing, terms) -> Polynomial:
     `canonical_row` finds it canonical. BudgetExceeded when a product
     monomial is past the packed range (one `max` over the result's keys:
     a product of two in-range monomials is exact, so it cannot wrap).
-    The caller vouches that every dict belongs to `ring`.
+    No ring is checked here: the caller vouches that every dict belongs
+    to `ring` (`sum_of_products` checks its factors, and
+    `tower.matrix_sum_of_products` reads RingMatrix entries, which are
+    in the tower's ring by construction).
     """
     den = 1
     for _, _, d in terms:

@@ -192,12 +192,12 @@ class RingTower:
         """p's normal form at `level`: p itself when the level's basis is
         empty, else the sum of its monomials' table entries.
         FieldMismatch or VariableMismatch for a polynomial from another
-        ring, raised before any lookup."""
+        ring, raised first, at every level."""
+        if p.ring is not self.ring:
+            p._check_compatible(self.w)
         basis = self.mid_basis if level == Level.MID else self.quot_basis
         if not basis.polys:
             return p
-        if p.ring is not self.ring:
-            p._check_compatible(basis.polys[0])
         table = self._tables[level]
         return linear_image(p, [table.get(m) or self._image(m, level) for m in p.nums])
 
@@ -355,12 +355,15 @@ def _check_tower_invariants(tower: RingTower):
 
 
 class RingMatrix:
-    """A matrix over one tower level; entries kept in normal form.
+    """A matrix over one tower level whose entries are normal forms over
+    the tower's ring at that level.
 
-    Every constructor and operation keeps that invariant, so a caller
-    that passes normalize=False vouches for its entries. An explicit
-    `nrows` or `ncols` must agree with the rows given (DimensionMismatch
-    otherwise); `ncols` is needed only when there are no rows.
+    The constructor is the one way in for a caller's entries: it takes
+    each entry's normal form, which raises VariableMismatch or
+    FieldMismatch for a polynomial from another ring, so every matrix
+    keeps the invariant and the operations on matrices trust it. An
+    explicit `ncols` must agree with the rows given (DimensionMismatch
+    otherwise); it is needed only when there are no rows.
 
     Dimensions may be zero: rank-zero objects (empty matrices) are legal
     and behave as expected under block assembly and products.
@@ -369,48 +372,39 @@ class RingMatrix:
     __slots__ = ("tower", "level", "nrows", "ncols", "entries")
 
     def __init__(self, tower: RingTower, level: Level, entries: list[list[Polynomial]],
-                 nrows: int | None = None, ncols: int | None = None, normalize: bool = True):
-        self.tower = tower
-        self.level = Level(level)
-        if nrows is None:
-            nrows = len(entries)
-        elif nrows != len(entries):
-            raise DimensionMismatch(f"matrix literal has {len(entries)} rows, not {nrows}")
+                 ncols: int | None = None):
+        level = Level(level)
         if ncols is None:
             ncols = len(entries[0]) if entries else 0
-        self.nrows = nrows
-        self.ncols = ncols
+        normal_form = tower.normal_form
+        rows = []
         for row in entries:
             if len(row) != ncols:
                 raise DimensionMismatch("ragged rows in matrix literal")
-        if normalize:
-            entries = [
-                [tower.normal_form(p, self.level) for p in row] for row in entries
-            ]
-        self.entries = tuple(tuple(row) for row in entries)
+            rows.append(tuple([normal_form(p, level) for p in row]))
+        self.tower, self.level, self.nrows, self.ncols = tower, level, len(rows), ncols
+        self.entries = tuple(rows)
 
     @classmethod
-    def _of_rows(cls, tower: RingTower, level: Level, rows: tuple, nrows: int,
-                 ncols: int) -> "RingMatrix":
-        """The matrix of `rows`, a tuple of nrows tuples of ncols normal
-        forms at `level`, taken as they are: the operations that compute
-        their entries in normal form build their results through it."""
+    def _of_rows(cls, tower: RingTower, level: Level, rows: tuple, ncols: int) -> "RingMatrix":
+        """The matrix of `rows`, a tuple of tuples of ncols polynomials of
+        the tower's ring, each already a normal form at `level`, taken as
+        they are: the package's own builds, whose entries are normal forms
+        by construction, go through it."""
         m = cls.__new__(cls)
-        m.tower, m.level, m.nrows, m.ncols, m.entries = tower, level, nrows, ncols, rows
+        m.tower, m.level, m.nrows, m.ncols, m.entries = tower, level, len(rows), ncols, rows
         return m
 
     @classmethod
     def identity(cls, tower: RingTower, level: Level, n: int) -> "RingMatrix":
         zero = tower.ring.zero()
         one = tower.normal_form(tower.ring.one(), level)
-        return cls(tower, level, [[one if i == j else zero for j in range(n)] for i in range(n)],
-                   nrows=n, ncols=n, normalize=False)
+        return cls._of_rows(tower, level, tuple(
+            tuple(one if i == j else zero for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, tower: RingTower, level: Level, nrows: int, ncols: int) -> "RingMatrix":
-        zero = tower.ring.zero()
-        return cls(tower, level, [[zero] * ncols for _ in range(nrows)],
-                   nrows=nrows, ncols=ncols, normalize=False)
+        return cls._of_rows(tower, level, ((tower.ring.zero(),) * ncols,) * nrows, ncols)
 
     @classmethod
     def block(cls, blocks: list[list["RingMatrix"]]) -> "RingMatrix":
@@ -419,7 +413,10 @@ class RingMatrix:
             raise DimensionMismatch("empty block grid")
         tower = blocks[0][0].tower
         level = blocks[0][0].level
+        width = len(blocks[0])
         for row in blocks:
+            if len(row) != width:
+                raise DimensionMismatch("block rows hold different numbers of blocks")
             for b in row:
                 if b.tower is not tower:
                     raise TowerMismatch("blocks from different towers")
@@ -429,19 +426,15 @@ class RingMatrix:
             h = row[0].nrows
             if any(b.nrows != h for b in row):
                 raise DimensionMismatch("block row heights differ")
-        for j in range(len(blocks[0])):
+        for j in range(width):
             wcol = blocks[0][j].ncols
             if any(row[j].ncols != wcol for row in blocks):
                 raise DimensionMismatch("block column widths differ")
-        entries: list[list[Polynomial]] = []
-        for row in blocks:
-            for i in range(row[0].nrows):
-                line: list[Polynomial] = []
-                for b in row:
-                    line.extend(b.entries[i])
-                entries.append(line)
-        ncols = sum(b.ncols for b in blocks[0])
-        return cls(tower, level, entries, nrows=len(entries), ncols=ncols, normalize=False)
+        entries = tuple(
+            sum((b.entries[i] for b in row), ())
+            for row in blocks for i in range(row[0].nrows)
+        )
+        return cls._of_rows(tower, level, entries, sum(b.ncols for b in blocks[0]))
 
     def _check(self, other: "RingMatrix", for_product: bool = False):
         if self.tower is not other.tower:
@@ -470,25 +463,23 @@ class RingMatrix:
         # difference of normal forms is divisible by a leading monomial
         # of the basis.
         entries = tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries))
-        return RingMatrix._of_rows(self.tower, self.level, entries, self.nrows, self.ncols)
+        return RingMatrix._of_rows(self.tower, self.level, entries, self.ncols)
 
     def __neg__(self) -> "RingMatrix":
         entries = tuple(tuple(-p for p in row) for row in self.entries)
-        return RingMatrix._of_rows(self.tower, self.level, entries, self.nrows, self.ncols)
+        return RingMatrix._of_rows(self.tower, self.level, entries, self.ncols)
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         return matrix_sum_of_products(((1, self, other),))
 
     def scale(self, c) -> "RingMatrix":
         """Multiply entrywise by a polynomial."""
-        entries = [
-            [self.tower.normal_form(p * c, self.level) for p in row] for row in self.entries
-        ]
-        return RingMatrix(self.tower, self.level, entries, self.nrows, self.ncols, normalize=False)
+        entries = [[p * c for p in row] for row in self.entries]
+        return RingMatrix(self.tower, self.level, entries, self.ncols)
 
     def transpose(self) -> "RingMatrix":
         entries = tuple(zip(*self.entries)) if self.nrows else ((),) * self.ncols
-        return RingMatrix._of_rows(self.tower, self.level, entries, self.ncols, self.nrows)
+        return RingMatrix._of_rows(self.tower, self.level, entries, self.nrows)
 
     def reduce_to(self, level: Level) -> "RingMatrix":
         """Entrywise reduction to a deeper level."""
@@ -497,8 +488,7 @@ class RingMatrix:
             raise LevelMismatch(
                 f"cannot lift from {self.level.name} to shallower {level.name}"
             )
-        entries = [[p for p in row] for row in self.entries]
-        return RingMatrix(self.tower, level, entries, self.nrows, self.ncols)
+        return RingMatrix(self.tower, level, self.entries, self.ncols)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingMatrix):
@@ -539,17 +529,17 @@ def matrix_sum_of_products(products, lead=()) -> RingMatrix:
     One sparse pass, with no intermediate matrix: the sum of products is
     one product of the operands set side by side, [s_1*a_1 | s_2*a_2 |
     ...] @ [b_1; b_2; ...]. Each row of the left side is viewed once as
-    its nonzero entries (index, nums, signed den), each column of the
-    right side once as a dict index -> (nums, den), and every ring is
-    checked as the views are built (VariableMismatch or FieldMismatch
-    for a foreign polynomial). An entry intersects one row view with one
-    column view and is one `sum_of_terms` call over those products and
-    the leads' entries, a sign folded into each term's denominator, then
-    one normal form at the operands' level; the leads are in normal form
-    and normal form is linear, so this is the sum of the normalized
-    products. There must be at least one product (ValueError); each pair
-    must multiply, and the terms and the leads must share tower, level
-    and result shape.
+    its nonzero entries (index, nums, signed den) and each column of the
+    right side once as a dict index -> (nums, den). An entry intersects
+    one row view with one column view and is one `sum_of_terms` call
+    over those products and the leads' entries, a sign folded into each
+    term's denominator, then one normal form at the operands' level; the
+    leads are in normal form and normal form is linear, so this is the
+    sum of the normalized products. No entry's ring is checked: every
+    RingMatrix entry is a normal form over the tower's ring, which its
+    constructor checked. There must be at least one product
+    (ValueError); each pair must multiply, and the terms and the leads
+    must share tower, level and result shape.
     """
     if not products:
         raise ValueError("a matrix combination needs at least one product")
@@ -573,23 +563,14 @@ def matrix_sum_of_products(products, lead=()) -> RingMatrix:
     for sign, a, b in products:
         for view, line in zip(rows, a.entries):
             for k, p in enumerate(line, offset):
-                if p.ring is not ring:
-                    _check_ring(ring, p)
                 if p.nums:
                     view.append((k, p.nums, sign * p.den))
         for k, line in enumerate(b.entries, offset):
             for col, p in zip(cols, line):
-                if p.ring is not ring:
-                    _check_ring(ring, p)
                 if p.nums:
                     col[k] = (p.nums, p.den)
         offset += a.ncols
     leads = [(sign, m.entries) for sign, m in lead]
-    for _, rows_m in leads:
-        for line in rows_m:
-            for p in line:
-                if p.ring is not ring:
-                    _check_ring(ring, p)
     one, zero, normal_form = {0: 1}, ring.zero(), tower.normal_form
     entries = []
     for i, view in enumerate(rows):
@@ -603,10 +584,4 @@ def matrix_sum_of_products(products, lead=()) -> RingMatrix:
                     terms.append((nums, e[0], d * e[1]))
             line.append(normal_form(sum_of_terms(ring, terms), level) if terms else zero)
         entries.append(tuple(line))
-    return RingMatrix._of_rows(tower, level, tuple(entries), *shape)
-
-
-def _check_ring(ring: PolyRing, p: Polynomial):
-    """VariableMismatch or FieldMismatch unless p belongs to `ring`."""
-    if p.ring != ring:
-        ring.zero()._check_compatible(p)
+    return RingMatrix._of_rows(tower, level, tuple(entries), shape[1])

@@ -92,7 +92,7 @@ def window_rows(c: MatrixFactorization, d_min: int, d_max: int) -> list[Homology
 def _divide_matrix(tower: RingTower, m: RingMatrix) -> RingMatrix:
     oracle = tower.oracle
     entries = [[oracle.divide(p) for p in row] for row in m.entries]
-    return RingMatrix(tower, Level.MID, entries, m.nrows, m.ncols, normalize=False)
+    return RingMatrix(tower, Level.MID, entries, m.ncols)
 
 
 def _require_residue_zero(m: RingMatrix, failure: str):

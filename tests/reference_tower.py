@@ -48,7 +48,7 @@ def matmul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
                 acc = acc + x * y
             row.append(tower.normal_form(acc, a.level))
         entries.append(row)
-    return RingMatrix(tower, a.level, entries, a.nrows, b.ncols, normalize=False)
+    return RingMatrix(tower, a.level, entries, b.ncols)
 
 
 def _cofactor_expansion(rows):

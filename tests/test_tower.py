@@ -28,6 +28,7 @@ from mfkit.tower import (
     matrix_sum_of_products,
     validate_ci_presentation,
 )
+from mfkit.workbench import load_workbench
 
 from . import reference_tower
 from .genutil import mat, rand_homogeneous_poly, rand_matrix, rand_poly
@@ -356,14 +357,19 @@ class TestDeterminant:
         assert reference_tower.det(m) == expected
 
 
-KERNEL_TOWERS = ["qq", "fp2", "fp32003", "cusp", "unit"]
+KERNEL_TOWERS = ["qq", "fp2", "fp32003", "cusp", "unit", "hyper"]
 
 
 @functools.cache
 def kernel_tower(name):
     """Towers for the differential tests of the matrix algebra: graded
-    and not, over QQ and prime fields, and one whose mid ideal is the
-    unit ideal, where every entry's normal form is 0."""
+    and not, over QQ and prime fields, one whose mid ideal is the unit
+    ideal, where every entry's normal form is 0, and a hypersurface,
+    whose mid basis is empty, so MID normal forms are the entries
+    themselves."""
+    if name == "hyper":
+        ring = RXYZ_BY_FIELD[QQ]
+        return build_tower(ring, [ring.parse("x^2 + y*z")], [1])
     if name == "unit":
         return build_tower(RXY, [RXY.parse("x^2"), RXY.one()], [1, 0], allow_unchecked=True)
     if name == "cusp":
@@ -382,8 +388,7 @@ def _rational_matrix(tower, rng, nrows, ncols, level):
             den = 1
         return rand_poly(tower.ring, rng, 2).scale(1, den)
 
-    return RingMatrix(tower, level, [[entry() for _ in range(ncols)] for _ in range(nrows)],
-                      nrows, ncols)
+    return RingMatrix(tower, level, [[entry() for _ in range(ncols)] for _ in range(nrows)], ncols)
 
 
 def _operand_pool(tower, level, rng):
@@ -489,38 +494,64 @@ def test_matrix_sum_of_products_rejects_mismatched_terms():
             matrix_sum_of_products(products, lead)
 
 
+@pytest.mark.parametrize("name", ["qq", "hyper"])
 @pytest.mark.parametrize("foreign, error", [
     (PolyRing(("u", "v", "w"), QQ).parse("u + 1"), VariableMismatch),
     (RXYZ_BY_FIELD[PrimeField(2)].parse("x + 1"), FieldMismatch),
     (RXYZ_BY_FIELD[PrimeField(2)].zero(), FieldMismatch),
 ], ids=["vars", "field", "zero"])
-def test_matrix_sum_of_products_rejects_foreign_entries(foreign, error):
-    # A polynomial from another ring inside a normalize=False matrix, as
-    # left factor, right factor or lead, is caught as the views are built.
-    tower = kernel_tower("qq")
+def test_constructor_rejects_foreign_entries(foreign, error, name):
+    # The constructor's normal form checks every entry's ring, at MID and
+    # QUOT, on a nonempty mid basis ("qq") and an empty one ("hyper"),
+    # alone or beside good entries, so no matrix carries a foreign entry
+    # into an operation.
+    tower = kernel_tower(name)
+    assert bool(tower.mid_basis.polys) == (name == "qq")
     x = tower.ring.parse("x")
-    bad = RingMatrix(tower, Level.MID, [[x, foreign]], normalize=False)
-    good_row, good_col = mat(tower, [["1", "y"]]), mat(tower, [["x"], ["1"]])
-    for products, lead in [
-        ([(1, bad, good_col)], ()),
-        ([(-1, good_col, bad)], ()),
-        ([(1, good_row, good_col)], [(-1, RingMatrix(tower, Level.MID, [[foreign]], normalize=False))]),
-    ]:
+    for level in Level:
+        for entries in ([[foreign]], [[x, foreign]], [[x], [foreign]]):
+            with pytest.raises(error):
+                RingMatrix(tower, level, entries)
+
+
+@pytest.mark.parametrize("level", [Level.MID, Level.QUOT], ids=lambda lv: lv.name)
+def test_constructor_checks_rings_on_an_empty_basis(corpus_dir, level):
+    # Corpus A's tower (u*v over QQ) has an empty mid basis, where the
+    # normal form returns its argument unreduced: the ring check must
+    # come first, or a foreign entry gets in and m + m returns foreign
+    # entries without an error.
+    tower = load_workbench(str(corpus_dir / "uv_hypersurface.mfw")).tower
+    assert not tower.mid_basis.polys
+    cases = [
+        (PolyRing(("a", "b"), QQ).parse("a+1"), VariableMismatch),
+        (PolyRing(tower.ring.vars, PrimeField(2)).parse("u+1"), FieldMismatch),
+    ]
+    for foreign, error in cases:
         with pytest.raises(error):
-            matrix_sum_of_products(products, lead)
+            RingMatrix(tower, level, [[foreign]])
+
+
+def test_block_rejects_a_ragged_grid():
+    # A block row with a different number of blocks is a DimensionMismatch,
+    # whichever row is the short one.
+    tower = kernel_tower("qq")
+    a = RingMatrix.identity(tower, Level.MID, 1)
+    for grid in ([[a, a], [a]], [[a], [a, a]]):
+        with pytest.raises(DimensionMismatch):
+            RingMatrix.block(grid)
 
 
 def test_explicit_row_count_must_match_the_rows():
     tower = kernel_tower("qq")
     x = tower.ring.parse("x")
     with pytest.raises(DimensionMismatch):
-        RingMatrix(tower, Level.MID, [[x]], nrows=2, ncols=1)
+        RingMatrix(tower, Level.MID, [[x]], ncols=2)
     with pytest.raises(DimensionMismatch):
-        RingMatrix(tower, Level.MID, [], nrows=1, ncols=2)
-    empty = RingMatrix(tower, Level.MID, [], nrows=0, ncols=2)
+        RingMatrix(tower, Level.MID, [[x, x], [x]], ncols=2)
+    empty = RingMatrix(tower, Level.MID, [], ncols=2)
     assert (empty.nrows, empty.ncols) == (0, 2)
     assert empty.transpose() == RingMatrix.zeros(tower, Level.MID, 2, 0)
-    assert RingMatrix(tower, Level.MID, [[x]], nrows=1, ncols=1).transpose().entries == ((x,),)
+    assert RingMatrix(tower, Level.MID, [[x]], ncols=1).transpose().entries == ((x,),)
 
 
 @pytest.mark.parametrize("level", [Level.MID, Level.QUOT], ids=lambda lv: lv.name)
@@ -529,6 +560,11 @@ def test_add_matches_normal_form_of_sum(name, level):
     # __add__ does not normalize: every constructor must already have.
     tower = kernel_tower(name)
     pool = _operand_pool(tower, level, random.Random(59))
+    for m in pool:
+        for row in m.entries:
+            for p in row:
+                assert p.ring is tower.ring
+                assert tower.normal_form(p, level) == p
     for a in pool:
         for b in pool:
             for got, raw in ((a + b, operator.add), (a - b, operator.sub)):
